@@ -72,6 +72,13 @@ def load_checkpoint(path: str, model: Module) -> tuple[dict, RngState]:
     """Load parameter values into ``model``; names and shapes must match the
     model exactly."""
     meta, rng, params = read_checkpoint(path)
+    load_params(path, model, params)
+    return meta, rng
+
+
+def load_params(path: str, model: Module, params: dict[str, np.ndarray]) -> None:
+    """Copy ``params``, as read from checkpoint ``path``, into ``model``;
+    names and shapes must match the model exactly."""
     model.assign_names()
     model_names = {name for name, _ in model.named_parameters()}
     file_names = set(params)
@@ -85,4 +92,3 @@ def load_checkpoint(path: str, model: Module) -> tuple[dict, RngState]:
             raise DataError(f"{path}: shape of {name} is {params[name].shape}, "
                             f"model expects {p.shape}")
         p.data = params[name]
-    return meta, rng

@@ -29,7 +29,7 @@ import json  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from .checkpoint import load_checkpoint, read_checkpoint  # noqa: E402
+from .checkpoint import load_params, read_checkpoint  # noqa: E402
 from .config import RunConfig  # noqa: E402
 from .data import DatasetArrays, generate_synthetic, ingest_manifest  # noqa: E402
 from .errors import ContractError, DataError, NumericalError, SydesError  # noqa: E402
@@ -147,15 +147,14 @@ def _model_meta(cfg: RunConfig, vocab: Vocab) -> dict:
 
 
 def _rebuild_from_checkpoint(path: str) -> tuple[RunConfig, Vocab, SydesModel, dict]:
-    meta, _, _ = read_checkpoint(path)
+    meta, _, params = read_checkpoint(path)
     if "run_config" not in meta or "vocab" not in meta:
         raise DataError(f"{path}: checkpoint lacks embedded config/vocab")
     cfg = RunConfig.from_dict(meta["run_config"])
-    tokens = meta["vocab"]
-    vocab = Vocab(token_to_id={w: i + 3 for i, w in enumerate(tokens[3:])})
+    vocab = Vocab.from_tokens(meta["vocab"], f"{path}: embedded vocab")
     model = SydesModel(cfg.image, cfg.encoder, vocab.size,
                        decoder_layers=cfg.decoder_layers, decoder_heads=cfg.decoder_heads)
-    load_checkpoint(path, model)
+    load_params(path, model, params)
     return cfg, vocab, model, meta
 
 

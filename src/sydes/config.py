@@ -84,19 +84,24 @@ def _check_keys(d: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown config key: {where}")
 
 
-def _merge_dataclass(default, d: dict, path: str):
-    """Replace fields of a frozen dataclass from a dict, strictly."""
-    field_names = [f for f in vars(default)]
-    _check_keys(d, field_names, path)
+def _replace(default, d: dict, path: str):
+    """``replace(default, **d)``, with a rejected value reported as a
+    ConfigError under ``path``."""
     try:
         return replace(default, **d)
     except (TypeError, ValueError, SydesError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+        raise ConfigError(f"{path}: {e}" if path else str(e)) from None
+
+
+def _merge_dataclass(default, d: dict, path: str):
+    """Replace fields of a frozen dataclass from a dict, strictly."""
+    _check_keys(d, vars(default), path)
+    return _replace(default, d, path)
 
 
 def _stage_from_dict(default: StageConfig, d: dict, path: str) -> StageConfig:
     d = dict(d)
-    _check_keys(d, [f for f in vars(default)], path)
+    _check_keys(d, vars(default), path)
     if "weights" in d:
         d["weights"] = _merge_dataclass(default.weights, d["weights"], f"{path}.weights")
     if "frozen" in d:
@@ -106,15 +111,12 @@ def _stage_from_dict(default: StageConfig, d: dict, path: str) -> StageConfig:
         if not isinstance(lrs, dict) or not all(isinstance(v, (int, float)) for v in lrs.values()):
             raise ConfigError(f"{path}.lrs: expected a name->rate mapping")
         d["lrs"] = {k: float(v) for k, v in lrs.items()}
-    try:
-        return replace(default, **d)
-    except (TypeError, ValueError, SydesError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+    return _replace(default, d, path)
 
 
 def _run_config_from_dict(d: dict) -> RunConfig:
     default = RunConfig()
-    _check_keys(d, [f for f in vars(default)], "")
+    _check_keys(d, vars(default), "")
     kwargs = dict(d)
     if "image" in kwargs:
         image = dict(kwargs["image"])
@@ -128,9 +130,4 @@ def _run_config_from_dict(d: dict) -> RunConfig:
         kwargs["pretrain"] = _stage_from_dict(default.pretrain, kwargs["pretrain"], "pretrain")
     if "finetune" in kwargs:
         kwargs["finetune"] = _stage_from_dict(default.finetune, kwargs["finetune"], "finetune")
-    try:
-        return replace(default, **kwargs)
-    except (TypeError, ValueError, SydesError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(str(e)) from None
+    return _replace(default, kwargs, "")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,28 +43,13 @@ class Sample:
         return LABELS[task].index(getattr(self, task))
 
 
-@dataclass
-class SplitStats:
-    """Per-task, per-label counts keyed by split name."""
-
-    splits: dict[str, dict[str, dict[str, int]]] = field(default_factory=dict)
-
-    def add(self, split: str, samples: list[Sample]) -> None:
-        counts = {task: {label: 0 for label in LABELS[task]} for task in TASKS}
-        for s in samples:
-            for task in TASKS:
-                counts[task][getattr(s, task)] += 1
-        self.splits[split] = counts
-
-    def total(self, split: str) -> int:
-        counts = self.splits[split]
-        return sum(counts["sentiment"].values())
-
-
 def label_counts(samples: list[Sample]) -> dict[str, dict[str, int]]:
-    stats = SplitStats()
-    stats.add("only", samples)
-    return stats.splits["only"]
+    """Per-task, per-label counts; every allowed label has an entry."""
+    counts = {task: {label: 0 for label in LABELS[task]} for task in TASKS}
+    for s in samples:
+        for task in TASKS:
+            counts[task][getattr(s, task)] += 1
+    return counts
 
 
 def ingest_manifest(path: str, image_root: str) -> tuple[list[Sample], dict[str, dict[str, int]]]:

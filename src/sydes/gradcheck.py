@@ -15,7 +15,6 @@ import numpy as np
 from . import losses
 from . import tensor as T
 from .encoders import EncoderConfig
-from .errors import NumericalError
 from .imaging import ImageConfig, sample_mask
 from .model import BatchArrays, SydesModel, group_major_masks
 from .tensor import RngState, Tensor
@@ -60,40 +59,50 @@ class CheckResult:
                 f"max_abs_err={self.worst_abs:.3e} max_rel_err={self.worst_rel:.3e}")
 
 
-def check_leaves(build, leaves: list[Tensor], result: CheckResult,
-                 rng: RngState, max_coords: int | None = None) -> None:
-    """Backprop ``build()`` once, then FD-check coordinates of every leaf.
+def _check_picks(build, leaves: list[Tensor], picks, result: CheckResult) -> None:
+    """Backprop ``build()`` once, then compare the gradient with a central
+    difference at each ``(leaf index, flat index)`` pick.
 
     ``build`` must recompute the scalar loss from the leaves' current data.
-    With ``max_coords`` set, that many coordinates are sampled per leaf.
     """
     for leaf in leaves:
         leaf.zero_grad()
-    loss = build()
-    loss.backward()
+    build().backward()
 
     def f() -> float:
         return build().item()
 
-    for li, leaf in enumerate(leaves):
+    for li, c in picks:
+        leaf = leaves[li]
         grad = leaf.grad if leaf.grad is not None else np.zeros(leaf.shape)
+        ad = grad.reshape(-1)[c]
+        fd = fd_coordinate(f, leaf.data, c)
+        result.checked += 1
+        err = abs(ad - fd)
+        rel = err / max(abs(ad), abs(fd), 1e-30)
+        result.worst_abs = max(result.worst_abs, err)
+        if err > ABS_TOL:
+            result.worst_rel = max(result.worst_rel, rel)
+        if not agree(ad, fd):
+            result.failures += 1
+
+
+def check_leaves(build, leaves: list[Tensor], result: CheckResult,
+                 rng: RngState, max_coords: int | None = None) -> None:
+    """Backprop ``build()`` once, then FD-check coordinates of every leaf.
+
+    With ``max_coords`` set, that many coordinates are sampled per leaf.
+    """
+    picks = []
+    for li, leaf in enumerate(leaves):
         n = leaf.size
         if max_coords is not None and n > max_coords:
             coords = rng.split(f"coords/{li}").generator().choice(n, size=max_coords,
                                                                   replace=False)
         else:
             coords = range(n)
-        for c in coords:
-            ad = grad.reshape(-1)[c]
-            fd = fd_coordinate(f, leaf.data, int(c))
-            result.checked += 1
-            err = abs(ad - fd)
-            rel = err / max(abs(ad), abs(fd), 1e-30)
-            result.worst_abs = max(result.worst_abs, err)
-            if err > ABS_TOL:
-                result.worst_rel = max(result.worst_rel, rel)
-            if not agree(ad, fd):
-                result.failures += 1
+        picks += [(li, int(c)) for c in coords]
+    _check_picks(build, leaves, picks, result)
 
 
 # -- per-loss scenarios ----------------------------------------------------------
@@ -238,34 +247,14 @@ def _scenario_finetune(rng: RngState, result: CheckResult, coords: int) -> None:
 def _check_sampled_params(build, leaves: list[Tensor], result: CheckResult,
                           rng: RngState, coords: int) -> None:
     """FD-check ``coords`` coordinates sampled across all parameters."""
-    for leaf in leaves:
-        leaf.zero_grad()
-    loss = build()
-    loss.backward()
-
-    def f() -> float:
-        return build().item()
-
     sizes = np.array([leaf.size for leaf in leaves])
     total = int(sizes.sum())
-    gen = rng.generator()
-    picks = gen.choice(total, size=min(coords, total), replace=False)
-    bounds = np.cumsum(sizes)
-    for flat in picks:
-        li = int(np.searchsorted(bounds, flat, side="right"))
-        c = int(flat - (bounds[li - 1] if li else 0))
-        leaf = leaves[li]
-        grad = leaf.grad if leaf.grad is not None else np.zeros(leaf.shape)
-        ad = grad.reshape(-1)[c]
-        fd = fd_coordinate(f, leaf.data, c)
-        result.checked += 1
-        err = abs(ad - fd)
-        rel = err / max(abs(ad), abs(fd), 1e-30)
-        result.worst_abs = max(result.worst_abs, err)
-        if err > ABS_TOL:
-            result.worst_rel = max(result.worst_rel, rel)
-        if not agree(ad, fd):
-            result.failures += 1
+    flats = rng.generator().choice(total, size=min(coords, total), replace=False)
+    ends = np.cumsum(sizes)
+    owners = np.searchsorted(ends, flats, side="right")
+    starts = ends - sizes
+    _check_picks(build, leaves, [(int(li), int(flat - starts[li]))
+                                 for li, flat in zip(owners, flats)], result)
 
 
 SCENARIOS = {
@@ -300,9 +289,3 @@ def run_suite(seed: int = 0, cases: int = 100, composite_cases: int | None = Non
             scenario(root.split(f"{name}/{case}"), result, composite_coords)
         results.append(result)
     return results
-
-
-def require_pass(results: list[CheckResult]) -> None:
-    bad = [r.name for r in results if not r.passed]
-    if bad:
-        raise NumericalError(f"gradient verification failed for: {', '.join(bad)}")

@@ -82,9 +82,15 @@ class MixedScaleBundle:
 
     def reassemble(self) -> np.ndarray:
         """Tile the four subs back into the high-res source (bit-exact)."""
-        top = np.concatenate([self.subs[0], self.subs[1]], axis=1)
-        bottom = np.concatenate([self.subs[2], self.subs[3]], axis=1)
-        return np.concatenate([top, bottom], axis=0)
+        return tile_quadrants(self.subs)
+
+
+def tile_quadrants(subs) -> np.ndarray:
+    """Tile four equal images, in top-left, top-right, bottom-left,
+    bottom-right order, into one image of twice their side."""
+    top = np.concatenate([subs[0], subs[1]], axis=1)
+    bottom = np.concatenate([subs[2], subs[3]], axis=1)
+    return np.concatenate([top, bottom], axis=0)
 
 
 @dataclass(frozen=True)

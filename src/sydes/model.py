@@ -64,11 +64,7 @@ class SydesModel(nn.Module):
         ``sub_patches`` is [B, 4, P, patch_dim]; ``kept`` is int [4B, rP]
         (group-major).  Returns [4B, rP+1, image_dim].
         """
-        b = sub_patches.shape[0]
-        flat = sub_patches.transpose(1, 0, 2, 3).reshape(
-            N_SUBS * b, sub_patches.shape[2], sub_patches.shape[3])
-        visible = np.take_along_axis(flat, kept[:, :, None], axis=1)
-        return self.image_encoder(Tensor(visible), kept)
+        return self.image_encoder(Tensor(gather_sub_patches(sub_patches, kept)), kept)
 
     def encode_text(self, ids: np.ndarray, real: np.ndarray) -> Tensor:
         return self.text_encoder(ids, real)
@@ -108,9 +104,7 @@ class SydesModel(nn.Module):
         z_stack = T.transpose(T.reshape(z, (N_SUBS, b, z.shape[1])), (1, 0, 2))
         p_agg = T.l2_normalize(self.aggregator(z_stack))
 
-        flat = batch.sub_patches.transpose(1, 0, 2, 3).reshape(
-            N_SUBS * b, batch.sub_patches.shape[2], batch.sub_patches.shape[3])
-        targets = Tensor(np.take_along_axis(flat, masked[:, :, None], axis=1))
+        targets = Tensor(gather_sub_patches(batch.sub_patches, masked))
 
         reference = None if dc_reference is None else Tensor(dc_reference)
         if aux is not None:
@@ -171,6 +165,13 @@ class BatchArrays:
             self.ids[index], self.real[index],
             {t: v[index] for t, v in self.labels.items()},
             [self.sample_ids[i] for i in index] if self.sample_ids else [])
+
+
+def gather_sub_patches(sub_patches: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Patches ``index`` (group-major int [4B, k]) of the sub-images in
+    ``sub_patches`` [B, 4, P, patch_dim]; returns [4B, k, patch_dim]."""
+    flat = sub_patches.transpose(1, 0, 2, 3).reshape(-1, *sub_patches.shape[2:])
+    return np.take_along_axis(flat, index[:, :, None], axis=1)
 
 
 def group_major_masks(specs: list[list]) -> tuple[np.ndarray, np.ndarray]:

@@ -467,29 +467,34 @@ def embedding_lookup(table, ids: Array) -> Tensor:
     return _track(table.data[ids], (table,), vjp)
 
 
-def detach(a: Tensor) -> Tensor:
-    return a.detach()
-
-
 # -- parameters ----------------------------------------------------------------
 
 class Parameter:
     """A named, trainable tensor.
 
-    ``frozen`` is honored by the optimizer: frozen parameters receive zero
-    updates and stay bit-identical across steps.  Values are filled in by
+    Freezing is the tensor's ``requires_grad`` flag, and ``frozen`` is its
+    negation.  A frozen parameter stays off the tape, so ``backward``
+    computes no gradient for it, and the optimizer refuses it; its value
+    stays bit-identical across steps.  Values are filled in by
     ``Module.initialize`` from the rng stream derived from the parameter
     name, so initialization is independent of construction order.
     """
 
-    __slots__ = ("name", "tensor", "frozen", "init_kind", "init_scale")
+    __slots__ = ("name", "tensor", "init_kind", "init_scale")
 
     def __init__(self, shape, init: str = "normal", scale: float | None = None):
         self.tensor = Tensor(np.zeros(shape), requires_grad=True)
         self.name = ""
-        self.frozen = False
         self.init_kind = init
         self.init_scale = scale
+
+    @property
+    def frozen(self) -> bool:
+        return not self.tensor.requires_grad
+
+    @frozen.setter
+    def frozen(self, value: bool) -> None:
+        self.tensor.requires_grad = not value
 
     @property
     def data(self) -> Array:

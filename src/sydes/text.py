@@ -39,7 +39,7 @@ class Vocab:
         """Collect the sorted unique tokens of a corpus.  Sorting makes the
         id assignment independent of corpus order."""
         words = sorted({w for t in texts for w in split_words(t)})
-        return cls(token_to_id={w: i + len(RESERVED) for i, w in enumerate(words)})
+        return cls.from_tokens([*RESERVED, *words])
 
     def id_of(self, word: str) -> int:
         return self.token_to_id.get(word, UNK)
@@ -48,10 +48,19 @@ class Vocab:
         with open(path, "w", encoding="utf-8") as f:
             f.write("# one token per line; id = index among non-comment lines\n")
             f.write(f"# ids 0..2 are reserved: {' '.join(RESERVED)}\n")
-            for tok in RESERVED:
+            for tok in self.tokens():
                 f.write(tok + "\n")
-            for word, _ in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
-                f.write(word + "\n")
+
+    @classmethod
+    def from_tokens(cls, tokens, source: str = "vocabulary") -> "Vocab":
+        """Inverse of :meth:`tokens`: one token per id, the reserved ones
+        first.  ``source`` names where the list came from in errors."""
+        if tuple(tokens[:len(RESERVED)]) != RESERVED:
+            raise DataError(f"{source}: reserved tokens missing or reordered")
+        if len(set(tokens)) != len(tokens):
+            raise DataError(f"{source}: duplicate tokens")
+        words = tokens[len(RESERVED):]
+        return cls(token_to_id={w: i + len(RESERVED) for i, w in enumerate(words)})
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
@@ -62,9 +71,7 @@ class Vocab:
                 if line.startswith("#") or not line:
                     continue
                 tokens.append(line)
-        if tuple(tokens[:3]) != RESERVED:
-            raise DataError(f"{path}: reserved tokens missing or reordered")
-        return cls(token_to_id={w: i + len(RESERVED) for i, w in enumerate(tokens[3:])})
+        return cls.from_tokens(tokens, path)
 
     def tokens(self) -> list[str]:
         return list(RESERVED) + [w for w, _ in sorted(self.token_to_id.items(), key=lambda kv: kv[1])]

@@ -3,8 +3,10 @@ schedule, per-component learning rates, and component freezing.
 
 Pretraining wires the masked-reconstruction losses and keeps the text-side
 decoder and heads frozen; fine-tuning wires classification plus the
-contrastive term and keeps the vision side frozen.  Frozen parameters are
-excluded from the optimizer entirely, so their values stay bit-identical.
+contrastive term and keeps the vision side frozen.  A frozen parameter has
+``requires_grad=False``: it stays off the autodiff tape, so backward computes
+no gradient for it, and the optimizer never holds it, so its value stays
+bit-identical.
 """
 
 from __future__ import annotations
@@ -156,6 +158,8 @@ def component_of(name: str, prefixes) -> str | None:
 
 
 def apply_freeze(model: SydesModel, frozen: tuple[str, ...]) -> None:
+    """Freeze the parameters under the ``frozen`` prefixes and unfreeze all
+    others, so a stage never inherits the previous stage's set."""
     model.assign_names()
     for name, p in model.named_parameters():
         p.frozen = component_of(name, frozen) is not None
@@ -184,13 +188,6 @@ def batch_masks(model: SydesModel, sample_ids: list[str], epoch: int,
     return group_major_masks(specs)
 
 
-def full_masks(model: SydesModel, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    p = model.image_cfg.patches_per_image
-    kept = np.broadcast_to(np.arange(p, dtype=np.int64), (N_SUBS * batch_size, p)).copy()
-    masked = np.zeros((N_SUBS * batch_size, 0), dtype=np.int64)
-    return kept, masked
-
-
 @dataclass
 class StageResult:
     history: list[dict] = field(default_factory=list)
@@ -207,7 +204,9 @@ def _check_finite(parts: dict, epoch: int, step: int) -> None:
 
 def predict(model: SydesModel, data: DatasetArrays, task: str, tau: float,
             batch_size: int = 32) -> np.ndarray:
-    """Greedy class predictions over a dataset (no gradient bookkeeping)."""
+    """Greedy class predictions over a dataset.  The forward still records
+    a tape through the trainable weights; it is dropped unused with each
+    batch."""
     preds = []
     n = len(data)
     for start in range(0, n, batch_size):

@@ -13,17 +13,11 @@ import os
 
 import numpy as np
 
-from .imaging import ImageConfig, unpatchify
+from .imaging import ImageConfig, tile_quadrants, unpatchify
 from .model import N_SUBS
 from .ppm import write_ppm
 
 MASK_GRAY = 0.5
-
-
-def _assemble_quadrants(quads: list[np.ndarray]) -> np.ndarray:
-    top = np.concatenate([quads[0], quads[1]], axis=1)
-    bottom = np.concatenate([quads[2], quads[3]], axis=1)
-    return np.concatenate([top, bottom], axis=0)
 
 
 def reconstruction_triptych(sub_patches: np.ndarray, pixels: np.ndarray,
@@ -46,8 +40,7 @@ def reconstruction_triptych(sub_patches: np.ndarray, pixels: np.ndarray,
         originals.append(unpatchify(full, cfg))
         masked_views.append(unpatchify(masked_patches, cfg))
         recons.append(unpatchify(recon, cfg))
-    panels = [_assemble_quadrants(originals), _assemble_quadrants(masked_views),
-              _assemble_quadrants(recons)]
+    panels = [tile_quadrants(q) for q in (originals, masked_views, recons)]
     return np.clip(cfg.denormalize(np.concatenate(panels, axis=1)), 0.0, 1.0)
 
 

@@ -7,8 +7,10 @@ import os
 import numpy as np
 import pytest
 
+from sydes.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from sydes.cli import main
 from sydes.config import RunConfig
+from sydes.model import SydesModel
 
 FAST_CONFIG = {
     "encoder": {"image_dim": 16, "text_dim": 16, "image_layers": 1,
@@ -140,6 +142,25 @@ class TestFinetuneEval:
         li, ci = rows[0].index("loss"), rows[0].index("cls")
         for row in rows[1:]:
             assert row[li] == row[ci]
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_embedded_vocab_without_reserved_prefix_is_data_error(
+            self, workspace, tmp_path, capsys, command):
+        """A checkpoint whose vocab does not start with <pad> <cls> <unk>
+        would shift every token id; it is refused, naming the file."""
+        meta, rng, _ = read_checkpoint(workspace["ckpt"])
+        cfg = RunConfig.from_dict(meta["run_config"])
+        model = SydesModel(cfg.image, cfg.encoder, len(meta["vocab"]),
+                           decoder_layers=cfg.decoder_layers,
+                           decoder_heads=cfg.decoder_heads)
+        load_checkpoint(workspace["ckpt"], model)
+        meta["vocab"][0], meta["vocab"][1] = meta["vocab"][1], meta["vocab"][0]
+        bad = str(tmp_path / "swapped.ckpt")
+        save_checkpoint(bad, model, rng, meta)
+        rc = main([command, "--task", "sentiment", "--checkpoint", bad,
+                   "--data", workspace["data"], "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert bad in capsys.readouterr().err
 
     def test_missing_checkpoint_fails(self, workspace, tmp_path):
         rc = main(["finetune", "--task", "sentiment",

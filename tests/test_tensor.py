@@ -298,3 +298,14 @@ class TestRng:
         p.frozen = True
         with pytest.raises(ContractError):
             AdamW([("g", [p], 1e-3)])
+
+    def test_frozen_parameter_stays_off_the_tape(self):
+        frozen, live = Parameter((2,)), Parameter((2,))
+        frozen.data = [2.0, 3.0]
+        frozen.frozen = True
+        assert not frozen.tensor.requires_grad
+        T.sum_(frozen.tensor * live.tensor).backward()
+        assert frozen.grad is None
+        assert np.array_equal(live.grad, [2.0, 3.0])
+        frozen.frozen = False
+        assert frozen.tensor.requires_grad and not frozen.frozen

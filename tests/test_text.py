@@ -88,3 +88,9 @@ class TestVocab:
         path.write_text("apple\nbanana\ncherry\n")
         with pytest.raises(DataError):
             Vocab.load(str(path))
+
+    def test_load_rejects_duplicate_tokens(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("<pad>\n<cls>\n<unk>\napple\nbanana\napple\n")
+        with pytest.raises(DataError, match="dup.txt"):
+            Vocab.load(str(path))

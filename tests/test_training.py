@@ -10,8 +10,9 @@ from sydes.errors import ConfigError, NumericalError
 from sydes.model import SydesModel
 from sydes.tensor import Parameter, RngState
 from sydes.text import Vocab
-from sydes.training import (AdamW, StageConfig, apply_freeze, build_optimizer,
-                            component_of, cosine_lr, predict, run_stage)
+from sydes.training import (FINETUNE_FROZEN, PRETRAIN_FROZEN, AdamW, StageConfig,
+                            apply_freeze, build_optimizer, component_of, cosine_lr,
+                            predict, run_stage)
 
 
 def read_bytes(path):
@@ -103,6 +104,31 @@ class TestComponentRouting:
         apply_freeze(model, cfg.frozen)
         with pytest.raises(ConfigError):
             build_optimizer(model, cfg)
+
+
+class TestFreezeOnTape:
+    def test_apply_freeze_sets_requires_grad_both_ways(self):
+        from sydes.gradcheck import tiny_setup
+
+        model, _, _ = tiny_setup(RngState(32))
+        apply_freeze(model, FINETUNE_FROZEN)
+        for name, p in model.named_parameters():
+            assert p.tensor.requires_grad == (component_of(name, FINETUNE_FROZEN) is None)
+        apply_freeze(model, PRETRAIN_FROZEN)
+        for name, p in model.named_parameters():
+            assert p.tensor.requires_grad == (component_of(name, PRETRAIN_FROZEN) is None)
+        assert all(p.tensor.requires_grad for p in model.image_encoder.parameters())
+
+    def test_finetune_step_computes_no_frozen_gradient(self, corpus):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        stage = StageConfig.finetune_defaults(epochs=1, batch_size=len(data))
+        run_stage(model, data, stage, RngState(0), task="desire", tau=cfg.tau)
+        frozen = FINETUNE_FROZEN + ("heads.emotion", "heads.sentiment")
+        for name, p in model.named_parameters():
+            if component_of(name, frozen) is not None:
+                assert not p.tensor.requires_grad and p.grad is None, name
+        assert all(p.grad is not None for p in model.heads["desire"].parameters())
 
 
 @pytest.fixture(scope="module")

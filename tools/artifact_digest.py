@@ -1,0 +1,108 @@
+"""Digest of the deterministic artifacts of a fixed seeded two-stage run.
+
+    python3 tools/artifact_digest.py [--root CHECKOUT]
+
+Imports ``sydes`` from ``<CHECKOUT>/src`` (default: this checkout) and runs,
+through ``sydes.cli.main`` in a temporary directory, ``gen-data``, then
+``pretrain --epochs 2``, then ``finetune --epochs 2`` and ``eval`` for every
+task.  It prints the sha256 of each checkpoint, ``*-log.csv`` and metrics
+JSON file, the ``gradcheck --cases 10`` suite results with their error
+maxima at full precision, and last one sha256 over all of these.
+
+A change that is not meant to alter numerics must print the same output
+before and after.  ``SYDES_THREADS`` is set to 1, so that the BLAS thread
+count cannot change the bits (BLAS variables already set in the environment
+still win).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+SEED = "0"
+EPOCHS = "2"
+TASKS = ("sentiment", "emotion", "desire")
+GRADCHECK_CASES = 10
+
+
+def load_cli(root: str):
+    """Import ``sydes.cli`` from ``<root>/src`` and nowhere else."""
+    src = os.path.join(os.path.abspath(root), "src")
+    init = os.path.join(src, "sydes", "__init__.py")
+    if not os.path.isfile(init):
+        raise SystemExit(f"sydes sources not found under {src}")
+    os.environ["SYDES_THREADS"] = "1"
+    sys.path.insert(0, src)
+    import sydes.cli
+    import sydes.gradcheck
+    if os.path.realpath(sydes.cli.__file__) != os.path.join(os.path.realpath(src), "sydes", "cli.py"):
+        raise SystemExit(f"imported sydes from {sydes.cli.__file__}, expected {src}")
+    return sydes.cli, sydes.gradcheck
+
+
+def run(cli, argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"sydes {' '.join(argv)} exited {rc}")
+
+
+def pipeline(cli, work: str) -> list[str]:
+    """Run the seeded pipeline under ``work``; return the artifact paths."""
+    data = os.path.join(work, "data")
+    pre = os.path.join(work, "pretrain")
+    ft = os.path.join(work, "finetune")
+    ev = os.path.join(work, "eval")
+    run(cli, ["gen-data", "--out", data, "--seed", SEED,
+              "--n", "32", "--val-n", "16", "--test-n", "16"])
+    run(cli, ["pretrain", "--data", data, "--out", pre, "--seed", SEED,
+              "--epochs", EPOCHS])
+    ckpt = os.path.join(pre, f"pretrain-epoch{EPOCHS}.ckpt")
+    for task in TASKS:
+        run(cli, ["finetune", "--task", task, "--checkpoint", ckpt, "--data", data,
+                  "--out", ft, "--seed", SEED, "--epochs", EPOCHS])
+        run(cli, ["eval", "--checkpoint", os.path.join(ft, task, f"finetune-epoch{EPOCHS}.ckpt"),
+                  "--data", data, "--split", "test", "--out", ev])
+    paths = []
+    for dirpath, _, files in os.walk(work):
+        for name in files:
+            if name.endswith((".ckpt", "-log.csv")) or (
+                    name.startswith("metrics-") and name.endswith(".json")):
+                paths.append(os.path.join(dirpath, name))
+    return sorted(paths)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        help="checkout whose src/ is imported (default: this one)")
+    args = parser.parse_args()
+    cli, gradcheck = load_cli(args.root)
+
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="sydes-digest-") as work:
+        for path in pipeline(cli, work):
+            rel = os.path.relpath(path, work)
+            with open(path, "rb") as f:
+                blob = f.read()
+            total.update(rel.encode() + b"\0" + blob)
+            print(f"{hashlib.sha256(blob).hexdigest()}  {rel}")
+
+    for r in gradcheck.run_suite(seed=0, cases=GRADCHECK_CASES):
+        exact = (f"{r.name} checked={r.checked} failures={r.failures} "
+                 f"worst_abs={r.worst_abs!r} worst_rel={r.worst_rel!r}")
+        total.update(exact.encode() + b"\n")
+        print(r.line())
+        print(f"  {exact}")
+    print(f"{total.hexdigest()}  ALL")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
