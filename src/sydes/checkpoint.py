@@ -54,15 +54,27 @@ def read_checkpoint(path: str) -> tuple[dict, RngState, dict[str, np.ndarray]]:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not a checkpoint (magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        length = f.read(8)
+        if len(length) != 8:
+            raise DataError(f"{path}: checkpoint cut short inside the header length")
+        (hlen,) = struct.unpack("<Q", length)
+        blob = f.read(hlen)
         body = f.read()
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise DataError(f"{path}: unreadable checkpoint header ({e})") from None
+    missing = {"meta", "params", "rng"} - (set(header) if isinstance(header, dict) else set())
+    if missing:
+        raise DataError(f"{path}: checkpoint header lacks {sorted(missing)}")
     params = {}
     for entry in header["params"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
+        try:
+            arr = np.frombuffer(body, dtype="<f8", count=count, offset=entry["offset"])
+        except ValueError:
+            raise DataError(f"{path}: payload of {entry['name']} cut short") from None
         params[entry["name"]] = arr.reshape(shape).astype(np.float64)
     rng = RngState(header["rng"]["seed"], header["rng"]["stream"])
     return header["meta"], rng, params

@@ -122,16 +122,25 @@ class SydesModel(nn.Module):
                                  reference=reference),
         }
 
-    def finetune_forward(self, batch: "BatchArrays", task: str, tau: float,
-                         capture: dict | None = None) -> tuple[Tensor, dict[str, Tensor]]:
-        """Full-image classification wiring (mask ratio 0).  Returns the
-        logits and the fine-tuning loss parts (cls left to the caller, which
-        holds the labels)."""
+    def encode_images(self, batch: "BatchArrays") -> tuple[Tensor, Tensor]:
+        """Full-image features (mask ratio 0): ``V1`` [B, P+1, image_dim]
+        from the low-resolution image and ``Vsub`` [4B, P+1, image_dim] from
+        the sub-images, group-major."""
         b = batch.size
         p = self.image_cfg.patches_per_image
-        V1 = self.encode_low(batch.low_patches)
         kept = np.broadcast_to(np.arange(p, dtype=np.int64), (N_SUBS * b, p))
-        Vsub = self.encode_subs(batch.sub_patches, kept)
+        return self.encode_low(batch.low_patches), self.encode_subs(batch.sub_patches, kept)
+
+    def finetune_forward(self, batch: "BatchArrays", task: str, tau: float,
+                         capture: dict | None = None,
+                         images: tuple[Tensor, Tensor] | None = None
+                         ) -> tuple[Tensor, dict[str, Tensor]]:
+        """Full-image classification wiring (mask ratio 0).  Returns the
+        logits and the fine-tuning loss parts (cls left to the caller, which
+        holds the labels).  ``images`` is ``encode_images(batch)`` computed
+        beforehand; when absent it is computed here."""
+        b = batch.size
+        V1, Vsub = self.encode_images(batch) if images is None else images
         W = self.encode_text(batch.ids, batch.real)
         v_itc, w_itc = self.itc_features(V1, W)
 

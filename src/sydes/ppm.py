@@ -24,7 +24,10 @@ def read_ppm(path: str) -> np.ndarray:
         if c.isspace():
             pos += 1
         elif c == b"#":
-            pos = raw.index(b"\n", pos) + 1
+            end = raw.find(b"\n", pos)
+            if end < 0:
+                raise DataError(f"{path}: unterminated comment in PPM header")
+            pos = end + 1
         else:
             end = pos
             while end < len(raw) and not raw[end:end + 1].isspace():
@@ -33,6 +36,9 @@ def read_ppm(path: str) -> np.ndarray:
             pos = end
     if fields[0] != b"P6":
         raise DataError(f"{path}: not a binary PPM (magic {fields[0]!r})")
+    if not all(v.isdigit() for v in fields[1:]):
+        raise DataError(f"{path}: PPM width, height and maxval must be unsigned "
+                        f"integers, got {b' '.join(fields[1:])!r}")
     width, height, maxval = (int(v) for v in fields[1:])
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")

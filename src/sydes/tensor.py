@@ -8,6 +8,8 @@ this module.  Design points:
   vector-Jacobian closure.  ``Tensor.backward()`` walks the tape in reverse
   topological order.  Repeated ``backward()`` calls accumulate gradients
   additively; call ``zero_grad`` (or set ``grad = None``) between steps.
+  Inside ``with no_grad():`` ops record nothing, for forwards whose
+  gradients are never read.
 * One-sided broadcasting only.  For elementwise binary ops the two shapes are
   right-aligned, the shorter one padded with leading 1s; every aligned axis
   must then either match or be 1 *on a single operand across all axes* (the
@@ -24,6 +26,7 @@ this module.  Design points:
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +146,25 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block return untracked tensors: no parents, no VJP,
+    ``requires_grad=False``.  Forward values are unchanged.  The flag is
+    per process and restored on exit, so blocks nest."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _track(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp

@@ -7,6 +7,13 @@ contrastive term and keeps the vision side frozen.  A frozen parameter has
 ``requires_grad=False``: it stays off the autodiff tape, so backward computes
 no gradient for it, and the optimizer never holds it, so its value stays
 bit-identical.
+
+When a fine-tuning stage finds the whole image encoder frozen, its features
+are a pure function of the sample (mask ratio 0): ``run_stage`` then keeps an
+``ImageFeatureCache`` for the training and the validation data, which encodes
+each row once, the first time a batch holds it, and hands the stored
+features to ``finetune_forward`` on every later step and ``predict`` pass.
+``predict`` records no tape.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .imaging import sample_mask
 from .losses import LossWeights, cls_loss, finetune_loss, pretrain_loss
 from .metrics import MetricReport, compute_metrics
 from .model import N_SUBS, TASK_CLASSES, SydesModel, group_major_masks
-from .tensor import Parameter, RngState
+from .tensor import Parameter, RngState, Tensor, no_grad
 
 PRETRAIN_FROZEN = ("text_decoder", "heads")
 FINETUNE_FROZEN = ("image_encoder", "image_decoder", "aggregator")
@@ -202,17 +209,49 @@ def _check_finite(parts: dict, epoch: int, step: int) -> None:
             raise NumericalError(f"non-finite {name} loss at epoch {epoch} step {step}")
 
 
+class ImageFeatureCache:
+    """``SydesModel.encode_images`` of one dataset's rows, keyed by row index
+    and filled on first use, from the batches the caller already drew.
+
+    Valid only while every image-encoder parameter is frozen: the features
+    are then a pure function of the sample, and a row's features do not
+    depend on the other rows of its batch, so reuse is bit-exact.
+    """
+
+    def __init__(self, model: SydesModel, n: int):
+        self.model = model
+        self.seen = np.zeros(n, dtype=bool)
+        self.feature_shape = (model.image_cfg.patches_per_image + 1, model.enc_cfg.image_dim)
+        self.low = np.empty((n, *self.feature_shape))
+        self.subs = np.empty((N_SUBS, n, *self.feature_shape))
+
+    def features(self, index: np.ndarray, batch) -> tuple[Tensor, Tensor]:
+        """The ``encode_images`` pair for rows ``index``, whose arrays are
+        ``batch``."""
+        missing = np.flatnonzero(~self.seen[index])
+        if missing.size:
+            V1, Vsub = self.model.encode_images(batch.subset(missing))
+            rows = index[missing]
+            self.low[rows] = V1.data
+            self.subs[:, rows] = Vsub.data.reshape(N_SUBS, missing.size, *self.feature_shape)
+            self.seen[rows] = True
+        return (Tensor(self.low[index]),
+                Tensor(self.subs[:, index].reshape(-1, *self.feature_shape)))
+
+
 def predict(model: SydesModel, data: DatasetArrays, task: str, tau: float,
-            batch_size: int = 32) -> np.ndarray:
-    """Greedy class predictions over a dataset.  The forward still records
-    a tape through the trainable weights; it is dropped unused with each
-    batch."""
+            batch_size: int = 32, images: ImageFeatureCache | None = None) -> np.ndarray:
+    """Greedy class predictions over a dataset, with no tape recorded.
+    ``images``, a cache over ``data``, supplies the image features."""
     preds = []
     n = len(data)
-    for start in range(0, n, batch_size):
-        index = np.arange(start, min(start + batch_size, n))
-        logits, _ = model.finetune_forward(data.batch(index), task, tau)
-        preds.append(np.argmax(logits.data, axis=-1))
+    with no_grad():
+        for start in range(0, n, batch_size):
+            index = np.arange(start, min(start + batch_size, n))
+            batch = data.batch(index)
+            features = None if images is None else images.features(index, batch)
+            logits, _ = model.finetune_forward(batch, task, tau, images=features)
+            preds.append(np.argmax(logits.data, axis=-1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
@@ -240,6 +279,12 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
     apply_freeze(model, frozen)
     opt = build_optimizer(model, cfg)
     stage_rng = rng.split(cfg.stage if task is None else f"{cfg.stage}/{task}")
+
+    # A frozen image encoder at mask ratio 0 is a pure function of the sample.
+    cache = cfg.stage == "finetune" and all(p.frozen for p in model.image_encoder.parameters())
+    train_images = ImageFeatureCache(model, len(data)) if cache else None
+    val_images = (ImageFeatureCache(model, len(val_data))
+                  if cache and val_data is not None else None)
 
     n = len(data)
     n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -272,7 +317,8 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
                 _check_finite(parts, epoch, step)
                 total = pretrain_loss(parts, cfg.weights)
             else:
-                logits, parts = model.finetune_forward(batch, task, tau)
+                images = None if train_images is None else train_images.features(index, batch)
+                logits, parts = model.finetune_forward(batch, task, tau, images=images)
                 parts["cls"] = cls_loss(logits, batch.labels[task],
                                         sample_ids=batch.sample_ids)
                 _check_finite(parts, epoch, step)
@@ -294,7 +340,7 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
         record.update({name: sums[name] / n for name in ("loss", *part_names)})
         record.update({f"lr_{g}": cfg.lrs[g] * lr_factor for g in lr_names})
         if cfg.stage == "finetune" and val_data is not None:
-            report = compute_metrics(predict(model, val_data, task, tau),
+            report = compute_metrics(predict(model, val_data, task, tau, images=val_images),
                                      val_data.arrays.labels[task], TASK_CLASSES[task])
             record.update({"val_precision": report.precision,
                            "val_recall": report.recall,

@@ -1,10 +1,13 @@
 """Checkpoint container: bit-exact round trips, rng/meta persistence, and
 mismatch rejection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from sydes.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from sydes.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
 from sydes.encoders import EncoderConfig
 from sydes.errors import DataError
 from sydes.gradcheck import tiny_setup
@@ -74,3 +77,38 @@ def test_bad_magic_rejected(tmp_path, model):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(DataError):
         load_checkpoint(str(path), model)
+
+
+def _corrupt(tmp_path, model, edit):
+    """A saved checkpoint rewritten by ``edit(bytes) -> bytes``."""
+    good = str(tmp_path / "good.ckpt")
+    save_checkpoint(good, model, RngState(0), {})
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(edit(read_bytes(good)))
+    return str(path)
+
+
+def _header_end(raw):
+    (hlen,) = struct.unpack("<Q", raw[len(MAGIC):len(MAGIC) + 8])
+    return len(MAGIC) + 8 + hlen
+
+
+def _with_header(header):
+    blob = json.dumps(header).encode()
+    return lambda raw: MAGIC + struct.pack("<Q", len(blob)) + blob + raw[_header_end(raw):]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:len(MAGIC) + 3], "header length"),
+    (lambda raw: raw[:len(MAGIC) + 8 + 20], "unreadable checkpoint header"),
+    (lambda raw: raw[:len(MAGIC) + 8] + b"\xff" + raw[len(MAGIC) + 9:], "unreadable checkpoint header"),
+    (lambda raw: raw[:_header_end(raw) + 12], "cut short"),
+    (_with_header({"format": 1, "meta": {}, "rng": {"seed": 0, "stream": ""}}), "params"),
+    (_with_header({"format": 1, "meta": {}, "params": []}), "rng"),
+], ids=["cut-length", "cut-header", "garbled-header", "short-payload",
+        "no-params", "no-rng"])
+def test_malformed_checkpoint_is_data_error(model, tmp_path, edit, message):
+    path = _corrupt(tmp_path, model, edit)
+    with pytest.raises(DataError, match=message) as info:
+        read_checkpoint(path)
+    assert path in str(info.value)

@@ -162,6 +162,16 @@ class TestFinetuneEval:
         assert rc == 2
         assert bad in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_data_error(self, finetuned, workspace, tmp_path, capsys):
+        bad = tmp_path / "cut.ckpt"
+        raw = read_bytes(finetuned)
+        bad.write_bytes(raw[:len(raw) // 2])
+        rc = main(["eval", "--checkpoint", str(bad), "--data", workspace["data"],
+                   "--split", "test", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
     def test_missing_checkpoint_fails(self, workspace, tmp_path):
         rc = main(["finetune", "--task", "sentiment",
                    "--checkpoint", str(tmp_path / "nope.ckpt"),

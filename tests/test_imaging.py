@@ -208,3 +208,19 @@ class TestPpm:
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00")
         with pytest.raises(DataError):
             read_ppm(str(path))
+
+    def test_unterminated_comment_rejected(self, tmp_path):
+        path = tmp_path / "comment.ppm"
+        path.write_bytes(b"P6\n# a comment with no end")
+        with pytest.raises(DataError, match="comment") as info:
+            read_ppm(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("header", [b"P6\n2.5 2\n255\n", b"P6\n2 -2\n255\n",
+                                        b"P6\n2 2\nff\n"])
+    def test_non_integer_header_field_rejected(self, tmp_path, header):
+        path = tmp_path / "fields.ppm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(DataError, match="integers") as info:
+            read_ppm(str(path))
+        assert str(path) in str(info.value)

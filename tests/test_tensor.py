@@ -309,3 +309,16 @@ class TestRng:
         assert np.array_equal(live.grad, [2.0, 3.0])
         frozen.frozen = False
         assert frozen.tensor.requires_grad and not frozen.frozen
+
+    def test_no_grad_records_no_tape(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        with T.no_grad():
+            y = T.tanh(x * x)
+            with T.no_grad():
+                pass
+            z = x + 1.0
+        assert y._parents == () and y._vjp is None and not y.requires_grad
+        assert z._parents == () and not z.requires_grad
+        assert np.array_equal(y.data, np.tanh(x.data * x.data))
+        tracked = x * x
+        assert tracked.requires_grad and tracked._parents == (x, x)

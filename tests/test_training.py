@@ -1,6 +1,8 @@
 """Optimizer algebra, the warmup/cosine schedule, stage freezing, NaN
 aborts, and short-run determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from sydes.errors import ConfigError, NumericalError
 from sydes.model import SydesModel
 from sydes.tensor import Parameter, RngState
 from sydes.text import Vocab
-from sydes.training import (FINETUNE_FROZEN, PRETRAIN_FROZEN, AdamW, StageConfig,
-                            apply_freeze, build_optimizer, component_of, cosine_lr,
-                            predict, run_stage)
+from sydes import training
+from sydes.training import (FINETUNE_FROZEN, PRETRAIN_FROZEN, AdamW, ImageFeatureCache,
+                            StageConfig, apply_freeze, build_optimizer, component_of,
+                            cosine_lr, predict, run_stage)
 
 
 def read_bytes(path):
@@ -246,3 +249,84 @@ class TestStages:
         preds = predict(model, data, "emotion", cfg.tau, batch_size=5)
         assert preds.shape == (len(data),)
         assert preds.dtype.kind == "i"
+
+    def test_predict_matches_a_tracked_forward(self, corpus):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        untracked = []
+        forward = model.finetune_forward
+
+        def recording_forward(*args, **kwargs):
+            logits, parts = forward(*args, **kwargs)
+            untracked.append(logits._parents == () and not logits.requires_grad)
+            return logits, parts
+
+        model.finetune_forward = recording_forward
+        preds = predict(model, data, "desire", cfg.tau, batch_size=5)
+        del model.finetune_forward
+        assert untracked == [True] * 4
+        expected = []
+        for start in range(0, len(data), 5):
+            index = np.arange(start, min(start + 5, len(data)))
+            logits, _ = model.finetune_forward(data.batch(index), "desire", cfg.tau)
+            assert logits.requires_grad
+            expected.append(np.argmax(logits.data, axis=-1))
+        assert np.array_equal(preds, np.concatenate(expected))
+
+
+def count_encoder_rows(model):
+    """Wrap the model's image-encoder entry points; returns the running
+    count of rows each one has encoded."""
+    rows = {"low": 0, "subs": 0}
+    encode_low, encode_subs = model.encode_low, model.encode_subs
+
+    def low(patches):
+        rows["low"] += patches.shape[0]
+        return encode_low(patches)
+
+    def subs(patches, kept):
+        rows["subs"] += kept.shape[0]
+        return encode_subs(patches, kept)
+
+    model.encode_low, model.encode_subs = low, subs
+    return rows
+
+
+class TestImageFeatureCache:
+    def test_cached_features_are_bit_exact(self, corpus):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        apply_freeze(model, FINETUNE_FROZEN)
+        cache = ImageFeatureCache(model, len(data))
+        for start in range(0, len(data), 3):
+            index = np.arange(start, min(start + 3, len(data)))
+            cache.features(index, data.batch(index))
+        index = RngState(7).permutation(len(data))[:8]
+        batch = data.batch(index)
+        logits, parts = model.finetune_forward(batch, "emotion", cfg.tau)
+        cached_logits, cached_parts = model.finetune_forward(
+            batch, "emotion", cfg.tau, images=cache.features(index, batch))
+        assert cached_logits.data.tobytes() == logits.data.tobytes()
+        assert cached_parts["itc"].data.tobytes() == parts["itc"].data.tobytes()
+
+    def test_trainable_image_encoder_gets_no_cache(self, corpus, monkeypatch):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        stage = StageConfig.finetune_defaults(epochs=2, batch_size=8)
+        stage = replace(stage, frozen=tuple(c for c in stage.frozen if c != "image_encoder"),
+                        lrs={**stage.lrs, "image_encoder": 1e-4})
+        built = []
+        monkeypatch.setattr(training, "ImageFeatureCache",
+                            lambda *args: built.append(args) or ImageFeatureCache(*args))
+        run_stage(model, data, stage, RngState(0), task="desire", val_data=data, tau=cfg.tau)
+        assert built == []
+        assert all(p.grad is not None for p in model.image_encoder.parameters())
+
+    def test_each_cache_fills_once(self, corpus):
+        cfg, vocab, data = corpus
+        val = DatasetArrays(data.samples[:6], cfg.image, vocab, cfg.encoder.seq_len)
+        model = fresh_model(cfg, vocab)
+        rows = count_encoder_rows(model)
+        stage = StageConfig.finetune_defaults(epochs=2, batch_size=4)
+        run_stage(model, data, stage, RngState(0), task="sentiment", val_data=val, tau=cfg.tau)
+        assert rows == {"low": len(data) + len(val), "subs": 4 * (len(data) + len(val))}
