@@ -67,17 +67,42 @@ def read_checkpoint(path: str) -> tuple[dict, RngState, dict[str, np.ndarray]]:
     missing = {"meta", "params", "rng"} - (set(header) if isinstance(header, dict) else set())
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {sorted(missing)}")
+    if not isinstance(header["params"], list):
+        raise DataError(f"{path}: checkpoint header params is not a list")
     params = {}
     for entry in header["params"]:
-        shape = tuple(entry["shape"])
+        name, shape, offset = _param_entry(path, entry)
         count = int(np.prod(shape)) if shape else 1
         try:
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=entry["offset"])
+            arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
         except ValueError:
-            raise DataError(f"{path}: payload of {entry['name']} cut short") from None
-        params[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    rng = RngState(header["rng"]["seed"], header["rng"]["stream"])
-    return header["meta"], rng, params
+            raise DataError(f"{path}: payload of {name} cut short") from None
+        params[name] = arr.reshape(shape).astype(np.float64)
+    rng = header["rng"]
+    if not isinstance(rng, dict) or {"seed", "stream"} - set(rng):
+        raise DataError(f"{path}: checkpoint rng {rng!r} lacks seed or stream")
+    return header["meta"], RngState(rng["seed"], rng["stream"]), params
+
+
+def _param_entry(path: str, entry) -> tuple[str, tuple[int, ...], int]:
+    """(name, shape, offset) of one header ``params`` entry of checkpoint
+    ``path``, checked."""
+    if not isinstance(entry, dict):
+        raise DataError(f"{path}: checkpoint parameter entry {entry!r} is not an object")
+    missing = {"name", "shape", "offset"} - set(entry)
+    if missing:
+        raise DataError(f"{path}: checkpoint parameter entry {entry.get('name', '?')!r} "
+                        f"lacks {sorted(missing)}")
+    name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(_count(d) for d in shape) and _count(offset)):
+        raise DataError(f"{path}: checkpoint parameter entry {name!r} has a bad "
+                        f"name, shape {shape!r} or offset {offset!r}")
+    return name, tuple(shape), offset
+
+
+def _count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def load_checkpoint(path: str, model: Module) -> tuple[dict, RngState]:

@@ -66,10 +66,8 @@ class Linear(Module):
         self.bias = Parameter((out_dim,), init="zeros") if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight.tensor)
-        if self.bias is not None:
-            y = y + self.bias.tensor
-        return y
+        bias = self.bias.tensor if self.bias is not None else None
+        return T.linear(x, self.weight.tensor, bias)
 
 
 class LayerNorm(Module):
@@ -114,13 +112,9 @@ class MultiHeadAttention(Module):
         k = heads_first(self.wk(kv_tokens), Tk)
         v = heads_first(self.wv(kv_tokens), Tk)
 
-        scores = T.matmul(q, T.swap_last2(k)) * (1.0 / np.sqrt(D))
-        if mask is not None:
-            scores = scores + Tensor(mask)
-        attn = T.softmax(scores, axis=-1)
+        out, weights = T.attention(q, k, v, 1.0 / np.sqrt(D), mask)
         if record is not None:
-            record["weights"] = attn.data.copy()
-        out = T.matmul(attn, v)
+            record["weights"] = weights.copy()
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, Tq, C))
         return self.wo(out)
 

@@ -9,7 +9,13 @@ this module.  Design points:
   topological order.  Repeated ``backward()`` calls accumulate gradients
   additively; call ``zero_grad`` (or set ``grad = None``) between steps.
   Inside ``with no_grad():`` ops record nothing, for forwards whose
-  gradients are never read.
+  gradients are never read.  A VJP returns ``None`` for a parent with
+  ``requires_grad=False`` instead of computing a gradient nobody reads.
+* Two fused ops keep on the tape only what their VJP reads: ``linear``
+  (``x @ W + b``) and ``attention`` (``softmax(q @ k^T * scale + mask) @ v``,
+  which keeps the weights but none of the score arrays).  Each is one node
+  whose forward and VJP repeat the composed ops' products and sums in the
+  same order, so their values are bitwise those of the composed ops.
 * One-sided broadcasting only.  For elementwise binary ops the two shapes are
   right-aligned, the shorter one padded with leading 1s; every aligned axis
   must then either match or be 1 *on a single operand across all axes* (the
@@ -220,23 +226,34 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_one_sided(a.shape, b.shape)
-    return _track(a.data + b.data, (a, b),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _track(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_one_sided(a.shape, b.shape)
-    return _track(a.data - b.data, (a, b),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return _track(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_one_sided(a.shape, b.shape)
-    return _track(a.data * b.data, (a, b),
-                  lambda g: (_unbroadcast(g * b.data, a.shape),
-                             _unbroadcast(g * a.data, b.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return _track(a.data * b.data, (a, b), vjp)
 
 
 def neg(a) -> Tensor:
@@ -257,8 +274,10 @@ def matmul(a, b) -> Tensor:
     _check_one_sided(a.shape[:-2], b.shape[:-2])
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+              if a.requires_grad else None)
+        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _track(a.data @ b.data, (a, b), vjp)
@@ -484,6 +503,89 @@ def embedding_lookup(table, ids: Array) -> Tensor:
         return (gt,)
 
     return _track(table.data[ids], (table,), vjp)
+
+
+def linear(x, weight, bias=None) -> Tensor:
+    """``x @ weight + bias`` as one tape node, for ``x`` [..., n] (ndim >= 2),
+    ``weight`` [n, m] and an optional ``bias`` [m].
+
+    The bias is added in place, so the product before the bias is never
+    kept.  Forward and VJP repeat the products and sums of ``matmul`` then
+    ``add`` in the same order, so every value is bitwise theirs.
+    """
+    x, weight = _coerce(x), _coerce(weight)
+    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear needs [..., n] x [n, m] with ndim >= 2, "
+                         f"got {x.shape} x {weight.shape}")
+    y = x.data @ weight.data
+    parents = (x, weight)
+    if bias is not None:
+        bias = _coerce(bias)
+        if bias.shape != weight.shape[1:]:
+            raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
+        y += bias.data
+        parents += (bias,)
+
+    def vjp(g):
+        gx = g @ weight.data.T if x.requires_grad else None
+        gw = (_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
+              if weight.requires_grad else None)
+        if bias is None:
+            return gx, gw
+        return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
+
+    return _track(y, parents, vjp)
+
+
+def attention(q, k, v, scale: float, mask=None) -> tuple[Tensor, Array]:
+    """Scaled dot-product attention ``softmax(q @ k^T * scale + mask) @ v``
+    as one tape node.
+
+    ``q`` is [..., Tq, D], ``k`` [..., Tk, D] and ``v`` [..., Tk, Dv], with
+    equal leading dims.  ``mask`` is an optional additive array that
+    broadcasts onto the [..., Tq, Tk] scores: 0 for allowed and -inf for
+    blocked entries, with at least one allowed entry per row.  Returns the
+    output and the attention weights; the weights are the array the VJP
+    reads, so callers must not write to it.  Only the weights are kept for
+    backward, not the raw, scaled or masked scores.  Forward and VJP repeat
+    the products, sums and roundings of ``matmul``, ``mul``, ``add``,
+    ``softmax`` and ``matmul`` in the same order, so every value is bitwise
+    theirs.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    lead = q.shape[:-2]
+    if (q.ndim < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
+            or k.shape[-1] != q.shape[-1] or v.ndim < 2 or v.shape[-2] != k.shape[-2]):
+        raise ShapeError(f"attention needs q [..., Tq, D], k [..., Tk, D] and "
+                         f"v [..., Tk, Dv], got {q.shape}, {k.shape}, {v.shape}")
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if _check_one_sided(p.shape, mask.shape) != p.shape:
+            raise ShapeError(f"attention mask {mask.shape} does not broadcast "
+                             f"onto scores {p.shape}")
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gq = gk = gv = None
+        if q.requires_grad or k.requires_grad:
+            gs = g @ np.swapaxes(v.data, -1, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            if q.requires_grad:
+                gq = gs @ k.data
+            if k.requires_grad:
+                gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2)
+        if v.requires_grad:
+            gv = np.swapaxes(p, -1, -2) @ g
+        return gq, gk, gv
+
+    return _track(p @ v.data, (q, k, v), vjp), p
 
 
 # -- parameters ----------------------------------------------------------------

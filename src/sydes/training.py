@@ -147,11 +147,27 @@ class AdamW:
         for _, params, base_lr in self.groups:
             lr = base_lr * lr_factor
             for p in params:
+                # In place, with two scratch arrays, in the float order of
+                # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+                # p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p).
                 g = p.grad if p.grad is not None else np.zeros(p.shape)
-                m = self.m[p.name] = b1 * self.m[p.name] + (1.0 - b1) * g
-                v = self.v[p.name] = b2 * self.v[p.name] + (1.0 - b2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                p.data = p.data - lr * (update + self.weight_decay * p.data)
+                m, v = self.m[p.name], self.v[p.name]
+                a = np.multiply(g, 1.0 - b1)
+                m *= b1
+                m += a
+                np.multiply(g, 1.0 - b2, out=a)
+                a *= g
+                v *= b2
+                v += a
+                np.divide(m, bc1, out=a)
+                b = np.divide(v, bc2)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                np.multiply(p.data, self.weight_decay, out=b)
+                a += b
+                a *= lr
+                p.data = np.subtract(p.data, a, out=b)
 
 
 def component_of(name: str, prefixes) -> str | None:

@@ -98,6 +98,19 @@ def _with_header(header):
     return lambda raw: MAGIC + struct.pack("<Q", len(blob)) + blob + raw[_header_end(raw):]
 
 
+def _edit_header(change):
+    """Rewrite the saved header with ``change(header)`` applied in place."""
+    def edit(raw):
+        header = json.loads(raw[len(MAGIC) + 8:_header_end(raw)])
+        change(header)
+        return _with_header(header)(raw)
+    return edit
+
+
+def _set_first_entry(header, value):
+    header["params"][0] = value
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda raw: raw[:len(MAGIC) + 3], "header length"),
     (lambda raw: raw[:len(MAGIC) + 8 + 20], "unreadable checkpoint header"),
@@ -105,8 +118,16 @@ def _with_header(header):
     (lambda raw: raw[:_header_end(raw) + 12], "cut short"),
     (_with_header({"format": 1, "meta": {}, "rng": {"seed": 0, "stream": ""}}), "params"),
     (_with_header({"format": 1, "meta": {}, "params": []}), "rng"),
+    (_edit_header(lambda h: h["params"][0].pop("name")), r"lacks \['name'\]"),
+    (_edit_header(lambda h: h["params"][0].pop("shape")), r"lacks \['shape'\]"),
+    (_edit_header(lambda h: h["params"][0].pop("offset")), r"lacks \['offset'\]"),
+    (_edit_header(lambda h: _set_first_entry(h, "w")), "not an object"),
+    (_edit_header(lambda h: h["params"][0].update(offset=-8)), "bad name, shape"),
+    (_edit_header(lambda h: h["rng"].pop("seed")), "lacks seed or stream"),
+    (_edit_header(lambda h: h["rng"].pop("stream")), "lacks seed or stream"),
 ], ids=["cut-length", "cut-header", "garbled-header", "short-payload",
-        "no-params", "no-rng"])
+        "no-params", "no-rng", "entry-no-name", "entry-no-shape", "entry-no-offset",
+        "entry-not-object", "entry-negative-offset", "rng-no-seed", "rng-no-stream"])
 def test_malformed_checkpoint_is_data_error(model, tmp_path, edit, message):
     path = _corrupt(tmp_path, model, edit)
     with pytest.raises(DataError, match=message) as info:

@@ -3,11 +3,12 @@ artifact layout.  Runs in-process via main(argv)."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from sydes.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from sydes.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
 from sydes.cli import main
 from sydes.config import RunConfig
 from sydes.model import SydesModel
@@ -171,6 +172,22 @@ class TestFinetuneEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    def test_header_entry_without_offset_is_data_error(self, finetuned, workspace,
+                                                       tmp_path, capsys):
+        raw = read_bytes(finetuned)
+        start = len(MAGIC) + 8
+        (hlen,) = struct.unpack("<Q", raw[len(MAGIC):start])
+        header = json.loads(raw[start:start + hlen])
+        del header["params"][0]["offset"]
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "no-offset.ckpt"
+        bad.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + hlen:])
+        rc = main(["eval", "--checkpoint", str(bad), "--data", workspace["data"],
+                   "--split", "test", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "offset" in err and "Traceback" not in err
 
     def test_missing_checkpoint_fails(self, workspace, tmp_path):
         rc = main(["finetune", "--task", "sentiment",

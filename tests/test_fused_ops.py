@@ -1,0 +1,224 @@
+"""The fused ``linear`` and ``attention`` ops: bitwise agreement with the
+composed ops they replace, skipped gradients for untracked parents, finite
+differences, and one tape node per call."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from sydes import nn
+from sydes import tensor as T
+from sydes.errors import ShapeError
+from sydes.gradcheck import CheckResult, check_leaves
+from sydes.tensor import RngState, Tensor
+
+
+def leaf(rng, shape):
+    return Tensor(rng.normal(shape), requires_grad=True)
+
+
+def grads_of(build, leaves, upstream):
+    """Output data and the gradient of every leaf for ``sum(build() * upstream)``."""
+    for x in leaves:
+        x.zero_grad()
+    out = build()
+    T.sum_(out * Tensor(upstream)).backward()
+    return out.data, [x.grad for x in leaves]
+
+
+def assert_bitwise(got, want):
+    (out_a, grads_a), (out_b, grads_b) = got, want
+    assert out_a.tobytes() == out_b.tobytes()
+    for ga, gb in zip(grads_a, grads_b):
+        assert ga.shape == gb.shape and ga.tobytes() == gb.tobytes()
+
+
+def tape_kinds(root) -> Counter:
+    """Op nodes reachable from ``root``, counted by the function that built
+    their VJP."""
+    kinds, seen, stack = Counter(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+            kinds[node._vjp.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    return kinds
+
+
+def causal(t):
+    return np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, -np.inf)
+
+
+def composed_attention(q, k, v, scale, mask):
+    scores = T.matmul(q, T.swap_last2(k)) * scale
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    return T.matmul(T.softmax(scores, axis=-1), v)
+
+
+def heads_first(x):
+    """[B, T, H, D] -> [B, H, T, D], the strided layout attention sees in
+    ``MultiHeadAttention``."""
+    return T.transpose(x, (0, 2, 1, 3))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_bitwise_equal_to_matmul_plus_bias(self, x_shape, with_bias):
+        rng = RngState(11, "linear")
+        x = leaf(rng.split("x"), x_shape)
+        w, b = leaf(rng.split("w"), (4, 5)), leaf(rng.split("b"), (5,))
+        leaves = [x, w] + ([b] if with_bias else [])
+        bias = b if with_bias else None
+        upstream = rng.split("g").normal(x_shape[:-1] + (5,))
+
+        def composed():
+            y = T.matmul(x, w)
+            return y + b if with_bias else y
+
+        assert_bitwise(grads_of(lambda: T.linear(x, w, bias), leaves, upstream),
+                       grads_of(composed, leaves, upstream))
+
+    def test_untracked_parent_gets_no_gradient(self):
+        rng = RngState(12, "linear")
+        x = Tensor(rng.split("x").normal((2, 3, 4)))
+        w, b = leaf(rng.split("w"), (4, 5)), leaf(rng.split("b"), (5,))
+        out = T.linear(x, w, b)
+        gx, gw, gb = out._vjp(np.ones(out.shape))
+        assert gx is None and gw.shape == (4, 5) and gb.shape == (5,)
+        b.requires_grad = False
+        out = T.linear(x, w, b)
+        assert out._vjp(np.ones(out.shape))[2] is None
+
+    def test_finite_differences(self):
+        for case in range(5):
+            rng = RngState(case, "linear-fd")
+            x = leaf(rng.split("x"), (2, 3, 4))
+            w, b = leaf(rng.split("w"), (4, 5)), leaf(rng.split("b"), (5,))
+            result = CheckResult("linear")
+            check_leaves(lambda: T.sum_(T.tanh(T.linear(x, w, b))), [x, w, b], result, rng)
+            assert result.passed, result.line()
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones(4)), Tensor(np.ones((4, 5))))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
+
+
+class TestAttention:
+    B, H, TQ, TK, D = 2, 3, 5, 5, 3
+
+    def inputs(self, seed, tk=TK):
+        rng = RngState(seed, "attention")
+        raw = [leaf(rng.split(n), (self.B, t, self.H, self.D))
+               for n, t in (("q", self.TQ), ("k", tk), ("v", tk))]
+        upstream = rng.split("g").normal((self.B, self.H, self.TQ, self.D))
+        return raw, upstream
+
+    @pytest.mark.parametrize("mask_kind", ["none", "causal", "finite"])
+    def test_bitwise_equal_to_composed_ops(self, mask_kind):
+        raw, upstream = self.inputs(21)
+        mask = {"none": None,
+                "causal": causal(self.TQ)[None, None],
+                "finite": RngState(22).normal((self.B, 1, self.TQ, self.TK))}[mask_kind]
+        scale = 1.0 / np.sqrt(self.D)
+        weights = {}
+
+        def fused():
+            out, weights["p"] = T.attention(*[heads_first(x) for x in raw], scale, mask)
+            return out
+
+        def composed():
+            return composed_attention(*[heads_first(x) for x in raw], scale, mask)
+
+        assert_bitwise(grads_of(fused, raw, upstream), grads_of(composed, raw, upstream))
+        scores = T.matmul(heads_first(raw[0]), T.swap_last2(heads_first(raw[1]))) * scale
+        if mask is not None:
+            scores = scores + Tensor(mask)
+        assert weights["p"].tobytes() == T.softmax(scores, axis=-1).data.tobytes()
+        if mask_kind == "causal":
+            above = np.triu_indices(self.TQ, 1)
+            assert np.all(weights["p"][..., above[0], above[1]] == 0.0)
+
+    def test_untracked_parents_get_no_gradient(self):
+        raw, _ = self.inputs(23)
+        q, k, v = (heads_first(x) for x in raw)
+        out, _ = T.attention(q, k, Tensor(v.data), 0.5)
+        gq, gk, gv = out._vjp(np.ones(out.shape))
+        assert gq.shape == q.shape and gk.shape == k.shape and gv is None
+        out, _ = T.attention(Tensor(q.data), Tensor(k.data), v, 0.5)
+        gq, gk, gv = out._vjp(np.ones(out.shape))
+        assert gq is None and gk is None and gv.shape == v.shape
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_finite_differences(self, masked):
+        for case in range(3):
+            rng = RngState(case, "attention-fd")
+            q, k, v = (leaf(rng.split(n), (2, 2, 4, 3)) for n in "qkv")
+            w = Tensor(rng.split("w").normal((2, 2, 4, 3)))
+            mask = causal(4) if masked else None
+            result = CheckResult("attention")
+            check_leaves(lambda: T.sum_(T.attention(q, k, v, 0.7, mask)[0] * w),
+                         [q, k, v], result, rng)
+            assert result.passed, result.line()
+
+    def test_cross_attention_lengths(self):
+        raw, _ = self.inputs(24, tk=7)
+        q, k, v = (heads_first(x) for x in raw)
+        out, p = T.attention(q, k, v, 0.5)
+        assert out.shape == (self.B, self.H, self.TQ, self.D)
+        assert p.shape == (self.B, self.H, self.TQ, 7)
+        assert np.allclose(p.sum(-1), 1.0, atol=1e-12)
+
+    def test_shape_errors(self):
+        q = Tensor(np.ones((2, 5, 4)))
+        with pytest.raises(ShapeError):
+            T.attention(q, Tensor(np.ones((2, 5, 3))), Tensor(np.ones((2, 5, 4))), 1.0)
+        with pytest.raises(ShapeError):
+            T.attention(q, Tensor(np.ones((2, 6, 4))), Tensor(np.ones((2, 5, 4))), 1.0)
+        with pytest.raises(ShapeError, match="mask"):
+            T.attention(q, q, q, 1.0, np.zeros((3, 2, 5, 5)))
+
+
+class TestTapeNodes:
+    def test_linear_call_is_one_node(self):
+        layer = nn.Linear(4, 4)
+        layer.initialize(RngState(1))
+        x = leaf(RngState(2), (2, 3, 4))
+        out = layer(x)
+        assert tape_kinds(out) == Counter(linear=1)
+        assert out._parents == (x, layer.weight.tensor, layer.bias.tensor)
+        assert tape_kinds(layer(layer(x))) == Counter(linear=2)
+
+    @pytest.mark.parametrize("with_mask", [False, True])
+    def test_attention_call_is_one_attention_node(self, with_mask):
+        attn = nn.MultiHeadAttention(8, 2)
+        attn.initialize(RngState(3))
+        x = leaf(RngState(4), (2, 5, 8))
+        mask = causal(5)[None, None] if with_mask else None
+        record = {}
+        out = attn(x, x, mask, record=record)
+        # Four projections, three head splits (reshape + transpose each) and
+        # one head merge around the single attention node.
+        assert tape_kinds(out) == Counter(linear=4, attention=1, reshape=4, transpose=4)
+        assert record["weights"].shape == (2, 2, 5, 5)
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul])
+def test_binary_ops_skip_untracked_parent(op):
+    tracked = leaf(RngState(5), (3, 3))
+    const = Tensor(RngState(6).normal((3, 3)))
+    out = op(tracked, const)
+    g_tracked, g_const = out._vjp(np.ones(out.shape))
+    assert g_tracked.shape == (3, 3) and g_const is None
+    out = op(const, tracked)
+    g_const, g_tracked = out._vjp(np.ones(out.shape))
+    assert g_const is None and g_tracked.shape == (3, 3)

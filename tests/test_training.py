@@ -63,6 +63,33 @@ class TestAdamW:
         assert "a" in opt.m and "b" not in opt.m
         del b
 
+    def test_step_is_bitwise_the_textbook_formula(self):
+        """The in-place step gives the floats of the out-of-place AdamW
+        formula, step after step, for two groups and a missing gradient."""
+        rng = RngState(8, "adamw")
+        # Values as small as one step, so a rounding change in the update
+        # is not lost in the subtraction.
+        params = [make_param(n, rng.split(n).normal((3, 4), 0.01)) for n in ("a", "b", "c")]
+        opt = AdamW([("g1", params[:2], 1e-2), ("g2", params[2:], 3e-3)])
+        (b1, b2), eps, wd = opt.betas, opt.eps, opt.weight_decay
+        ref = {p.name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params}
+        for t in range(1, 6):
+            for p in params:
+                p.tensor.grad = None if (t, p.name) == (3, "b") else \
+                    rng.split(f"g/{t}/{p.name}").normal(p.shape)
+            opt.step(lr_factor=0.5)
+            for p, lr in zip(params, (1e-2 * 0.5, 1e-2 * 0.5, 3e-3 * 0.5)):
+                x, m, v = ref[p.name]
+                g = p.grad if p.grad is not None else np.zeros(p.shape)
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                x = x - lr * (update + wd * x)
+                ref[p.name] = (x, m, v)
+                assert p.data.tobytes() == x.tobytes()
+                assert opt.m[p.name].tobytes() == m.tobytes()
+                assert opt.v[p.name].tobytes() == v.tobytes()
+
 
 class TestCosineLr:
     TOTAL, WARM = 100, 0.15

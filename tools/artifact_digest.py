@@ -7,7 +7,13 @@ through ``sydes.cli.main`` in a temporary directory, ``gen-data``, then
 ``pretrain --epochs 2``, then ``finetune --epochs 2`` and ``eval`` for every
 task.  It prints the sha256 of each checkpoint, ``*-log.csv`` and metrics
 JSON file, the ``gradcheck --cases 10`` suite results with their error
-maxima at full precision, and last one sha256 over all of these.
+maxima at full precision, and one sha256 over all of these ("ALL").
+
+Last it prints "FULLSCALE", a sha256 of the loss and of every parameter
+gradient from one seeded pretraining forward and backward at
+``full_scale_profile()`` (448/224/16 images, 196 patches) on a batch of 2.
+That covers the shapes the desk run does not reach: 197-token attention and
+the 768-wide patch projection.  It takes about 5 s more.
 
 A change that is not meant to alter numerics must print the same output
 before and after.  ``SYDES_THREADS`` is set to 1, so that the BLAS thread
@@ -29,6 +35,7 @@ SEED = "0"
 EPOCHS = "2"
 TASKS = ("sentiment", "emotion", "desire")
 GRADCHECK_CASES = 10
+FULLSCALE_BATCH = 2
 
 
 def load_cli(root: str):
@@ -78,6 +85,34 @@ def pipeline(cli, work: str) -> list[str]:
     return sorted(paths)
 
 
+def fullscale_gradients(work: str) -> str:
+    """sha256 of the loss and the parameter gradients of one seeded
+    full-scale pretraining step (forward and backward, no update)."""
+    from sydes import config, data, losses, model, text, training
+    from sydes.tensor import RngState
+
+    cfg = config.full_scale_profile()
+    rng = RngState(int(SEED))
+    data.generate_synthetic(FULLSCALE_BATCH, cfg.image, rng.split("data"), work, split="train")
+    samples, _ = data.ingest_manifest(os.path.join(work, "train.jsonl"), work)
+    vocab = text.Vocab.build(s.text for s in samples)
+    arrays = data.DatasetArrays(samples, cfg.image, vocab, cfg.encoder.seq_len)
+    net = model.SydesModel(cfg.image, cfg.encoder, vocab.size,
+                           decoder_layers=cfg.decoder_layers, decoder_heads=cfg.decoder_heads)
+    net.initialize(rng)
+    training.apply_freeze(net, cfg.pretrain.frozen)
+    batch = arrays.batch(list(range(FULLSCALE_BATCH)))
+    kept, masked = training.batch_masks(net, batch.sample_ids, 1, cfg.pretrain.mask_ratio, rng)
+    parts = net.pretrain_forward(batch, kept, masked, cfg.tau)
+    loss = losses.pretrain_loss(parts, cfg.pretrain.weights)
+    loss.backward()
+    digest = hashlib.sha256(loss.data.tobytes())
+    for name, p in net.named_parameters():
+        grad = b"none" if p.grad is None else p.grad.tobytes()
+        digest.update(name.encode() + b"\0" + grad)
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -101,6 +136,8 @@ def main() -> int:
         print(r.line())
         print(f"  {exact}")
     print(f"{total.hexdigest()}  ALL")
+    with tempfile.TemporaryDirectory(prefix="sydes-fullscale-") as work:
+        print(f"{fullscale_gradients(work)}  FULLSCALE")
     return 0
 
 
