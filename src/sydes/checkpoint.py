@@ -38,12 +38,19 @@ def save_checkpoint(path: str, model: Module, rng: RngState, meta: dict) -> None
         "params": entries,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for raw in payloads:
-            f.write(raw)
+    # Renamed over ``path`` once whole, so a crash never leaves half a file.
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for raw in payloads:
+                f.write(raw)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_checkpoint(path: str) -> tuple[dict, RngState, dict[str, np.ndarray]]:

@@ -77,11 +77,11 @@ class ImageDecoder(nn.Module):
             [masked + 1, np.zeros((G, 1), dtype=np.int64), kept + 1], axis=1)
         if n_masked:
             mask_rows = T.embedding_lookup(
-                self.mask_token.tensor, np.zeros((G, n_masked), dtype=np.int64))
+                self.mask_token, np.zeros((G, n_masked), dtype=np.int64))
             rows = T.concat([mask_rows, vis], axis=1)
         else:
             rows = vis
-        return rows + T.embedding_lookup(self.pos.tensor, positions)
+        return rows + T.embedding_lookup(self.pos, positions)
 
     def decode(self, dec_in: Tensor, fused_kv: Tensor, n_masked: int) -> tuple[Tensor, Tensor]:
         """Run the decoder; returns (pixel predictions [G, mP, patch_dim],

@@ -72,9 +72,9 @@ class ImageEncoder(nn.Module):
             raise ContractError(f"patches {patches.shape} do not match positions {positions.shape}")
         x = self.patch_proj(patches)
         full_pos = np.concatenate([np.zeros((B, 1), dtype=np.int64), positions + 1], axis=1)
-        cls_rows = T.embedding_lookup(self.cls_token.tensor, np.zeros((B, 1), dtype=np.int64))
+        cls_rows = T.embedding_lookup(self.cls_token, np.zeros((B, 1), dtype=np.int64))
         x = T.concat([cls_rows, x], axis=1)
-        return x + T.embedding_lookup(self.pos.tensor, full_pos)
+        return x + T.embedding_lookup(self.pos, full_pos)
 
     def encode(self, tokens: Tensor) -> Tensor:
         x = tokens
@@ -104,9 +104,9 @@ class TextEncoder(nn.Module):
         B, S = ids.shape
         if S != self.seq_len:
             raise ContractError(f"expected sequences of length {self.seq_len}, got {S}")
-        x = T.embedding_lookup(self.tok_emb.tensor, ids)
+        x = T.embedding_lookup(self.tok_emb, ids)
         pos_idx = np.broadcast_to(np.arange(S, dtype=np.int64), (B, S))
-        x = x + T.embedding_lookup(self.pos.tensor, pos_idx)
+        x = x + T.embedding_lookup(self.pos, pos_idx)
         mask = nn.causal_pad_mask(real)
         for block in self.blocks:
             x = block(x, mask)

@@ -138,7 +138,7 @@ def _scenario_si(rng: RngState, result: CheckResult) -> None:
     agg = _make_aggregator(rng.split("agg"), dim)
     z = Tensor(rng.split("z").normal((b, 4, dim)), requires_grad=True)
     v = _unit_rows(rng.split("v"), (b, dim))
-    leaves = [z, v] + [p.tensor for p in agg.parameters()]
+    leaves = [z, v] + agg.parameters()
     check_leaves(
         lambda: losses.si_loss(T.l2_normalize(v), T.l2_normalize(agg(z))),
         leaves, result, rng)
@@ -155,7 +155,7 @@ def _scenario_dc(rng: RngState, result: CheckResult) -> None:
     w = _unit_rows(rng.split("w"), (b, dim))
     reference = losses.similarity_distribution(
         T.l2_normalize(v), T.l2_normalize(w), tau).detach()
-    leaves = [z, v, w] + [p.tensor for p in agg.parameters()]
+    leaves = [z, v, w] + agg.parameters()
     check_leaves(
         lambda: losses.dc_loss(T.l2_normalize(agg(z)), T.l2_normalize(v),
                                T.l2_normalize(w), tau, reference=reference),
@@ -204,10 +204,6 @@ def tiny_setup(rng: RngState):
     return model, batch, image_cfg
 
 
-def _model_param_leaves(model: SydesModel) -> list[Tensor]:
-    return [p.tensor for p in model.parameters()]
-
-
 def _scenario_pretrain(rng: RngState, result: CheckResult, coords: int) -> None:
     model, batch, image_cfg = tiny_setup(rng.split("setup"))
     p = image_cfg.patches_per_image
@@ -227,8 +223,7 @@ def _scenario_pretrain(rng: RngState, result: CheckResult, coords: int) -> None:
                                        dc_reference=reference)
         return losses.pretrain_loss(parts, weights)
 
-    leaves = _model_param_leaves(model)
-    _check_sampled_params(build, leaves, result, rng.split("pick"), coords)
+    _check_sampled_params(build, model.parameters(), result, rng.split("pick"), coords)
 
 
 def _scenario_finetune(rng: RngState, result: CheckResult, coords: int) -> None:
@@ -240,8 +235,7 @@ def _scenario_finetune(rng: RngState, result: CheckResult, coords: int) -> None:
         parts["cls"] = losses.cls_loss(logits, batch.labels["desire"])
         return losses.finetune_loss(parts, weights)
 
-    leaves = _model_param_leaves(model)
-    _check_sampled_params(build, leaves, result, rng.split("pick"), coords)
+    _check_sampled_params(build, model.parameters(), result, rng.split("pick"), coords)
 
 
 def _check_sampled_params(build, leaves: list[Tensor], result: CheckResult,

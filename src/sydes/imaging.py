@@ -39,6 +39,8 @@ class ImageConfig:
     def __post_init__(self):
         if self.high_res != 2 * self.low_res:
             raise ContractError(f"high_res {self.high_res} != 2 * low_res {self.low_res}")
+        if self.patch_size < 1:
+            raise ContractError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.low_res % self.patch_size:
             raise ContractError(f"patch_size {self.patch_size} does not divide low_res {self.low_res}")
         if self.channels != 3:

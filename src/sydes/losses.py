@@ -107,8 +107,8 @@ class Aggregator(nn.Module):
     def scores(self, z: Tensor) -> Tensor:
         """Attention weights alpha, [B, n_subs], rows summing to 1."""
         dim = self.u.shape[0]
-        t = T.tanh(T.linear(z, self.w_z.tensor, self.b.tensor))
-        e = T.reshape(T.matmul(t, T.reshape(self.u.tensor, (dim, 1))), z.shape[:2])
+        t = T.tanh(T.linear(z, self.w_z, self.b))
+        e = T.reshape(T.matmul(t, T.reshape(self.u, (dim, 1))), z.shape[:2])
         return T.softmax(e, axis=-1)
 
     def __call__(self, z: Tensor) -> Tensor:

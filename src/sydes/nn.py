@@ -55,19 +55,18 @@ class Module:
 
     def zero_grad(self) -> None:
         for p in self.parameters():
-            p.tensor.zero_grad()
+            p.zero_grad()
 
 
 class Linear(Module):
     """y = x @ W + b with W stored [in, out]."""
 
-    def __init__(self, in_dim: int, out_dim: int, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int):
         self.weight = Parameter((in_dim, out_dim), init="fan_in")
-        self.bias = Parameter((out_dim,), init="zeros") if bias else None
+        self.bias = Parameter((out_dim,), init="zeros")
 
     def __call__(self, x: Tensor) -> Tensor:
-        bias = self.bias.tensor if self.bias is not None else None
-        return T.linear(x, self.weight.tensor, bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -77,7 +76,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma.tensor, self.beta.tensor, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class MultiHeadAttention(Module):

@@ -16,6 +16,8 @@ this module.  Design points:
   which keeps the weights but none of the score arrays).  Each is one node
   whose forward and VJP repeat the composed ops' products and sums in the
   same order, so their values are bitwise those of the composed ops.
+* A ``Parameter`` is a leaf ``Tensor`` with a name and an init rule, so
+  modules hand their weights to ops directly; freezing is ``requires_grad``.
 * One-sided broadcasting only.  For elementwise binary ops the two shapes are
   right-aligned, the shorter one padded with leading 1s; every aligned axis
   must then either match or be 1 *on a single operand across all axes* (the
@@ -590,61 +592,51 @@ def attention(q, k, v, scale: float, mask=None) -> tuple[Tensor, Array]:
 
 # -- parameters ----------------------------------------------------------------
 
-class Parameter:
-    """A named, trainable tensor.
+class Parameter(Tensor):
+    """A named, trainable leaf tensor.
 
-    Freezing is the tensor's ``requires_grad`` flag, and ``frozen`` is its
-    negation.  A frozen parameter stays off the tape, so ``backward``
-    computes no gradient for it, and the optimizer refuses it; its value
-    stays bit-identical across steps.  Values are filled in by
-    ``Module.initialize`` from the rng stream derived from the parameter
-    name, so initialization is independent of construction order.
+    Freezing is ``requires_grad``, and ``frozen`` is its negation.  A frozen
+    parameter stays off the tape, so ``backward`` computes no gradient for
+    it, and the optimizer refuses it; its value stays bit-identical across
+    steps.  Values are filled in by ``Module.initialize`` from the rng
+    stream derived from the parameter name, so initialization is
+    independent of construction order.  ``data`` takes only a float64
+    array of the parameter's shape.
     """
 
-    __slots__ = ("name", "tensor", "init_kind", "init_scale")
+    __slots__ = ("name", "init_kind", "init_scale")
 
     def __init__(self, shape, init: str = "normal", scale: float | None = None):
-        self.tensor = Tensor(np.zeros(shape), requires_grad=True)
+        super().__init__(np.zeros(shape), requires_grad=True)
         self.name = ""
         self.init_kind = init
         self.init_scale = scale
 
     @property
     def frozen(self) -> bool:
-        return not self.tensor.requires_grad
+        return not self.requires_grad
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
-        self.tensor.requires_grad = not value
+        self.requires_grad = not value
 
     @property
-    def data(self) -> Array:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value) -> None:
-        self.tensor.data = np.asarray(value, dtype=np.float64).reshape(self.tensor.shape)
-
-    @property
-    def grad(self) -> Array | None:
-        return self.tensor.grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.tensor.shape
+    def tensor(self) -> "Parameter":
+        # perfbench/tracer.py keys parameters on id(p.tensor); drop this once it keys on id(p).
+        return self
 
     def initialize(self, rng: "RngState") -> None:
-        shape = self.tensor.shape
+        shape = self.shape
         if self.init_kind == "normal":
             scale = self.init_scale if self.init_scale is not None else 0.02
-            self.tensor.data = rng.normal(shape, scale)
+            self.data = rng.normal(shape, scale)
         elif self.init_kind == "fan_in":
             fan = shape[0] if len(shape) >= 1 else 1
-            self.tensor.data = rng.normal(shape, 1.0 / np.sqrt(fan))
+            self.data = rng.normal(shape, 1.0 / np.sqrt(fan))
         elif self.init_kind == "zeros":
-            self.tensor.data = np.zeros(shape)
+            self.data = np.zeros(shape)
         elif self.init_kind == "ones":
-            self.tensor.data = np.ones(shape)
+            self.data = np.ones(shape)
         else:
             raise ContractError(f"unknown init kind {self.init_kind!r}")
 

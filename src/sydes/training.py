@@ -26,7 +26,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import DatasetArrays
 from .errors import ConfigError, ContractError, NumericalError
-from .imaging import sample_mask
+from .imaging import keep_count, sample_mask
 from .losses import LossWeights, cls_loss, finetune_loss, pretrain_loss
 from .metrics import MetricReport, compute_metrics
 from .model import N_SUBS, TASK_CLASSES, SydesModel, group_major_masks
@@ -54,6 +54,12 @@ class StageConfig:
     batch_size: int
     frozen: tuple[str, ...]
     lr_floor_frac: float = 0.01
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
     def pretrain_defaults(cls, epochs: int = 30, batch_size: int = 8) -> "StageConfig":
@@ -204,8 +210,11 @@ def build_optimizer(model: SydesModel, cfg: StageConfig) -> AdamW:
 def batch_masks(model: SydesModel, sample_ids: list[str], epoch: int,
                 mask_ratio: float, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
     """Fresh per-sample, per-sub-image masks; streams are split per sample
-    id so the draw is independent of batch composition."""
+    id so the draw is independent of batch composition.  A ratio that masks
+    no patch leaves nothing to reconstruct and is rejected."""
     p = model.image_cfg.patches_per_image
+    if keep_count(p, mask_ratio) == p:
+        raise ConfigError(f"mask ratio {mask_ratio} masks no patch of P={p}")
     specs = [[sample_mask(p, mask_ratio, rng.split(f"mask/e{epoch}/{sid}/n{n}"))
               for n in range(N_SUBS)] for sid in sample_ids]
     return group_major_masks(specs)
@@ -275,8 +284,7 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
               rng: RngState, *, task: str | None = None,
               val_data: DatasetArrays | None = None, out_dir: str | None = None,
               tau: float = 0.07, rec_squared: bool = True,
-              entropy_sign: float = 1.0, checkpoint_every: int = 0,
-              meta_extra: dict | None = None) -> StageResult:
+              entropy_sign: float = 1.0, meta_extra: dict | None = None) -> StageResult:
     """Train one stage over ``data``.
 
     Pretraining ignores ``task``; fine-tuning requires it and, when
@@ -366,17 +374,13 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
         result.history.append(record)
         log_lines.append(",".join(_format_field(record[h]) for h in header))
 
-        if out_dir and (epoch == cfg.epochs
-                        or (checkpoint_every and epoch % checkpoint_every == 0)):
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"{cfg.stage}-epoch{epoch}.ckpt")
-            meta = {"stage": cfg.stage, "epoch": epoch, "task": task}
-            meta.update(meta_extra or {})
-            save_checkpoint(path, model, rng, meta)
-            result.checkpoint_path = path
-
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, f"{cfg.stage}-epoch{cfg.epochs}.ckpt")
+        meta = {"stage": cfg.stage, "epoch": cfg.epochs, "task": task}
+        meta.update(meta_extra or {})
+        save_checkpoint(path, model, rng, meta)
+        result.checkpoint_path = path
         result.log_path = os.path.join(out_dir, f"{cfg.stage}-log.csv")
         with open(result.log_path, "w", encoding="utf-8") as f:
             f.write("\n".join(log_lines) + "\n")

@@ -2,11 +2,14 @@
 mismatch rejection."""
 
 import json
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sydes import checkpoint
 from sydes.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
 from sydes.encoders import EncoderConfig
 from sydes.errors import DataError
@@ -51,6 +54,23 @@ def test_save_is_deterministic(model, tmp_path):
     save_checkpoint(a, model, RngState(1), {"k": 1})
     save_checkpoint(b, model, RngState(1), {"k": 1})
     assert read_bytes(a) == read_bytes(b)
+
+
+def test_failed_save_keeps_existing_checkpoint(model, tmp_path, monkeypatch):
+    """A write that raises partway leaves the previous checkpoint intact and
+    no temporary file behind."""
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model, RngState(0), {"epoch": 1})
+    before = read_bytes(path)
+
+    def pack(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "struct", SimpleNamespace(pack=pack))
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, RngState(0), {"epoch": 2})
+    assert read_bytes(path) == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 def test_read_raw_parameter_dict(model, tmp_path):

@@ -222,6 +222,19 @@ class TestReconstruct:
         assert rc == 1
 
 
+@pytest.mark.parametrize("command, ratio", [("pretrain", "0"), ("pretrain", "0.01"),
+                                            ("reconstruct", "0.01")])
+def test_mask_ratio_masking_no_patch_exit_1(workspace, tmp_path, capsys, command, ratio):
+    args = ["--data", workspace["data"], "--out", str(tmp_path / "o"), "--mask-ratio", ratio]
+    if command == "pretrain":
+        args += ["--config", workspace["config"], "--epochs", "1"]
+    else:
+        args += ["--checkpoint", workspace["ckpt"]]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert f"mask ratio {float(ratio)}" in err and "P=16" in err and "Traceback" not in err
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_lines(self, capsys):
         rc = main(["gradcheck", "--cases", "3", "--seed", "2"])
@@ -248,6 +261,23 @@ class TestUsage:
         bad.write_text('{"bogus_key": 1}')
         rc = main(["pretrain", "--config", str(bad), "--data", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("config, flags, field", [
+        ({"pretrain": {"batch_size": 0}}, [], "pretrain: batch_size"),
+        ({"pretrain": {"epochs": 0}}, [], "pretrain: epochs"),
+        ({}, ["--epochs", "0"], "epochs"),
+        ({"pretrain": {"epochs": "2"}}, [], "pretrain: epochs"),
+        ({"finetune": {"batch_size": True}}, [], "finetune: batch_size"),
+        ({"image": {"patch_size": 0}}, [], "image: patch_size"),
+    ], ids=["batch_size_0", "epochs_0", "epochs_flag_0", "epochs_str", "batch_size_bool",
+            "patch_size_0"])
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, config, flags, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        rc = main(["pretrain", "--config", str(bad), "--data", str(tmp_path), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
     def test_invalid_task_choice_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

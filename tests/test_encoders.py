@@ -180,7 +180,7 @@ class TestSharedEncoder:
 
         model, batch, image_cfg = tiny_setup(RngState(6))
         p = image_cfg.patches_per_image
-        names_low = {id(par.tensor) for par in model.image_encoder.parameters()}
+        names_low = {id(par) for par in model.image_encoder.parameters()}
 
         V1 = model.encode_low(batch.low_patches)
         T.sum_(V1 * V1).backward()
@@ -196,7 +196,7 @@ class TestSharedEncoder:
         grads_sub = {par.name for par in model.image_encoder.parameters()
                      if par.grad is not None and np.abs(par.grad).sum() > 0}
 
-        names_sub = {id(par.tensor) for par in model.image_encoder.parameters()}
+        names_sub = {id(par) for par in model.image_encoder.parameters()}
         assert names_low == names_sub
         assert grads_low and grads_sub
         # every weight reachable in the low path is the same object in the sub path

@@ -195,7 +195,7 @@ class TestTapeNodes:
         x = leaf(RngState(2), (2, 3, 4))
         out = layer(x)
         assert tape_kinds(out) == Counter(linear=1)
-        assert out._parents == (x, layer.weight.tensor, layer.bias.tensor)
+        assert out._parents == (x, layer.weight, layer.bias)
         assert tape_kinds(layer(layer(x))) == Counter(linear=2)
 
     @pytest.mark.parametrize("with_mask", [False, True])

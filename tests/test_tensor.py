@@ -264,7 +264,7 @@ class TestRng:
             trail = []
             for step in range(10):
                 g = RngState(5).split(f"grad/{step}").normal(p.shape)
-                p.tensor.grad = g
+                p.grad = g
                 opt.step()
                 trail.append(p.data.copy())
             return trail
@@ -284,8 +284,8 @@ class TestRng:
         live.initialize(RngState(2).split("init/l"))
         before = frozen.data.copy()
         opt = AdamW([("g", [live], 1e-2)])
-        live.tensor.grad = np.ones(3)
-        frozen.tensor.grad = np.ones(3)
+        live.grad = np.ones(3)
+        frozen.grad = np.ones(3)
         opt.step()
         assert frozen.data.tobytes() == before.tobytes()
         assert not np.array_equal(live.data, np.zeros(3))
@@ -301,14 +301,14 @@ class TestRng:
 
     def test_frozen_parameter_stays_off_the_tape(self):
         frozen, live = Parameter((2,)), Parameter((2,))
-        frozen.data = [2.0, 3.0]
+        frozen.data = np.array([2.0, 3.0])
         frozen.frozen = True
-        assert not frozen.tensor.requires_grad
-        T.sum_(frozen.tensor * live.tensor).backward()
+        assert not frozen.requires_grad
+        T.sum_(frozen * live).backward()
         assert frozen.grad is None
         assert np.array_equal(live.grad, [2.0, 3.0])
         frozen.frozen = False
-        assert frozen.tensor.requires_grad and not frozen.frozen
+        assert frozen.requires_grad and not frozen.frozen
 
     def test_no_grad_records_no_tape(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)

@@ -10,7 +10,7 @@ from sydes.config import RunConfig
 from sydes.data import DatasetArrays, generate_synthetic
 from sydes.errors import ConfigError, NumericalError
 from sydes.model import SydesModel
-from sydes.tensor import Parameter, RngState
+from sydes.tensor import Parameter, RngState, Tensor
 from sydes.text import Vocab
 from sydes import training
 from sydes.training import (FINETUNE_FROZEN, PRETRAIN_FROZEN, AdamW, ImageFeatureCache,
@@ -46,7 +46,7 @@ class TestAdamW:
     def test_first_step_moves_against_gradient_sign(self):
         p = make_param("w", [1.0, 1.0])
         opt = AdamW([("g", [p], 1e-2)], weight_decay=0.0)
-        p.tensor.grad = np.array([0.5, -0.25])
+        p.grad = np.array([0.5, -0.25])
         opt.step()
         assert p.data[0] < 1.0 and p.data[1] > 1.0
 
@@ -75,7 +75,7 @@ class TestAdamW:
         ref = {p.name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params}
         for t in range(1, 6):
             for p in params:
-                p.tensor.grad = None if (t, p.name) == (3, "b") else \
+                p.grad = None if (t, p.name) == (3, "b") else \
                     rng.split(f"g/{t}/{p.name}").normal(p.shape)
             opt.step(lr_factor=0.5)
             for p, lr in zip(params, (1e-2 * 0.5, 1e-2 * 0.5, 3e-3 * 0.5)):
@@ -143,11 +143,11 @@ class TestFreezeOnTape:
         model, _, _ = tiny_setup(RngState(32))
         apply_freeze(model, FINETUNE_FROZEN)
         for name, p in model.named_parameters():
-            assert p.tensor.requires_grad == (component_of(name, FINETUNE_FROZEN) is None)
+            assert p.requires_grad == (component_of(name, FINETUNE_FROZEN) is None)
         apply_freeze(model, PRETRAIN_FROZEN)
         for name, p in model.named_parameters():
-            assert p.tensor.requires_grad == (component_of(name, PRETRAIN_FROZEN) is None)
-        assert all(p.tensor.requires_grad for p in model.image_encoder.parameters())
+            assert p.requires_grad == (component_of(name, PRETRAIN_FROZEN) is None)
+        assert all(p.requires_grad for p in model.image_encoder.parameters())
 
     def test_finetune_step_computes_no_frozen_gradient(self, corpus):
         cfg, vocab, data = corpus
@@ -157,8 +157,20 @@ class TestFreezeOnTape:
         frozen = FINETUNE_FROZEN + ("heads.emotion", "heads.sentiment")
         for name, p in model.named_parameters():
             if component_of(name, frozen) is not None:
-                assert not p.tensor.requires_grad and p.grad is None, name
+                assert not p.requires_grad and p.grad is None, name
         assert all(p.grad is not None for p in model.heads["desire"].parameters())
+
+    def test_parameters_are_tape_leaves_holding_their_own_grad(self, corpus):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        assert all(isinstance(p, Tensor) for p in model.parameters())
+        stage = StageConfig.pretrain_defaults(epochs=1, batch_size=len(data))
+        run_stage(model, data, stage, RngState(0), tau=cfg.tau)
+        trainable = [p for p in model.parameters() if not p.frozen]
+        assert trainable
+        for p in trainable:
+            assert p.grad is not None and p.grad.shape == p.shape, p.name
+        assert len({id(p.grad) for p in trainable}) == len(trainable)
 
 
 @pytest.fixture(scope="module")
