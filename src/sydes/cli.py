@@ -34,9 +34,10 @@ from .config import RunConfig  # noqa: E402
 from .data import DatasetArrays, generate_synthetic, ingest_manifest  # noqa: E402
 from .errors import DataError, NumericalError, SydesError  # noqa: E402
 from .gradcheck import run_suite  # noqa: E402
+from .imaging import keep_count  # noqa: E402
 from .metrics import compute_metrics  # noqa: E402
 from .model import TASK_CLASSES, TASKS, SydesModel  # noqa: E402
-from .tensor import RngState  # noqa: E402
+from .tensor import RngState, no_grad  # noqa: E402
 from .text import Vocab  # noqa: E402
 from .training import StageConfig, batch_masks, predict, run_stage  # noqa: E402
 from .viz import export_attention, export_triptych  # noqa: E402
@@ -185,7 +186,7 @@ def cmd_pretrain(args) -> int:
     model = SydesModel(cfg.image, cfg.encoder, vocab.size,
                        decoder_layers=cfg.decoder_layers, decoder_heads=cfg.decoder_heads)
     model.initialize(rng)
-    kept_n = round((1.0 - cfg.pretrain.mask_ratio) * cfg.image.patches_per_image)
+    kept_n = keep_count(cfg.image.patches_per_image, cfg.pretrain.mask_ratio)
     print(f"pretraining on {len(samples)} samples, mask ratio "
           f"{cfg.pretrain.mask_ratio} ({kept_n}/{cfg.image.patches_per_image} patches kept)")
     result = run_stage(model, data, cfg.pretrain, rng, out_dir=out, tau=cfg.tau,
@@ -272,9 +273,10 @@ def cmd_reconstruct(args) -> int:
     kept, masked = batch_masks(model, batch.sample_ids, 0, args.mask_ratio,
                                rng.split("reconstruct"))
     aux: dict = {}
-    model.pretrain_forward(batch, kept, masked, cfg.tau, aux=aux)
     capture: dict = {}
-    model.finetune_forward(batch, cfg.task, cfg.tau, capture=capture)
+    with no_grad():
+        model.pretrain_forward(batch, kept, masked, cfg.tau, aux=aux)
+        model.finetune_forward(batch, cfg.task, cfg.tau, capture=capture)
     for i in range(n):
         sid = batch.sample_ids[i]
         path = os.path.join(out, f"triptych-{sid}.ppm")

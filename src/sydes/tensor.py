@@ -6,8 +6,12 @@ this module.  Design points:
 * float64 everywhere; no mixed precision.
 * Dynamic tape: every op returns a new ``Tensor`` holding its parents and a
   vector-Jacobian closure.  ``Tensor.backward()`` walks the tape in reverse
-  topological order.  Repeated ``backward()`` calls accumulate gradients
-  additively; call ``zero_grad`` (or set ``grad = None``) between steps.
+  topological order and keeps ``grad`` only on leaves (tensors with no
+  VJP, such as parameters); an interior node's gradient is passed on to its
+  parents and dropped.  Repeated ``backward()`` calls accumulate into the
+  leaves additively; call ``zero_grad`` (or set ``grad = None``) between
+  steps.  The tape lives as long as its output is referenced, so a training
+  step should let go of its loss once the step is done.
   Inside ``with no_grad():`` ops record nothing, for forwards whose
   gradients are never read.  A VJP returns ``None`` for a parent with
   ``requires_grad=False`` instead of computing a gradient nobody reads.
@@ -84,8 +88,13 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into ``grad`` of every reachable
-        tracked tensor.  ``self`` must be a scalar."""
+        """Accumulate d(self)/d(leaf) into ``grad`` of every reachable
+        tracked leaf (a tensor with no VJP).  ``self`` must be a scalar.
+
+        An interior node's gradient is handed on to its parents and then
+        dropped, so no interior node keeps a ``grad``.  The tape itself is
+        left intact: a second call differentiates it again and adds to the
+        leaves' ``grad``."""
         if self.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -110,8 +119,8 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._vjp is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:

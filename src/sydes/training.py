@@ -290,6 +290,11 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
     Pretraining ignores ``task``; fine-tuning requires it and, when
     ``val_data`` is given, reports validation metrics every epoch.  Writes
     ``{stage}-epoch{N}.ckpt`` and ``{stage}-log.csv`` under ``out_dir``.
+
+    One step's tape lives from its forward to its backward and the update
+    that follows: each step runs in a function that returns plain floats,
+    so the step's graph is gone before the next batch is drawn, and during
+    validation and the checkpoint save.
     """
     if cfg.stage not in ("pretrain", "finetune"):
         raise ConfigError(f"unknown stage {cfg.stage!r}")
@@ -324,6 +329,34 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
         header += ["val_precision", "val_recall", "val_macro_f1", "val_accuracy"]
     log_lines.append(",".join(header))
 
+    def train_step(index: np.ndarray, epoch: int, step: int,
+                   lr_factor: float) -> tuple[float, dict[str, float]]:
+        """One optimizer step on rows ``index``; returns the total loss and its
+        parts as floats, so no reference to the step's tape escapes."""
+        batch = data.batch(index)
+        if cfg.stage == "pretrain":
+            kept, masked = batch_masks(model, batch.sample_ids, epoch,
+                                       cfg.mask_ratio, stage_rng)
+            parts = model.pretrain_forward(batch, kept, masked, tau,
+                                           rec_squared=rec_squared,
+                                           entropy_sign=entropy_sign)
+            _check_finite(parts, epoch, step)
+            total = pretrain_loss(parts, cfg.weights)
+        else:
+            images = None if train_images is None else train_images.features(index, batch)
+            logits, parts = model.finetune_forward(batch, task, tau, images=images)
+            parts["cls"] = cls_loss(logits, batch.labels[task],
+                                    sample_ids=batch.sample_ids)
+            _check_finite(parts, epoch, step)
+            total = finetune_loss(parts, cfg.weights)
+        if not np.isfinite(total.data).all():
+            raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
+
+        model.zero_grad()
+        total.backward()
+        opt.step(lr_factor)
+        return total.item(), {name: parts[name].item() for name in part_names}
+
     step = 0
     for epoch in range(1, cfg.epochs + 1):
         order = stage_rng.split(f"shuffle/e{epoch}").permutation(n)
@@ -331,34 +364,13 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
         lr_factor = 0.0
         for b in range(n_batches):
             index = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            batch = data.batch(index)
-            if cfg.stage == "pretrain":
-                kept, masked = batch_masks(model, batch.sample_ids, epoch,
-                                           cfg.mask_ratio, stage_rng)
-                parts = model.pretrain_forward(batch, kept, masked, tau,
-                                               rec_squared=rec_squared,
-                                               entropy_sign=entropy_sign)
-                _check_finite(parts, epoch, step)
-                total = pretrain_loss(parts, cfg.weights)
-            else:
-                images = None if train_images is None else train_images.features(index, batch)
-                logits, parts = model.finetune_forward(batch, task, tau, images=images)
-                parts["cls"] = cls_loss(logits, batch.labels[task],
-                                        sample_ids=batch.sample_ids)
-                _check_finite(parts, epoch, step)
-                total = finetune_loss(parts, cfg.weights)
-            if not np.isfinite(total.data).all():
-                raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
-
-            model.zero_grad()
-            total.backward()
             lr_factor = cosine_lr(step, total_steps, 1.0, cfg.warmup_frac,
                                   cfg.lr_floor_frac)
-            opt.step(lr_factor)
+            loss, parts = train_step(index, epoch, step, lr_factor)
             step += 1
-            sums["loss"] += total.item() * len(index)
+            sums["loss"] += loss * len(index)
             for name in part_names:
-                sums[name] += parts[name].item() * len(index)
+                sums[name] += parts[name] * len(index)
 
         record = {"epoch": epoch}
         record.update({name: sums[name] / n for name in ("loss", *part_names)})

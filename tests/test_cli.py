@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism, and
 artifact layout.  Runs in-process via main(argv)."""
 
+import contextlib
 import json
 import os
 import struct
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from sydes.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_checkpoint
+from sydes import cli
+from sydes import tensor as T
 from sydes.cli import main
 from sydes.config import RunConfig
 from sydes.model import SydesModel
@@ -98,6 +101,14 @@ class TestPretrain:
         assert rc == 0
         captured = capsys.readouterr().out
         assert "0.25" in captured and "12/16" in captured
+
+    def test_kept_patch_count_rounds_half_up(self, workspace, tmp_path, capsys):
+        # (1 - 0.34375) * 16 = 10.5 patches: masking keeps 11, so the line says 11.
+        rc = main(["pretrain", "--config", workspace["config"],
+                   "--data", workspace["data"], "--out", str(tmp_path / "half"),
+                   "--seed", "0", "--mask-ratio", "0.34375", "--epochs", "1"])
+        assert rc == 0
+        assert "(11/16 patches kept)" in capsys.readouterr().out
 
     def test_missing_manifest_is_data_error(self, workspace, tmp_path):
         rc = main(["pretrain", "--config", workspace["config"],
@@ -214,6 +225,31 @@ class TestReconstruct:
         grid = np.loadtxt(os.path.join(out, sorted(attns)[0]), delimiter=",")
         assert grid.shape == (15, 5 * 17)  # (S-1) x 5(P+1)
         assert np.all(np.abs(grid.sum(axis=1) - 1.0) < 1e-6)
+
+    def test_records_no_tape_and_writes_the_tracked_bytes(self, workspace, tmp_path,
+                                                          monkeypatch):
+        args = ["reconstruct", "--checkpoint", workspace["ckpt"], "--data", workspace["data"],
+                "--mask-ratio", "0.75", "--n", "2", "--seed", "1"]
+        tracked = []
+        track = T._track
+
+        def recording_track(data, parents, vjp):
+            out = track(data, parents, vjp)
+            tracked.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(T, "_track", recording_track)
+        assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+        assert tracked and not any(tracked)
+        # The same forwards with the tape recorded write the same bytes.
+        monkeypatch.setattr(cli, "no_grad", contextlib.nullcontext)
+        assert main([*args, "--out", str(tmp_path / "taped")]) == 0
+        assert any(tracked)
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert names == sorted(os.listdir(tmp_path / "taped")) and len(names) == 2 + 2 * 4
+        for name in names:
+            assert (read_bytes(tmp_path / "plain" / name)
+                    == read_bytes(tmp_path / "taped" / name)), name
 
     def test_mask_ratio_zero_rejected(self, workspace, tmp_path):
         rc = main(["reconstruct", "--checkpoint", workspace["ckpt"],

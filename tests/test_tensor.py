@@ -93,11 +93,26 @@ class TestBackwardContracts:
         loss.backward()
         assert np.array_equal(x.grad, [2.0, 2.0])
 
-    def test_all_reachable_tracked_tensors_get_grads(self):
+    def test_only_leaves_keep_grads(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         mid = x * x
-        T.sum_(mid).backward()
-        assert mid.grad is not None and x.grad is not None
+        loss = T.sum_(mid)
+        loss.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert mid.grad is None and loss.grad is None
+
+    def test_diamond_graph_leaf_grad_exact_and_accumulates(self):
+        # mid feeds two consumers, so its gradient arrives from both before
+        # it is passed on: d/dx sum(3*x^2 + 2*x^2) = 10*x.
+        x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+        mid = x * x
+        loss = T.sum_(mid * 3.0) + T.sum_(mid * 2.0)
+        loss.backward()
+        assert np.array_equal(x.grad, [10.0, -20.0, 5.0])
+        assert mid.grad is None
+        loss.backward()
+        assert np.array_equal(x.grad, [20.0, -40.0, 10.0])
+        assert mid.grad is None
 
     def test_detach_blocks_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -1,6 +1,7 @@
 """Optimizer algebra, the warmup/cosine schedule, stage freezing, NaN
 aborts, and short-run determinism."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -196,9 +197,51 @@ def fresh_model(cfg, vocab, seed=0):
     return model
 
 
+def live_tape_nodes():
+    """Tracked interior tensors still alive after a full collection."""
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o._vjp is not None)
+
+
 def component_bytes(model, prefix):
     return {name: p.data.tobytes() for name, p in model.named_parameters()
             if name.startswith(prefix)}
+
+
+class TestTapeLifetime:
+    """A step's tape is unreachable once the step returns: none is alive when
+    the next forward starts, nor at validation or at the checkpoint save."""
+
+    def count_live_tape(self, monkeypatch):
+        counts = []
+        for name in ("pretrain_forward", "finetune_forward"):
+            def counting(model, *args, _forward=getattr(SydesModel, name), **kwargs):
+                counts.append(live_tape_nodes())
+                return _forward(model, *args, **kwargs)
+            monkeypatch.setattr(SydesModel, name, counting)
+
+        def counting_save(*args, _save=training.save_checkpoint):
+            counts.append(live_tape_nodes())
+            return _save(*args)
+        monkeypatch.setattr(training, "save_checkpoint", counting_save)
+        return counts
+
+    def test_pretrain_step_starts_with_no_tape(self, corpus, monkeypatch, tmp_path):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        counts = self.count_live_tape(monkeypatch)
+        stage = StageConfig.pretrain_defaults(epochs=1, batch_size=8)
+        run_stage(model, data, stage, RngState(0), tau=cfg.tau, out_dir=str(tmp_path))
+        assert counts == [0, 0, 0]  # two steps, then the save
+
+    def test_finetune_step_starts_with_no_tape(self, corpus, monkeypatch, tmp_path):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        counts = self.count_live_tape(monkeypatch)
+        stage = StageConfig.finetune_defaults(epochs=1, batch_size=8)
+        run_stage(model, data, stage, RngState(0), task="emotion", val_data=data,
+                  tau=cfg.tau, out_dir=str(tmp_path))
+        assert counts == [0, 0, 0, 0]  # two steps, one validation batch, the save
 
 
 class TestStages:
