@@ -2,7 +2,10 @@
 
 Subcommands: gen-data, pretrain, finetune, eval, gradcheck, reconstruct.
 A JSON config file supplies defaults; command-line flags win.  Exit codes:
-0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+0 success, 1 usage/config error, 2 data error, 3 numerical failure, and
+141 (as a shell reports after SIGPIPE) when standard output is closed
+before the command has printed all of its lines: the command stops at the
+write that fails, with no traceback.
 
 Set SYDES_THREADS to cap the numeric kernels' thread pools; it must take
 effect before numpy loads, so it is applied at import time here.
@@ -297,11 +300,21 @@ COMMANDS = {
 }
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of standard output has gone (``| head -1``).  Point
+        # stdout at devnull, so the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

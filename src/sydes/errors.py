@@ -30,4 +30,4 @@ class ConfigError(SydesError):
 
 
 class NumericalError(SydesError):
-    """Non-finite loss or failed gradient verification."""
+    """Non-finite loss or gradient, or failed gradient verification."""

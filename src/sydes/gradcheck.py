@@ -64,13 +64,15 @@ def _check_picks(build, leaves: list[Tensor], picks, result: CheckResult) -> Non
     difference at each ``(leaf index, flat index)`` pick.
 
     ``build`` must recompute the scalar loss from the leaves' current data.
+    The finite-difference forwards run under ``no_grad`` and record no tape.
     """
     for leaf in leaves:
         leaf.zero_grad()
     build().backward()
 
     def f() -> float:
-        return build().item()
+        with T.no_grad():
+            return build().item()
 
     for li, c in picks:
         leaf = leaves[li]

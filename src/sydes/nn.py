@@ -113,7 +113,7 @@ class MultiHeadAttention(Module):
 
         out, weights = T.attention(q, k, v, 1.0 / np.sqrt(D), mask)
         if record is not None:
-            record["weights"] = weights.copy()
+            record["weights"] = weights
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, Tq, C))
         return self.wo(out)
 

@@ -17,9 +17,10 @@ this module.  Design points:
   ``requires_grad=False`` instead of computing a gradient nobody reads.
 * Two fused ops keep on the tape only what their VJP reads: ``linear``
   (``x @ W + b``) and ``attention`` (``softmax(q @ k^T * scale + mask) @ v``,
-  which keeps the weights but none of the score arrays).  Each is one node
-  whose forward and VJP repeat the composed ops' products and sums in the
-  same order, so their values are bitwise those of the composed ops.
+  which keeps each score row's max and exp-sum, and no [Tq, Tk] array: its
+  VJP recomputes the weights a chunk of the first axis at a time).  Each is
+  one node whose forward and VJP repeat the composed ops' products and sums
+  in the same order, so their values are bitwise those of the composed ops.
 * A ``Parameter`` is a leaf ``Tensor`` with a name and an init rule, so
   modules hand their weights to ops directly; freezing is ``requires_grad``.
 * One-sided broadcasting only.  For elementwise binary ops the two shapes are
@@ -548,6 +549,29 @@ def linear(x, weight, bias=None) -> Tensor:
     return _track(y, parents, vjp)
 
 
+# Most float64 score values one chunk of the attention VJP holds (2^17, 1 MB).
+ATTENTION_CHUNK = 1 << 17
+
+
+def _attention_weights(q: Array, k: Array, scale: float, mask: Array | None,
+                       row_max: Array | None = None, row_sum: Array | None = None):
+    """``softmax(q @ k^T * scale + mask)`` with its rows' max and exp-sum.
+    Given ``row_max`` and ``row_sum`` from an earlier call, it reuses them,
+    so a recomputed slice is bitwise the same slice of the first result."""
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    if mask is not None:
+        p += mask
+    if row_max is None:
+        row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
+    np.exp(p, out=p)
+    if row_sum is None:
+        row_sum = p.sum(axis=-1, keepdims=True)
+    p /= row_sum
+    return p, row_max, row_sum
+
+
 def attention(q, k, v, scale: float, mask=None) -> tuple[Tensor, Array]:
     """Scaled dot-product attention ``softmax(q @ k^T * scale + mask) @ v``
     as one tape node.
@@ -556,12 +580,12 @@ def attention(q, k, v, scale: float, mask=None) -> tuple[Tensor, Array]:
     equal leading dims.  ``mask`` is an optional additive array that
     broadcasts onto the [..., Tq, Tk] scores: 0 for allowed and -inf for
     blocked entries, with at least one allowed entry per row.  Returns the
-    output and the attention weights; the weights are the array the VJP
-    reads, so callers must not write to it.  Only the weights are kept for
-    backward, not the raw, scaled or masked scores.  Forward and VJP repeat
-    the products, sums and roundings of ``matmul``, ``mul``, ``add``,
-    ``softmax`` and ``matmul`` in the same order, so every value is bitwise
-    theirs.
+    output and the attention weights, which the caller owns: the node keeps
+    only each row's max and exp-sum ([..., Tq, 1]), and its VJP recomputes
+    the weights from them along the first axis, at most ``ATTENTION_CHUNK``
+    score values at a time.  Forward and VJP repeat the products, sums and
+    roundings of ``matmul``, ``mul``, ``add``, ``softmax`` and ``matmul`` in
+    the same order, so every value is bitwise theirs.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     lead = q.shape[:-2]
@@ -569,32 +593,43 @@ def attention(q, k, v, scale: float, mask=None) -> tuple[Tensor, Array]:
             or k.shape[-1] != q.shape[-1] or v.ndim < 2 or v.shape[-2] != k.shape[-2]):
         raise ShapeError(f"attention needs q [..., Tq, D], k [..., Tk, D] and "
                          f"v [..., Tk, Dv], got {q.shape}, {k.shape}, {v.shape}")
-    p = q.data @ np.swapaxes(k.data, -1, -2)
-    p *= scale
+    scores_shape = q.shape[:-1] + k.shape[-2:-1]
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
-        if _check_one_sided(p.shape, mask.shape) != p.shape:
+        if _check_one_sided(scores_shape, mask.shape) != scores_shape:
             raise ShapeError(f"attention mask {mask.shape} does not broadcast "
-                             f"onto scores {p.shape}")
-        p += mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+                             f"onto scores {scores_shape}")
+        mask = mask.reshape((1,) * (q.ndim - mask.ndim) + mask.shape)
+    p, row_max, row_sum = _attention_weights(q.data, k.data, scale, mask)
+    n = q.shape[0] if lead else 1
+    scores_per_row = p.size // n
 
     def vjp(g):
-        gq = gk = gv = None
-        if q.requires_grad or k.requires_grad:
-            gs = g @ np.swapaxes(v.data, -1, -2)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
+        gq = np.empty(q.shape) if q.requires_grad else None
+        # gk is the swapped view of a [..., D, Tk] buffer, the layout of the
+        # composed ops' product, so later products round as theirs do.
+        gkt = np.empty(lead + (k.shape[-1], k.shape[-2])) if k.requires_grad else None
+        gv = np.empty(v.shape) if v.requires_grad else None
+        step = max(1, ATTENTION_CHUNK // scores_per_row)
+        chunks = [slice(i, i + step) for i in range(0, n, step)] if lead else [...]
+        for c in chunks:
+            pc, _, _ = _attention_weights(
+                q.data[c], k.data[c], scale,
+                mask if mask is None or mask.shape[0] == 1 else mask[c],
+                row_max[c], row_sum[c])
+            if gv is not None:
+                np.matmul(np.swapaxes(pc, -1, -2), g[c], out=gv[c])
+            if gq is None and gkt is None:
+                continue
+            gs = g[c] @ np.swapaxes(v.data[c], -1, -2)
+            gs -= (gs * pc).sum(axis=-1, keepdims=True)
+            gs *= pc
             gs *= scale
-            if q.requires_grad:
-                gq = gs @ k.data
-            if k.requires_grad:
-                gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2)
-        if v.requires_grad:
-            gv = np.swapaxes(p, -1, -2) @ g
-        return gq, gk, gv
+            if gq is not None:
+                np.matmul(gs, k.data[c], out=gq[c])
+            if gkt is not None:
+                np.matmul(np.swapaxes(q.data[c], -1, -2), gs, out=gkt[c])
+        return gq, None if gkt is None else np.swapaxes(gkt, -1, -2), gv
 
     return _track(p @ v.data, (q, k, v), vjp), p
 

@@ -294,7 +294,9 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
     One step's tape lives from its forward to its backward and the update
     that follows: each step runs in a function that returns plain floats,
     so the step's graph is gone before the next batch is drawn, and during
-    validation and the checkpoint save.
+    validation and the checkpoint save.  A non-finite loss part, total or
+    gradient raises ``NumericalError`` naming it, with the epoch and step,
+    before the update, so the parameters keep their last finite values.
     """
     if cfg.stage not in ("pretrain", "finetune"):
         raise ConfigError(f"unknown stage {cfg.stage!r}")
@@ -307,6 +309,7 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
         frozen = frozen + tuple(f"heads.{t}" for t in TASK_CLASSES if t != task)
     apply_freeze(model, frozen)
     opt = build_optimizer(model, cfg)
+    trainable = [p for p in model.parameters() if not p.frozen]
     stage_rng = rng.split(cfg.stage if task is None else f"{cfg.stage}/{task}")
 
     # A frozen image encoder at mask ratio 0 is a pure function of the sample.
@@ -354,6 +357,10 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
 
         model.zero_grad()
         total.backward()
+        for p in trainable:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient of {p.name} "
+                                     f"at epoch {epoch} step {step}")
         opt.step(lr_factor)
         return total.item(), {name: parts[name].item() for name in part_names}
 

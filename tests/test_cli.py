@@ -110,6 +110,33 @@ class TestPretrain:
         assert rc == 0
         assert "(11/16 patches kept)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_141_without_traceback(self, workspace, tmp_path,
+                                                       unbuffered):
+        """Standard output closed by its reader (``| head -1``): the command
+        exits 141 with nothing on stderr.  Unbuffered, its first ``print``
+        raises, so it stops there, as under SIGPIPE; buffered, the flush after
+        the command raises, once the checkpoint is written."""
+        import subprocess
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        out = str(tmp_path / "closed")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sydes.cli", "pretrain",
+                 "--config", workspace["config"], "--data", workspace["data"],
+                 "--out", out, "--seed", "0", "--epochs", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == ""
+        assert os.path.isfile(os.path.join(out, "pretrain-epoch1.ckpt")) == (not unbuffered)
+
     def test_missing_manifest_is_data_error(self, workspace, tmp_path):
         rc = main(["pretrain", "--config", workspace["config"],
                    "--data", str(tmp_path / "empty"), "--out", str(tmp_path / "o")])

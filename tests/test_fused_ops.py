@@ -188,6 +188,71 @@ class TestAttention:
             T.attention(q, q, q, 1.0, np.zeros((3, 2, 5, 5)))
 
 
+class TestAttentionRecompute:
+    """The VJP recomputes the weights chunk by chunk from the row statistics
+    the node keeps; nothing of size Tq*Tk stays on the tape."""
+
+    B, H, T_, D = 5, 2, 5, 3
+
+    @pytest.mark.parametrize("mask_kind", ["none", "causal", "finite"])
+    def test_chunked_vjp_bitwise_equal_to_composed_ops(self, mask_kind, monkeypatch):
+        rng = RngState(41, "attention-chunks")
+        raw = [leaf(rng.split(n), (self.B, self.T_, self.H, self.D)) for n in "qkv"]
+        upstream = rng.split("g").normal((self.B, self.H, self.T_, self.D))
+        mask = {"none": None,
+                "causal": causal(self.T_)[None, None],
+                "finite": rng.split("mask").normal((self.B, 1, self.T_, self.T_))}[mask_kind]
+        scale = 1.0 / np.sqrt(self.D)
+        # Two samples' scores per chunk: chunks of 2, 2 and 1 samples.
+        monkeypatch.setattr(T, "ATTENTION_CHUNK", 2 * self.H * self.T_ * self.T_)
+        calls = []
+
+        def counting(*args, _weights=T._attention_weights):
+            calls.append(args[0].shape[0])
+            return _weights(*args)
+
+        monkeypatch.setattr(T, "_attention_weights", counting)
+        weights = {}
+
+        def fused():
+            out, weights["p"] = T.attention(*[heads_first(x) for x in raw], scale, mask)
+            return out
+
+        def composed():
+            return composed_attention(*[heads_first(x) for x in raw], scale, mask)
+
+        assert_bitwise(grads_of(fused, raw, upstream), grads_of(composed, raw, upstream))
+        assert calls == [self.B, 2, 2, 1]
+        scores = T.matmul(heads_first(raw[0]), T.swap_last2(heads_first(raw[1]))) * scale
+        if mask is not None:
+            scores = scores + Tensor(mask)
+        assert weights["p"].tobytes() == T.softmax(scores, axis=-1).data.tobytes()
+
+    def test_unbatched_inputs_are_one_chunk(self, monkeypatch):
+        rng = RngState(43, "attention-2d")
+        raw = [leaf(rng.split(n), (t, 3)) for n, t in (("q", 4), ("k", 6), ("v", 6))]
+        upstream = rng.split("g").normal((4, 3))
+        mask = rng.split("mask").normal((4, 6))
+        monkeypatch.setattr(T, "ATTENTION_CHUNK", 1)
+        assert_bitwise(grads_of(lambda: T.attention(*raw, 0.5, mask)[0], raw, upstream),
+                       grads_of(lambda: composed_attention(*raw, 0.5, mask), raw, upstream))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_node_keeps_no_score_sized_array(self, masked):
+        b, h, t, d = 2, 2, 8, 3
+        rng = RngState(42, "attention-closure")
+        q, k, v = (leaf(rng.split(n), (b, h, t, d)) for n in "qkv")
+        mask = causal(t)[None, None] if masked else None
+        out, p = T.attention(q, k, v, 0.5, mask)
+        captured = [cell.cell_contents for cell in out._vjp.__closure__]
+        arrays = [a for a in captured if isinstance(a, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            assert not np.shares_memory(a, p)
+            if mask is None or not np.shares_memory(a, mask):
+                assert a.size < t * t, a.shape
+
+
 class TestTapeNodes:
     def test_linear_call_is_one_node(self):
         layer = nn.Linear(4, 4)

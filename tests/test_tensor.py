@@ -252,6 +252,24 @@ def test_gradient_fidelity_all_ops(trial_block):
             assert result.passed, f"{name}: {result.line()}"
 
 
+def test_oracle_records_tape_only_for_its_one_backprop():
+    """``check_leaves`` builds the loss once with the tape on, for its
+    backprop, and runs every finite-difference forward under ``no_grad``."""
+    rng = RngState(31, "oracle-tape")
+    x = leaf(rng.split("x"), (2, 3))
+    states = []
+
+    def build():
+        states.append(T._grad_enabled)
+        return T.sum_(T.tanh(x) * x)
+
+    result = CheckResult("tape")
+    check_leaves(build, [x], result, rng)
+    assert result.passed and result.checked == 6
+    assert states == [True] + [False] * (2 * 6)
+    assert T._grad_enabled
+
+
 class TestRng:
     def test_identical_seed_identical_draws(self):
         a = RngState(9, "s").split("x").normal((5,))

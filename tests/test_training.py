@@ -305,6 +305,30 @@ class TestStages:
         with pytest.raises(NumericalError, match="rec"):
             run_stage(model, data, stage, RngState(0), tau=cfg.tau)
 
+    def test_non_finite_gradient_names_parameter_before_update(self, corpus, monkeypatch):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        before = {p.name: p.data.copy() for p in model.parameters()}
+        stage = StageConfig.pretrain_defaults(epochs=1, batch_size=4)
+        apply_freeze(model, stage.frozen)
+        trainable = [p for p in model.parameters() if not p.frozen]
+        first, later = trainable[3], trainable[-2]
+        backward = Tensor.backward
+
+        def poisoned_backward(self):
+            backward(self)
+            later.grad[...] = np.inf
+            first.grad.reshape(-1)[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        with pytest.raises(NumericalError) as raised:
+            run_stage(model, data, stage, RngState(0), tau=cfg.tau)
+        message = str(raised.value)
+        assert first.name in message and later.name not in message
+        assert "epoch 1 step 0" in message
+        for p in model.parameters():
+            assert p.data.tobytes() == before[p.name].tobytes(), p.name
+
     def test_metric_log_columns(self, corpus, tmp_path):
         cfg, vocab, data = corpus
         model = fresh_model(cfg, vocab)
