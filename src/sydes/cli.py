@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, pretrain, finetune, eval, gradcheck, reconstruct.
-A JSON config file supplies defaults; command-line flags win.  Exit codes:
+Settings merge in one order: the defaults, or a checkpoint's embedded
+config, then the ``--config`` JSON file, then the flags.  Exit codes:
 0 success, 1 usage/config error, 2 data error, 3 numerical failure, and
 141 (as a shell reports after SIGPIPE) when standard output is closed
 before the command has printed all of its lines: the command stops at the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 
 def _cap_threads() -> None:
@@ -33,19 +35,17 @@ import json  # noqa: E402
 import numpy as np  # noqa: E402
 
 from .checkpoint import load_params, read_checkpoint  # noqa: E402
-from .config import RunConfig  # noqa: E402
+from .config import RunConfig, merge, merge_json  # noqa: E402
 from .data import DatasetArrays, generate_synthetic, ingest_manifest  # noqa: E402
-from .errors import DataError, NumericalError, SydesError  # noqa: E402
+from .errors import ConfigError, DataError, NumericalError, SydesError  # noqa: E402
 from .gradcheck import run_suite  # noqa: E402
 from .imaging import keep_count  # noqa: E402
 from .metrics import compute_metrics  # noqa: E402
 from .model import TASK_CLASSES, TASKS, SydesModel  # noqa: E402
 from .tensor import RngState, no_grad  # noqa: E402
 from .text import Vocab  # noqa: E402
-from .training import StageConfig, batch_masks, predict, run_stage  # noqa: E402
+from .training import batch_masks, predict, run_stage  # noqa: E402
 from .viz import export_attention, export_triptych  # noqa: E402
-
-from dataclasses import replace  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,9 +60,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sydes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON run config; flags override it")
-        p.add_argument("--seed", type=int, help="root random seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="root random seed")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("gen-data", help="write a synthetic corpus")
@@ -87,14 +88,14 @@ def _build_parser() -> _Parser:
                    help="drop the contrastive term from the fine-tuning loss")
 
     p = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--task", choices=TASKS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--split", default="test", help="manifest name to evaluate")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--cases", type=int, default=100, help="trials per loss")
 
     p = sub.add_parser("reconstruct", help="export reconstruction triptychs and attention maps")
@@ -109,28 +110,24 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args, base: RunConfig | None = None) -> RunConfig:
+    """``base`` (the desk defaults unless given), then the ``--config`` file,
+    then the flags that were given."""
+    cfg = base or RunConfig()
     if args.config:
-        cfg = RunConfig.from_json(args.config)
-    else:
-        cfg = base if base is not None else RunConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "data", None):
-        cfg = replace(cfg, data_dir=args.data)
-    if getattr(args, "task", None):
-        cfg = replace(cfg, task=args.task)
-    if getattr(args, "mask_ratio", None) is not None and args.command == "pretrain":
-        cfg = replace(cfg, pretrain=replace(cfg.pretrain, mask_ratio=args.mask_ratio))
-    if getattr(args, "epochs", None) is not None:
-        if args.command == "pretrain":
-            cfg = replace(cfg, pretrain=replace(cfg.pretrain, epochs=args.epochs))
-        elif args.command == "finetune":
-            cfg = replace(cfg, finetune=replace(cfg.finetune, epochs=args.epochs))
-    if getattr(args, "no_itc", False):
-        cfg = replace(cfg, finetune=cfg.finetune.with_weights(itc=0.0))
-    return cfg
+        cfg = merge_json(cfg, args.config)
+    a = vars(args)
+    flags = {"seed": a.get("seed"), "out_dir": a.get("out") or None,
+             "data_dir": a.get("data") or None, "task": a.get("task")}
+    if args.command in ("pretrain", "finetune"):
+        flags[args.command] = {"epochs": args.epochs, "mask_ratio": a.get("mask_ratio"),
+                               "weights": {"itc": 0.0} if a.get("no_itc") else None}
+    return merge(cfg, _given(flags))
+
+
+def _given(flags: dict) -> dict:
+    """``flags`` without the unset (None) ones, at every depth."""
+    return {k: _given(v) if isinstance(v, dict) else v
+            for k, v in flags.items() if v is not None}
 
 
 def _load_split(cfg: RunConfig, split: str, vocab: Vocab) -> DatasetArrays:
@@ -145,20 +142,28 @@ def _model_meta(cfg: RunConfig, vocab: Vocab) -> dict:
     d = cfg.to_dict()
     # Paths are runtime wiring; keeping them out makes equal-seed runs
     # produce byte-identical checkpoints.
-    d.pop("data_dir", None)
-    d.pop("out_dir", None)
+    del d["data_dir"], d["out_dir"]
     return {"run_config": d, "vocab": vocab.tokens()}
 
 
-def _rebuild_from_checkpoint(path: str) -> tuple[RunConfig, Vocab, SydesModel, dict]:
+def _rebuild_from_checkpoint(args) -> tuple[RunConfig, Vocab, SydesModel, dict]:
+    path = args.checkpoint
     meta, _, params = read_checkpoint(path)
     if "run_config" not in meta or "vocab" not in meta:
         raise DataError(f"{path}: checkpoint lacks embedded config/vocab")
-    cfg = RunConfig.from_dict(meta["run_config"])
+    try:
+        ckpt_cfg = RunConfig.from_dict(meta["run_config"])
+    except ConfigError as e:
+        raise DataError(f"{path}: embedded run_config: {e}") from None
     vocab = Vocab.from_tokens(meta["vocab"], f"{path}: embedded vocab")
-    model = SydesModel(cfg.image, cfg.encoder, vocab.size,
-                       decoder_layers=cfg.decoder_layers, decoder_heads=cfg.decoder_heads)
+    model = SydesModel(ckpt_cfg.image, ckpt_cfg.encoder, vocab.size,
+                       decoder_layers=ckpt_cfg.decoder_layers,
+                       decoder_heads=ckpt_cfg.decoder_heads)
     load_params(path, model, params)
+    # A config file and flags override the embedded config, except for the
+    # model's structure, which always follows the checkpoint.
+    structure = ("image", "encoder", "decoder_layers", "decoder_heads")
+    cfg = replace(_load_config(args, base=ckpt_cfg), **{k: getattr(ckpt_cfg, k) for k in structure})
     return cfg, vocab, model, meta
 
 
@@ -177,7 +182,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    out = args.out or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     manifest = os.path.join(cfg.data_dir, "train.jsonl")
     samples, _ = ingest_manifest(manifest, cfg.data_dir)
@@ -204,15 +209,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    ckpt_cfg, vocab, model, _ = _rebuild_from_checkpoint(args.checkpoint)
-    # The checkpoint's embedded config is the base; a config file and flags
-    # override it.  Model structure always follows the checkpoint.
-    cfg = _load_config(args, base=ckpt_cfg)
-    cfg = replace(cfg, image=ckpt_cfg.image, encoder=ckpt_cfg.encoder,
-                  decoder_layers=ckpt_cfg.decoder_layers,
-                  decoder_heads=ckpt_cfg.decoder_heads)
+    cfg, vocab, model, _ = _rebuild_from_checkpoint(args)
     task = cfg.task
-    out = os.path.join(args.out or cfg.out_dir, task)
+    out = os.path.join(cfg.out_dir, task)
     os.makedirs(out, exist_ok=True)
     data = _load_split(cfg, "train", vocab)
     val_path = os.path.join(cfg.data_dir, "val.jsonl")
@@ -234,9 +233,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, vocab, model, meta = _rebuild_from_checkpoint(args.checkpoint)
-    if args.data:
-        cfg = replace(cfg, data_dir=args.data)
+    cfg, vocab, model, meta = _rebuild_from_checkpoint(args)
     task = args.task or meta.get("task") or cfg.task
     data = _load_split(cfg, args.split, vocab)
     preds = predict(model, data, task, cfg.tau)
@@ -254,8 +251,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    results = run_suite(seed=seed, cases=args.cases)
+    results = run_suite(seed=args.seed, cases=args.cases)
     for r in results:
         print(r.line())
     if any(not r.passed for r in results):
@@ -264,15 +260,13 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg, vocab, model, _ = _rebuild_from_checkpoint(args.checkpoint)
-    if args.data:
-        cfg = replace(cfg, data_dir=args.data)
+    cfg, vocab, model, _ = _rebuild_from_checkpoint(args)
     out = args.out or os.path.join(cfg.out_dir, "reconstructions")
     os.makedirs(out, exist_ok=True)
     data = _load_split(cfg, args.split, vocab)
     n = min(args.n, len(data))
     batch = data.batch(np.arange(n))
-    rng = RngState(args.seed if args.seed is not None else cfg.seed)
+    rng = RngState(cfg.seed)
     kept, masked = batch_masks(model, batch.sample_ids, 0, args.mask_ratio,
                                rng.split("reconstruct"))
     aux: dict = {}

@@ -1,15 +1,16 @@
 """Run configuration: one serializable object covering every module.
 
-Configs round-trip through JSON; unknown keys are rejected with the full
-field path, and omitted keys fall back to the documented defaults (the
-desk-scale profile).  ``full_scale_profile`` switches to the full-scale
-resolutions and schedule.
+Configs round-trip through JSON.  Every source (a JSON file, a checkpoint's
+config, CLI flags) goes through one strict ``merge``: unknown keys are
+rejected with the full field path, values must have their field's type, and
+omitted keys keep the base's values (by default the desk-scale profile).
+``full_scale_profile`` switches to the full-scale resolutions and schedule.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 from .encoders import EncoderConfig
 from .errors import ConfigError, SydesError
@@ -54,16 +55,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        return _run_config_from_dict(d)
+        return merge(cls(), d)
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        with open(path, encoding="utf-8") as f:
-            try:
-                d = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: invalid JSON ({e})") from None
-        return cls.from_dict(d)
+        return merge_json(cls(), path)
 
 
 def full_scale_profile() -> RunConfig:
@@ -76,58 +72,48 @@ def full_scale_profile() -> RunConfig:
     )
 
 
-def _check_keys(d: dict, allowed, path: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        key = sorted(unknown)[0]
+# The types a field takes, by the type of its current value.  An int is a
+# number but a bool is not; a None field is left to the dataclass's checks.
+_TAKES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+          tuple: (list, tuple), dict: (dict,), type(None): (object,)}
+
+
+def merge(base, changes: dict, path: str = ""):
+    """The frozen dataclass ``base`` with the JSON object ``changes`` merged
+    in strictly: a dataclass field takes an object, merged the same way, and
+    any other field a value of a type ``_TAKES`` allows, or a ConfigError."""
+    if not isinstance(changes, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got {changes!r}")
+    section = f"{path}: " if path else ""
+    kwargs = {}
+    for key, value in changes.items():
         where = f"{path}.{key}" if path else key
-        raise ConfigError(f"unknown config key: {where}")
-
-
-def _replace(default, d: dict, path: str):
-    """``replace(default, **d)``, with a rejected value reported as a
-    ConfigError under ``path``."""
+        if key not in vars(base):
+            raise ConfigError(f"unknown config key: {where}")
+        current = getattr(base, key)
+        takes = (dict,) if is_dataclass(current) else _TAKES[type(current)]
+        if not isinstance(value, takes) or (isinstance(value, bool)
+                                            and type(current) in (int, float)):
+            names = " or ".join(t.__name__ for t in takes)
+            raise ConfigError(f"{section}{key} must be {names}, got {value!r}")
+        if is_dataclass(current):
+            value = merge(current, value, where)
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
-        return replace(default, **d)
+        return replace(base, **kwargs)
     except (TypeError, ValueError, SydesError) as e:
-        raise ConfigError(f"{path}: {e}" if path else str(e)) from None
+        raise ConfigError(f"{section}{e}") from None
 
 
-def _merge_dataclass(default, d: dict, path: str):
-    """Replace fields of a frozen dataclass from a dict, strictly."""
-    _check_keys(d, vars(default), path)
-    return _replace(default, d, path)
-
-
-def _stage_from_dict(default: StageConfig, d: dict, path: str) -> StageConfig:
-    d = dict(d)
-    _check_keys(d, vars(default), path)
-    if "weights" in d:
-        d["weights"] = _merge_dataclass(default.weights, d["weights"], f"{path}.weights")
-    if "frozen" in d:
-        d["frozen"] = tuple(d["frozen"])
-    if "lrs" in d:
-        lrs = d["lrs"]
-        if not isinstance(lrs, dict) or not all(isinstance(v, (int, float)) for v in lrs.values()):
-            raise ConfigError(f"{path}.lrs: expected a name->rate mapping")
-        d["lrs"] = {k: float(v) for k, v in lrs.items()}
-    return _replace(default, d, path)
-
-
-def _run_config_from_dict(d: dict) -> RunConfig:
-    default = RunConfig()
-    _check_keys(d, vars(default), "")
-    kwargs = dict(d)
-    if "image" in kwargs:
-        image = dict(kwargs["image"])
-        for key in ("normalize_mean", "normalize_std"):
-            if isinstance(image.get(key), list):
-                image[key] = tuple(image[key])
-        kwargs["image"] = _merge_dataclass(default.image, image, "image")
-    if "encoder" in kwargs:
-        kwargs["encoder"] = _merge_dataclass(default.encoder, kwargs["encoder"], "encoder")
-    if "pretrain" in kwargs:
-        kwargs["pretrain"] = _stage_from_dict(default.pretrain, kwargs["pretrain"], "pretrain")
-    if "finetune" in kwargs:
-        kwargs["finetune"] = _stage_from_dict(default.finetune, kwargs["finetune"], "finetune")
-    return _replace(default, kwargs, "")
+def merge_json(base, path: str):
+    """``merge`` the JSON object in the file ``path`` over ``base``; every
+    error names the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return merge(base, json.load(f))
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read ({e.strerror})") from None
+    except ValueError as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None

@@ -71,7 +71,10 @@ def ingest_manifest(path: str, image_root: str) -> tuple[list[Sample], dict[str,
             if not isinstance(rec, dict) or set(rec) != set(MANIFEST_FIELDS):
                 raise DataError(f"{path}:{line_no}: record must have exactly the fields "
                                 f"{MANIFEST_FIELDS}")
-            sid = str(rec["id"])
+            for key in ("id", "image", "text"):
+                if not isinstance(rec[key], str):
+                    raise DataError(f"{path}:{line_no}: {key} must be a string, got {rec[key]!r}")
+            sid = rec["id"]
             if sid in seen_ids:
                 raise DataError(f"{path}:{line_no}: duplicate id {sid!r}")
             seen_ids.add(sid)

@@ -47,6 +47,11 @@ class ImageConfig:
             raise ContractError("only 3-channel images are supported")
         if (self.normalize_mean is None) != (self.normalize_std is None):
             raise ContractError("normalize_mean and normalize_std must be set together")
+        for name in ("normalize_mean", "normalize_std"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, tuple) and len(value) == 3 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+                raise ContractError(f"{name} must be three numbers, got {value!r}")
         if self.normalize_std is not None and any(s <= 0 for s in self.normalize_std):
             raise ContractError(f"normalize_std must be positive, got {self.normalize_std}")
 

@@ -60,6 +60,11 @@ class StageConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not all(isinstance(name, str) for name in self.frozen):
+            raise ConfigError(f"frozen must list component names, got {self.frozen!r}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.lrs.values()):
+            raise ConfigError(f"lrs must map component names to numbers, got {self.lrs!r}")
+        object.__setattr__(self, "lrs", {k: float(v) for k, v in self.lrs.items()})
 
     @classmethod
     def pretrain_defaults(cls, epochs: int = 30, batch_size: int = 8) -> "StageConfig":

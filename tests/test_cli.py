@@ -2,6 +2,7 @@
 artifact layout.  Runs in-process via main(argv)."""
 
 import contextlib
+import hashlib
 import json
 import os
 import struct
@@ -13,7 +14,7 @@ from sydes.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_check
 from sydes import cli
 from sydes import tensor as T
 from sydes.cli import main
-from sydes.config import RunConfig
+from sydes.config import RunConfig, full_scale_profile
 from sydes.model import SydesModel
 
 FAST_CONFIG = {
@@ -234,6 +235,79 @@ class TestFinetuneEval:
         assert rc != 0
 
 
+class TestConfigSources:
+    def test_finetune_config_file_merges_over_checkpoint_config(self, workspace, tmp_path):
+        """The --config file changes only what it names; the rest comes from
+        the checkpoint's embedded config, not from the defaults."""
+        pre_cfg = tmp_path / "pre.json"
+        pre_cfg.write_text(json.dumps({**FAST_CONFIG, "tau": 0.1}))
+        pre_out = str(tmp_path / "pre")
+        assert main(["pretrain", "--config", str(pre_cfg), "--data", workspace["data"],
+                     "--out", pre_out, "--epochs", "1"]) == 0
+        ft_cfg = tmp_path / "ft.json"
+        ft_cfg.write_text(json.dumps({"finetune": {"epochs": 1}}))
+        out = str(tmp_path / "ft")
+        assert main(["finetune", "--config", str(ft_cfg), "--task", "desire",
+                     "--checkpoint", os.path.join(pre_out, "pretrain-epoch1.ckpt"),
+                     "--data", workspace["data"], "--out", out]) == 0
+        meta, _, _ = read_checkpoint(os.path.join(out, "desire", "finetune-epoch1.ckpt"))
+        cfg = RunConfig.from_dict(meta["run_config"])
+        assert cfg.tau == 0.1 and cfg.task == "desire"
+        assert cfg.finetune.epochs == 1 and cfg.finetune.batch_size == 4
+        assert cfg.encoder == RunConfig.from_dict(FAST_CONFIG).encoder
+
+    @pytest.mark.parametrize("command", ["finetune", "eval", "reconstruct"])
+    @pytest.mark.parametrize("run_config, field", [
+        (5, "config must be an object"), ({"tau": -1.0}, "tau"),
+        ({"pretrain": {"epochs": "2"}}, "pretrain: epochs")])
+    def test_bad_embedded_config_is_data_error(self, workspace, tmp_path, capsys,
+                                               command, run_config, field):
+        meta, rng, _ = read_checkpoint(workspace["ckpt"])
+        cfg = RunConfig.from_dict(meta["run_config"])
+        model = SydesModel(cfg.image, cfg.encoder, len(meta["vocab"]),
+                           decoder_layers=cfg.decoder_layers,
+                           decoder_heads=cfg.decoder_heads)
+        load_checkpoint(workspace["ckpt"], model)
+        if isinstance(run_config, dict):
+            run_config = {**meta["run_config"], **run_config}
+        bad = str(tmp_path / "bad-config.ckpt")
+        save_checkpoint(bad, model, rng, {**meta, "run_config": run_config})
+        rc = main([command, "--checkpoint", bad, "--data", workspace["data"],
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: embedded run_config: {field}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("text", 5), ("image", 7), ("id", None)])
+    def test_manifest_field_of_wrong_type_is_data_error(self, workspace, tmp_path, capsys,
+                                                        key, value):
+        with open(os.path.join(workspace["data"], "train.jsonl")) as f:
+            rows = [json.loads(line) for line in f]
+        for row in rows:
+            row["image"] = os.path.join(workspace["data"], row["image"])
+        rows[1][key] = value
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        rc = main(["pretrain", "--config", workspace["config"], "--data", str(data),
+                   "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"train.jsonl:2: {key} must be a string" in err and "Traceback" not in err
+
+    def test_to_dict_unchanged(self):
+        """Merging keeps every serialized config byte for byte."""
+        pinned = {
+            "desk": (RunConfig(), "02d5ef0bbf1c12d84657d7906d36b8ed"),
+            "full": (full_scale_profile(), "d538435489a786128a9ac593b43c498b"),
+            "fast": (RunConfig.from_dict(FAST_CONFIG), "d0030ee745d9e7bdafeee05fd5ef1b98"),
+        }
+        for name, (cfg, digest) in pinned.items():
+            blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest()[:32] == digest, name
+            assert RunConfig.from_dict(cfg.to_dict()) == cfg, name
+
+
 class TestReconstruct:
     def test_writes_triptychs_and_attention(self, workspace, tmp_path):
         out = str(tmp_path / "recon")
@@ -341,6 +415,49 @@ class TestUsage:
         assert rc == 1
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config, field", [
+        ([], "config must be an object"),
+        ({"image": 5}, "image must be"),
+        ({"pretrain": {"weights": 3}}, "pretrain: weights"),
+        ({"pretrain": {"frozen": 5}}, "pretrain: frozen"),
+        ({"pretrain": {"frozen": "abc"}}, "pretrain: frozen"),
+        ({"pretrain": {"frozen": [5]}}, "pretrain: frozen"),
+        ({"pretrain": {"lrs": {"image_encoder": True}}}, "pretrain: lrs"),
+        ({"pretrain": {"mask_ratio": "0.5"}}, "pretrain: mask_ratio"),
+        ({"encoder": {"image_dim": 64.0}}, "encoder: image_dim"),
+        ({"encoder": {"seq_len": 8.0}}, "encoder: seq_len"),
+        ({"image": {"patch_size": 8.0}}, "image: patch_size"),
+        ({"image": {"normalize_mean": "abc", "normalize_std": [1, 1, 1]}},
+         "image: normalize_mean"),
+        ({"decoder_layers": 1.5}, "decoder_layers"),
+        ({"seed": "x"}, "seed"),
+        ({"tau": "x"}, "tau"),
+        ({"tau": -1.0}, "tau"),
+    ])
+    def test_malformed_config_names_field_and_file(self, tmp_path, capsys, config, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        rc = main(["pretrain", "--config", str(bad), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {field}" in err and "Traceback" not in err
+
+    def test_missing_config_file_names_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["pretrain", "--config", str(missing), "--data", str(tmp_path)]) == 1
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--cases", "1", "--config", "x.json"],
+        ["gradcheck", "--cases", "1", "--out", "x"],
+        ["eval", "--checkpoint", "x.ckpt", "--seed", "1"],
+    ], ids=["gradcheck_config", "gradcheck_out", "eval_seed"])
+    def test_unread_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
     def test_invalid_task_choice_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

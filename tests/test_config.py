@@ -1,8 +1,10 @@
 """RunConfig serialization: strict keys, defaults, and round trips."""
 
+from dataclasses import replace
+
 import pytest
 
-from sydes.config import RunConfig, full_scale_profile
+from sydes.config import RunConfig, full_scale_profile, merge
 from sydes.errors import ConfigError
 
 
@@ -73,3 +75,31 @@ def test_weights_override():
     cfg = RunConfig.from_dict({"finetune": {"weights": {"itc": 0.0}}})
     assert cfg.finetune.weights.itc == 0.0
     assert cfg.finetune.weights.cls == 1.0
+
+
+def test_integer_rates_load_as_floats():
+    lrs = {"image_encoder": 1, "text_encoder": 2, "image_decoder": 3, "aggregator": 4}
+    cfg = RunConfig.from_dict({"pretrain": {"lrs": lrs}})
+    assert all(type(v) is float for v in cfg.pretrain.lrs.values())
+    assert cfg.to_dict()["pretrain"]["lrs"] == {k: float(v) for k, v in lrs.items()}
+
+
+def test_merge_keeps_what_it_is_not_given():
+    base = full_scale_profile()
+    cfg = merge(base, {"pretrain": {"weights": {"si": 0.0}}, "tau": 1})
+    assert cfg.pretrain.weights == replace(base.pretrain.weights, si=0.0)
+    assert cfg.pretrain.epochs == 50 and cfg.image == base.image and cfg.tau == 1
+    assert merge(base, {}) == base
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"tau": True}, "tau must be int or float, got True"),
+    ({"seed": False}, "seed must be int, got False"),
+    ({"rec_squared": 1}, "rec_squared must be bool, got 1"),
+    ({"finetune": {"weights": {"itc": None}}}, "finetune.weights: itc must be int or float"),
+    ({"image": {"normalize_mean": [0.5, 0.5], "normalize_std": [1, 1, 1]}},
+     "image: normalize_mean must be three numbers"),
+])
+def test_value_must_take_the_fields_type(changes, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(changes)
