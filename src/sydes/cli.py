@@ -60,10 +60,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sydes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--config", help="JSON run config; flags override it")
-        if seed:
-            p.add_argument("--seed", type=int, help="root random seed")
+        p.add_argument("--seed", type=int, help="root random seed")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("gen-data", help="write a synthetic corpus")
@@ -88,7 +87,8 @@ def _build_parser() -> _Parser:
                    help="drop the contrastive term from the fine-tuning loss")
 
     p = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint")
-    common(p, seed=False)
+    p.add_argument("--config", help="JSON run config; flags override it")
+    p.add_argument("--out", help="output directory")
     p.add_argument("--task", choices=TASKS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory")

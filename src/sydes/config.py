@@ -10,7 +10,7 @@ omitted keys keep the base's values (by default the desk-scale profile).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .encoders import EncoderConfig
 from .errors import ConfigError, SydesError
@@ -72,10 +72,12 @@ def full_scale_profile() -> RunConfig:
     )
 
 
-# The types a field takes, by the type of its current value.  An int is a
-# number but a bool is not; a None field is left to the dataclass's checks.
-_TAKES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
-          tuple: (list, tuple), dict: (dict,), type(None): (object,)}
+# The types a field takes, by its declared type (a string: the config
+# modules postpone annotations), else (a tuple, dict or optional field) by its
+# current value's type.  An int is a number but a bool is not; a None field
+# is left to the dataclass's checks.
+_TAKES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,),
+          "tuple": (list, tuple), "dict": (dict,), "NoneType": (object,)}
 
 
 def merge(base, changes: dict, path: str = ""):
@@ -85,15 +87,17 @@ def merge(base, changes: dict, path: str = ""):
     if not isinstance(changes, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {changes!r}")
     section = f"{path}: " if path else ""
+    declared = {f.name: f.type for f in fields(base)}
     kwargs = {}
     for key, value in changes.items():
         where = f"{path}.{key}" if path else key
-        if key not in vars(base):
+        if key not in declared:
             raise ConfigError(f"unknown config key: {where}")
         current = getattr(base, key)
-        takes = (dict,) if is_dataclass(current) else _TAKES[type(current)]
+        kind = declared[key] if declared[key] in _TAKES else type(current).__name__
+        takes = (dict,) if is_dataclass(current) else _TAKES[kind]
         if not isinstance(value, takes) or (isinstance(value, bool)
-                                            and type(current) in (int, float)):
+                                            and kind in ("int", "float")):
             names = " or ".join(t.__name__ for t in takes)
             raise ConfigError(f"{section}{key} must be {names}, got {value!r}")
         if is_dataclass(current):

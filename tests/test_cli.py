@@ -256,6 +256,42 @@ class TestConfigSources:
         assert cfg.finetune.epochs == 1 and cfg.finetune.batch_size == 4
         assert cfg.encoder == RunConfig.from_dict(FAST_CONFIG).encoder
 
+    def test_float_over_int_valued_float_field_in_checkpoint(self, workspace, tmp_path):
+        """A checkpoint trained with an int in a float field (tau 1) can be
+        fine-tuned with a --config file that sets a float there."""
+        pre_cfg = tmp_path / "pre.json"
+        pre_cfg.write_text(json.dumps({**FAST_CONFIG, "tau": 1}))
+        pre_out = str(tmp_path / "pre")
+        assert main(["pretrain", "--config", str(pre_cfg), "--data", workspace["data"],
+                     "--out", pre_out, "--epochs", "1"]) == 0
+        ft_cfg = tmp_path / "ft.json"
+        ft_cfg.write_text(json.dumps({"tau": 0.5}))
+        out = str(tmp_path / "ft")
+        assert main(["finetune", "--config", str(ft_cfg), "--task", "desire",
+                     "--checkpoint", os.path.join(pre_out, "pretrain-epoch1.ckpt"),
+                     "--data", workspace["data"], "--out", out, "--epochs", "1"]) == 0
+        meta, _, _ = read_checkpoint(os.path.join(out, "desire", "finetune-epoch1.ckpt"))
+        assert RunConfig.from_dict(meta["run_config"]).tau == 0.5
+
+    def test_no_itc_flag_over_int_weight_in_config_file(self, workspace, tmp_path):
+        ft_cfg = tmp_path / "ft.json"
+        ft_cfg.write_text(json.dumps({"finetune": {"weights": {"itc": 1}}}))
+        out = str(tmp_path / "ft")
+        assert main(["finetune", "--config", str(ft_cfg), "--task", "emotion",
+                     "--checkpoint", workspace["ckpt"], "--data", workspace["data"],
+                     "--out", out, "--no-itc", "--epochs", "1"]) == 0
+        meta, _, _ = read_checkpoint(os.path.join(out, "emotion", "finetune-epoch1.ckpt"))
+        assert meta["run_config"]["finetune"]["weights"]["itc"] == 0.0
+
+    def test_mask_ratio_flag_over_int_ratio_in_config_file(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "pre.json"
+        cfg.write_text(json.dumps({**FAST_CONFIG, "pretrain": {**FAST_CONFIG["pretrain"],
+                                                               "mask_ratio": 0}}))
+        assert main(["pretrain", "--config", str(cfg), "--data", workspace["data"],
+                     "--out", str(tmp_path / "o"), "--mask-ratio", "0.25",
+                     "--epochs", "1"]) == 0
+        assert "(12/16 patches kept)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["finetune", "eval", "reconstruct"])
     @pytest.mark.parametrize("run_config, field", [
         (5, "config must be an object"), ({"tau": -1.0}, "tau"),

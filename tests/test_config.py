@@ -92,6 +92,20 @@ def test_merge_keeps_what_it_is_not_given():
     assert merge(base, {}) == base
 
 
+def test_merge_types_follow_the_declaration_not_the_value():
+    """A float field that holds an int still takes any number from a later
+    source, and an int field still refuses a float."""
+    cfg = RunConfig.from_dict({"tau": 1, "pretrain": {"mask_ratio": 0},
+                               "finetune": {"weights": {"itc": 1}}})
+    cfg = merge(cfg, {"tau": 0.5, "pretrain": {"mask_ratio": 0.5},
+                      "finetune": {"weights": {"itc": 0.0}}})
+    assert (cfg.tau, cfg.pretrain.mask_ratio, cfg.finetune.weights.itc) == (0.5, 0.5, 0.0)
+    with pytest.raises(ConfigError, match="seed must be int, got 1.0"):
+        merge(cfg, {"seed": 1.0})
+    with pytest.raises(ConfigError, match="tau must be int or float, got True"):
+        merge(RunConfig.from_dict({"tau": 1}), {"tau": True})
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"tau": True}, "tau must be int or float, got True"),
     ({"seed": False}, "seed must be int, got False"),
