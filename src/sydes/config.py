@@ -10,6 +10,7 @@ omitted keys keep the base's values (by default the desk-scale profile).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .encoders import EncoderConfig
@@ -39,8 +40,14 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown task {self.task!r}; expected one of {TASKS}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau: temperature must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau: temperature must be positive and finite, got {self.tau}")
+        for name in ("decoder_layers", "decoder_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.encoder.text_dim % self.decoder_heads:
+            raise ConfigError(f"decoder_heads {self.decoder_heads} does not divide the "
+                              f"decoders' width (encoder.text_dim {self.encoder.text_dim})")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -196,8 +196,9 @@ class DatasetArrays:
         real = np.zeros((n, seq_len), dtype=bool)
         for i, s in enumerate(samples):
             image = read_ppm(s.image_path)
-            if image.shape[0] != cfg.high_res:
-                raise DataError(f"{s.image_path}: expected {cfg.high_res}px, got {image.shape[0]}")
+            if image.shape[:2] != (cfg.high_res, cfg.high_res):
+                raise DataError(f"{s.image_path}: expected a {cfg.high_res}x{cfg.high_res} image, "
+                                f"got {image.shape[1]}x{image.shape[0]} (width x height)")
             bundle = mixed_scale_split(cfg.normalize(image), cfg, source_id=s.id)
             low[i] = patchify(bundle.low, cfg)
             for nsub in range(4):

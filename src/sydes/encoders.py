@@ -37,6 +37,10 @@ class EncoderConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        for name in ("image_dim", "text_dim", "image_layers", "text_layers",
+                     "image_heads", "text_heads", "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_dim % self.image_heads:
             raise ContractError(f"image_dim {self.image_dim} not divisible by {self.image_heads} heads")
         if self.text_dim % self.text_heads:

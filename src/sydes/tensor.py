@@ -5,10 +5,15 @@ this module.  Design points:
 
 * float64 everywhere; no mixed precision.
 * Dynamic tape: every op returns a new ``Tensor`` holding its parents and a
-  vector-Jacobian closure.  ``Tensor.backward()`` walks the tape in reverse
-  topological order and keeps ``grad`` only on leaves (tensors with no
-  VJP, such as parameters); an interior node's gradient is passed on to its
-  parents and dropped.  Repeated ``backward()`` calls accumulate into the
+  vector-Jacobian closure.  A node keeps only what its VJP reads: the
+  closure captures shapes, flags and the arrays the gradient needs, and a
+  parent is linked as itself only when it is a tracked leaf (a parameter or
+  a tracked input), else through a data-less stand-in.  So an op's output
+  array dies with the output unless a later VJP reads it, as PyTorch's saved
+  tensors do (Paszke et al., 2019).  ``Tensor.backward()`` walks the tape
+  in reverse topological order and keeps ``grad`` only on leaves (tensors
+  with no VJP, such as parameters); an interior node's gradient is passed
+  on to its parents and dropped.  Repeated ``backward()`` calls accumulate into the
   leaves additively; call ``zero_grad`` (or set ``grad = None``) between
   steps.  The tape lives as long as its output is referenced, so a training
   step should let go of its loss once the step is done.
@@ -54,9 +59,16 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Tensor:
-    """A dense float64 array with optional gradient tracking."""
+    """A dense float64 array with optional gradient tracking.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    An op output holds its ``data``, its VJP and its parents' graph nodes.
+    When it is itself used as a parent, the tape links it through its graph
+    node (``_node``, made once and shared by every consumer): a ``Tensor``
+    with the same VJP and parents whose ``data`` is a shared zero-size
+    array, so the tape holds none of the output's values.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -180,12 +192,40 @@ def no_grad():
         _grad_enabled = saved
 
 
+# The data of every graph node: zero-size, so the tape holds no values
+# through its links.
+_NO_DATA = np.zeros(0)
+
+
+def _graph_node(t: Tensor) -> Tensor:
+    """``t`` as a parent on the tape: ``t`` itself if it is a tracked leaf,
+    so its ``grad`` lands there, else its data-less graph node, made on
+    first use and shared by every later consumer."""
+    if t.requires_grad and t._vjp is None:
+        return t
+    node = getattr(t, "_node", None)
+    if node is None:
+        node = t._node = Tensor.__new__(Tensor)
+        node.data, node.requires_grad, node.grad = _NO_DATA, t.requires_grad, None
+        node._parents, node._vjp = t._parents, t._vjp
+    return node
+
+
 def _track(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """The op output ``data``, recorded on the tape when grad mode is on and
+    a parent is tracked.  The output links each parent through
+    ``_graph_node``, so it references no parent's array.  ``vjp`` captures
+    the shapes, flags and arrays it reads, and a ``Tensor`` only when it
+    reads that tensor's data (``attention`` keeps ``q``, ``k`` and ``v``)."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    if _grad_enabled:
+        for p in parents:  # a loop: any() over a generator costs more per op
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple([_graph_node(q) for q in parents])
+                out._vjp = vjp
+                out._node = None  # a set slot reads faster than a missing one
+                break
     return out
 
 
@@ -237,33 +277,45 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _check_one_sided(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    _check_one_sided(sa, sb)
+    # A parent's shape, kept only when its gradient is computed.
+    a_shape = sa if a.requires_grad else None
+    b_shape = sb if b.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape))
 
     return _track(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _check_one_sided(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    _check_one_sided(sa, sb)
+    # A parent's shape, kept only when its gradient is computed.
+    a_shape = sa if a.requires_grad else None
+    b_shape = sb if b.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(-g, b_shape))
 
     return _track(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _check_one_sided(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    _check_one_sided(sa, sb)
+    # Each operand is kept only when the other, tracked one's gradient reads it.
+    for_a = b.data if a.requires_grad else None
+    for_b = a.data if b.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if for_a is None else _unbroadcast(g * for_a, sa),
+                None if for_b is None else _unbroadcast(g * for_b, sb))
 
     return _track(a.data * b.data, (a, b), vjp)
 
@@ -279,17 +331,18 @@ def matmul(a, b) -> Tensor:
     """Matrix product.  Both operands must have ndim >= 2; leading (batch)
     dimensions follow the one-sided broadcast rule."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    _check_one_sided(a.shape[:-2], b.shape[:-2])
+    sa, sb = a.shape, b.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise ShapeError(f"matmul needs matrices, got shapes {sa} and {sb}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {sa} x {sb}")
+    _check_one_sided(sa[:-2], sb[:-2])
+    for_a = b.data if a.requires_grad else None
+    for_b = a.data if b.requires_grad else None
 
     def vjp(g):
-        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-              if a.requires_grad else None)
-        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-              if b.requires_grad else None)
+        ga = None if for_a is None else _unbroadcast(g @ np.swapaxes(for_a, -1, -2), sa)
+        gb = None if for_b is None else _unbroadcast(np.swapaxes(for_b, -1, -2) @ g, sb)
         return ga, gb
 
     return _track(a.data @ b.data, (a, b), vjp)
@@ -299,7 +352,8 @@ def matmul(a, b) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _coerce(a)
-    return _track(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    old = a.data.shape
+    return _track(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
@@ -323,8 +377,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def vjp(g):
         idx = [slice(None)] * g.ndim
         outs = []
-        for i in range(len(ts)):
-            idx[axis] = slice(offsets[i], offsets[i + 1])
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            idx[axis] = slice(lo, hi)
             outs.append(g[tuple(idx)])
         return tuple(outs)
 
@@ -334,12 +388,13 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along ``axis``."""
     a = _coerce(a)
-    idx = [slice(None)] * a.ndim
+    shape = a.data.shape
+    idx = [slice(None)] * len(shape)
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[idx] = g
         return (ga,)
 
@@ -370,16 +425,18 @@ def _expand_reduced(g: Array, shape: tuple[int, ...], axis, keepdims: bool) -> A
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _coerce(a)
+    shape = a.data.shape
     return _track(a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                  lambda g: (_expand_reduced(g, a.shape, axis, keepdims),))
+                  lambda g: (_expand_reduced(g, shape, axis, keepdims),))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _coerce(a)
-    count = a.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+    shape = a.data.shape
+    count = a.data.size if axis is None else np.prod(
+        [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
     return _track(a.data.mean(axis=axis, keepdims=keepdims), (a,),
-                  lambda g: (_expand_reduced(g, a.shape, axis, keepdims) / count,))
+                  lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
 
 
 # -- elementwise unary ops ----------------------------------------------------
@@ -505,13 +562,14 @@ def embedding_lookup(table, ids: Array) -> Tensor:
     """Gather rows of ``table`` ([V, C]) by an integer array of any shape;
     output shape is ids.shape + (C,)."""
     table = _coerce(table)
+    shape = table.data.shape
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ContractError(f"embedding ids outside [0, {table.shape[0]})")
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
+        raise ContractError(f"embedding ids outside [0, {shape[0]})")
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        gt = np.zeros(shape)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[-1]))
         return (gt,)
 
     return _track(table.data[ids], (table,), vjp)
@@ -526,25 +584,29 @@ def linear(x, weight, bias=None) -> Tensor:
     ``add`` in the same order, so every value is bitwise theirs.
     """
     x, weight = _coerce(x), _coerce(weight)
-    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+    xs, ws = x.shape, weight.shape
+    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0]:
         raise ShapeError(f"linear needs [..., n] x [n, m] with ndim >= 2, "
-                         f"got {x.shape} x {weight.shape}")
+                         f"got {xs} x {ws}")
     y = x.data @ weight.data
     parents = (x, weight)
-    if bias is not None:
+    has_bias, bias_tracked = bias is not None, False
+    if has_bias:
         bias = _coerce(bias)
-        if bias.shape != weight.shape[1:]:
-            raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
+        if bias.shape != ws[1:]:
+            raise ShapeError(f"linear bias {bias.shape} does not match weight {ws}")
         y += bias.data
         parents += (bias,)
+        bias_tracked = bias.requires_grad
+    for_x = weight.data if x.requires_grad else None
+    for_w = x.data if weight.requires_grad else None
 
     def vjp(g):
-        gx = g @ weight.data.T if x.requires_grad else None
-        gw = (_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
-              if weight.requires_grad else None)
-        if bias is None:
+        gx = None if for_x is None else g @ for_x.T
+        gw = None if for_w is None else _unbroadcast(np.swapaxes(for_w, -1, -2) @ g, ws)
+        if not has_bias:
             return gx, gw
-        return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
+        return gx, gw, _unbroadcast(g, ws[1:]) if bias_tracked else None
 
     return _track(y, parents, vjp)
 

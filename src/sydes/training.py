@@ -18,6 +18,7 @@ features to ``finetune_forward`` on every later step and ``predict`` pass.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -62,8 +63,14 @@ class StageConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not all(isinstance(name, str) for name in self.frozen):
             raise ConfigError(f"frozen must list component names, got {self.frozen!r}")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.lrs.values()):
-            raise ConfigError(f"lrs must map component names to numbers, got {self.lrs!r}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) and v >= 0 for v in self.lrs.values()):
+            raise ConfigError(f"lrs must map component names to finite rates >= 0, got {self.lrs!r}")
+        if not 0 <= self.mask_ratio < 1:
+            raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
+        for name in ("warmup_frac", "lr_floor_frac"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         object.__setattr__(self, "lrs", {k: float(v) for k, v in self.lrs.items()})
 
     @classmethod

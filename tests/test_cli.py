@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from sydes import tensor as T
 from sydes.cli import main
 from sydes.config import RunConfig, full_scale_profile
 from sydes.model import SydesModel
+from sydes.ppm import write_ppm
 
 FAST_CONFIG = {
     "encoder": {"image_dim": 16, "text_dim": 16, "image_layers": 1,
@@ -142,6 +144,20 @@ class TestPretrain:
         rc = main(["pretrain", "--config", workspace["config"],
                    "--data", str(tmp_path / "empty"), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("height, width", [(64, 32), (32, 64)], ids=["narrow", "short"])
+    def test_wrong_image_size_is_data_error_naming_file(self, workspace, tmp_path, capsys,
+                                                        height, width):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+        image = os.path.join(data, first["image"])
+        write_ppm(image, np.zeros((height, width, 3)))
+        rc = main(["pretrain", "--config", workspace["config"], "--data", str(data),
+                   "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert image in err and f"got {width}x{height}" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -479,6 +495,49 @@ class TestUsage:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{bad}: {field}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config, field", [
+        ({"encoder": {"image_heads": 0}}, "encoder: image_heads"),
+        ({"encoder": {"text_heads": -2}}, "encoder: text_heads"),
+        ({"encoder": {"image_dim": 0}}, "encoder: image_dim"),
+        ({"encoder": {"text_dim": -4}}, "encoder: text_dim"),
+        ({"encoder": {"image_layers": -1}}, "encoder: image_layers"),
+        ({"encoder": {"text_layers": 0}}, "encoder: text_layers"),
+        ({"encoder": {"mlp_ratio": 0}}, "encoder: mlp_ratio"),
+        ({"decoder_heads": 0}, "decoder_heads"),
+        ({"decoder_heads": 3}, "decoder_heads"),
+        ({"decoder_layers": 0}, "decoder_layers"),
+        ({"tau": float("nan")}, "tau"),
+        ({"tau": float("inf")}, "tau"),
+        ({"pretrain": {"lrs": {"image_encoder": -1e-4}}}, "pretrain: lrs"),
+        ({"finetune": {"lrs": {"heads": float("inf")}}}, "finetune: lrs"),
+        ({"pretrain": {"lrs": {"image_encoder": float("nan")}}}, "pretrain: lrs"),
+        ({"pretrain": {"mask_ratio": 1.0}}, "pretrain: mask_ratio"),
+        ({"pretrain": {"mask_ratio": -0.25}}, "pretrain: mask_ratio"),
+        ({"pretrain": {"mask_ratio": float("nan")}}, "pretrain: mask_ratio"),
+        ({"pretrain": {"warmup_frac": 1.5}}, "pretrain: warmup_frac"),
+        ({"finetune": {"warmup_frac": -0.1}}, "finetune: warmup_frac"),
+        ({"pretrain": {"lr_floor_frac": 2}}, "pretrain: lr_floor_frac"),
+        ({"finetune": {"lr_floor_frac": float("nan")}}, "finetune: lr_floor_frac"),
+    ])
+    def test_out_of_range_config_names_field_and_file(self, tmp_path, capsys, config, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        rc = main(["pretrain", "--config", str(bad), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {field}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [
+        {"pretrain": {"mask_ratio": 0.0, "warmup_frac": 0.0, "lr_floor_frac": 1.0}},
+        {"finetune": {"warmup_frac": 1, "lr_floor_frac": 0, "lrs": {"heads": 0}}},
+        {"encoder": {"image_heads": 1, "text_layers": 1, "mlp_ratio": 1}, "decoder_heads": 1},
+    ], ids=["pretrain_edges", "finetune_edges", "encoder_ones"])
+    def test_range_edges_load(self, tmp_path, config):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(config))
+        assert isinstance(RunConfig.from_json(str(path)), RunConfig)
 
     def test_missing_config_file_names_it(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

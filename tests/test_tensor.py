@@ -1,6 +1,8 @@
 """Tensor-core contracts: op semantics, the one-sided broadcast rule,
 reverse-mode gradients against finite differences, and rng determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,85 @@ class TestBackwardContracts:
         x = Tensor([1.0, 2.0], requires_grad=True)
         T.sum_(x.detach() * Tensor([3.0, 3.0])).backward()
         assert x.grad is None
+
+
+class TestTapeKeepsWhatVJPsRead:
+    """A node keeps only what its VJP reads: interior parents are linked
+    through data-less graph nodes, and shape-only VJPs capture no tensor."""
+
+    SHAPE_ONLY = {
+        "add": lambda a, b: T.add(a, b),
+        "sub": lambda a, b: T.sub(a, b),
+        "reshape": lambda a, b: T.reshape(a, (6, 2)),
+        "concat": lambda a, b: T.concat([a, b], axis=0),
+        "narrow": lambda a, b: T.narrow(a, 1, 1, 2),
+        "sum_": lambda a, b: T.sum_(a, axis=0),
+        "mean": lambda a, b: T.mean(a, axis=(0, 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_ONLY))
+    def test_shape_only_vjp_captures_no_tensor(self, name):
+        x = leaf(RngState(11), (3, 4))
+        a, b = x * 2.0, x + 1.0  # interior: their VJPs keep neither output
+        out = self.SHAPE_ONLY[name](a, b)
+        assert out._vjp.__qualname__.split(".")[0] == name
+        cells = [c.cell_contents for c in out._vjp.__closure__ or ()]
+        assert not any(isinstance(c, Tensor) for c in cells)
+        assert not any(isinstance(c, np.ndarray) and np.shares_memory(c, t.data)
+                       for c in cells for t in (a, b))
+        assert all(p.data.size == 0 for p in out._parents)
+        # reshape and narrow return views of ``a``, so only the loss is kept.
+        loss = T.sum_(out)
+        a_data, b_data = weakref.ref(a.data), weakref.ref(b.data)
+        del a, b, out
+        assert a_data() is None and b_data() is None
+        loss.backward()
+        assert x.grad is not None and x.grad.shape == (3, 4)
+
+    @pytest.mark.parametrize("op", [T.mul, T.matmul, T.linear])
+    def test_operand_kept_only_for_the_other_tracked_gradient(self, op):
+        x = leaf(RngState(12), (3, 3))
+        interior = T.tanh(x) * 1.0  # an op output no VJP reads
+        const = Tensor(RngState(13).normal((3, 3)))
+
+        def kept_arrays(out):
+            cells = [c.cell_contents for c in out._vjp.__closure__]
+            assert not any(isinstance(c, Tensor) for c in cells)
+            return [c for c in cells if isinstance(c, np.ndarray)]
+
+        # One operand tracked: only the untracked one is kept, for its gradient.
+        for a, b in ((interior, const), (const, interior)):
+            arrays = kept_arrays(op(a, b))
+            assert any(arr is const.data for arr in arrays)
+            assert not any(arr is interior.data for arr in arrays)
+        # Both tracked: each is kept for the other's gradient.
+        arrays = kept_arrays(op(interior, x))
+        assert any(arr is interior.data for arr in arrays)
+        assert any(arr is x.data for arr in arrays)
+
+    def test_graph_node_shared_by_every_consumer(self):
+        x = leaf(RngState(14), (2, 3))
+        const = Tensor(np.full((2, 3), 0.5))
+        mid = x * 2.0
+        assert mid._parents[0] is x  # a tracked leaf is linked as itself
+        a, b, c = mid + const, mid * mid, const - mid
+        node = a._parents[0]
+        assert node.data.size == 0 and node._vjp is mid._vjp and node._parents is mid._parents
+        assert b._parents == (node, node) and c._parents[1] is node
+        assert a._parents[1] is c._parents[0] and a._parents[1] is not const
+
+    def test_repeated_backward_accumulates_exactly(self):
+        x = leaf(RngState(15), (4, 3))
+        w = leaf(RngState(16), (3, 3))
+        const = Tensor(RngState(17).normal((4, 3)))
+        h = T.tanh(T.linear(x, w)) * const
+        loss = T.sum_(T.concat([h, h * h], axis=0)) + T.mean(T.reshape(h - const, (-1,)))
+        loss.backward()
+        gx, gw = x.grad.copy(), w.grad.copy()
+        loss.backward()
+        assert x.grad.tobytes() == (gx + gx).tobytes()
+        assert w.grad.tobytes() == (gw + gw).tobytes()
+        assert h.grad is None
 
 
 class TestBroadcastRule:

@@ -2,11 +2,14 @@
 aborts, and short-run determinism."""
 
 import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sydes import losses, nn
+from sydes import tensor as T
 from sydes.config import RunConfig
 from sydes.data import DatasetArrays, generate_synthetic
 from sydes.errors import ConfigError, NumericalError
@@ -206,6 +209,59 @@ def live_tape_nodes():
 def component_bytes(model, prefix):
     return {name: p.data.tobytes() for name, p in model.named_parameters()
             if name.startswith(prefix)}
+
+
+class TestTapeKeepsWhatVJPsRead:
+    """Once a pretraining forward returns, the arrays no VJP reads are gone;
+    backward gives the gradients a tape keeping every output would give."""
+
+    def forward_and_backward(self, corpus, monkeypatch, keep_outputs):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        apply_freeze(model, cfg.pretrain.frozen)
+        batch = data.batch(np.arange(8))
+        kept, masked = training.batch_masks(model, batch.sample_ids, 0,
+                                            cfg.pretrain.mask_ratio, RngState(3))
+        refs = {}
+        reconstruction_loss = losses.reconstruction_loss
+
+        def spy_loss(target, pred, **kwargs):
+            refs["target"], refs["pred"] = weakref.ref(target.data), weakref.ref(pred.data)
+            return reconstruction_loss(target, pred, **kwargs)
+
+        block = nn.EncoderBlock.__call__
+
+        def spy_block(self, x, mask=None):
+            out = block(self, x, mask)
+            refs.setdefault("residual", weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(losses, "reconstruction_loss", spy_loss)
+        monkeypatch.setattr(nn.EncoderBlock, "__call__", spy_block)
+        outputs = []
+        if keep_outputs:
+            track = T._track
+
+            def keeping(data, parents, vjp):
+                outputs.append(track(data, parents, vjp))
+                return outputs[-1]
+
+            monkeypatch.setattr(T, "_track", keeping)
+        parts = model.pretrain_forward(batch, kept, masked, cfg.tau)
+        loss = losses.pretrain_loss(parts, cfg.pretrain.weights)
+        alive = {name: ref() is not None for name, ref in refs.items()}
+        loss.backward()
+        grads = [b"none" if p.grad is None else p.grad.tobytes()
+                 for p in model.parameters()]
+        return alive, grads
+
+    def test_unread_outputs_die_with_the_forward(self, corpus, monkeypatch):
+        alive, grads = self.forward_and_backward(corpus, monkeypatch, keep_outputs=False)
+        assert alive == {"target": False, "pred": False, "residual": False}
+        monkeypatch.undo()
+        alive_kept, grads_kept = self.forward_and_backward(corpus, monkeypatch, keep_outputs=True)
+        assert alive_kept["pred"] and alive_kept["residual"]  # the target is no op output
+        assert grads == grads_kept and any(g != b"none" for g in grads)
 
 
 class TestTapeLifetime:

@@ -13,7 +13,10 @@ Last it prints "FULLSCALE", a sha256 of the loss and of every parameter
 gradient from one seeded pretraining forward and backward at
 ``full_scale_profile()`` (448/224/16 images, 196 patches) on a batch of 2.
 That covers the shapes the desk run does not reach: 197-token attention and
-the 768-wide patch projection.  It takes about 5 s more.
+the 768-wide patch projection.  It takes about 5 s more.  After it comes
+"FULLSCALE_PEAK_MB", the ``tracemalloc`` peak in MB of that forward and
+backward: the arrays the tape and the gradients hold, counted exactly, so a
+memory change can be checked without timing noise.  It is not part of "ALL".
 
 A change that is not meant to alter numerics must print the same output
 before and after.  ``SYDES_THREADS`` is set to 1, so that the BLAS thread
@@ -30,6 +33,7 @@ import io
 import os
 import sys
 import tempfile
+import tracemalloc
 
 SEED = "0"
 EPOCHS = "2"
@@ -85,9 +89,10 @@ def pipeline(cli, work: str) -> list[str]:
     return sorted(paths)
 
 
-def fullscale_gradients(work: str) -> str:
+def fullscale_gradients(work: str) -> tuple[str, float]:
     """sha256 of the loss and the parameter gradients of one seeded
-    full-scale pretraining step (forward and backward, no update)."""
+    full-scale pretraining step (forward and backward, no update), and the
+    ``tracemalloc`` peak in MB of that forward and backward."""
     from sydes import config, data, losses, model, text, training
     from sydes.tensor import RngState
 
@@ -103,14 +108,19 @@ def fullscale_gradients(work: str) -> str:
     training.apply_freeze(net, cfg.pretrain.frozen)
     batch = arrays.batch(list(range(FULLSCALE_BATCH)))
     kept, masked = training.batch_masks(net, batch.sample_ids, 1, cfg.pretrain.mask_ratio, rng)
-    parts = net.pretrain_forward(batch, kept, masked, cfg.tau)
-    loss = losses.pretrain_loss(parts, cfg.pretrain.weights)
-    loss.backward()
+    tracemalloc.start()
+    try:
+        parts = net.pretrain_forward(batch, kept, masked, cfg.tau)
+        loss = losses.pretrain_loss(parts, cfg.pretrain.weights)
+        loss.backward()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
     digest = hashlib.sha256(loss.data.tobytes())
     for name, p in net.named_parameters():
         grad = b"none" if p.grad is None else p.grad.tobytes()
         digest.update(name.encode() + b"\0" + grad)
-    return digest.hexdigest()
+    return digest.hexdigest(), peak_mb
 
 
 def main() -> int:
@@ -137,7 +147,9 @@ def main() -> int:
         print(f"  {exact}")
     print(f"{total.hexdigest()}  ALL")
     with tempfile.TemporaryDirectory(prefix="sydes-fullscale-") as work:
-        print(f"{fullscale_gradients(work)}  FULLSCALE")
+        digest, peak_mb = fullscale_gradients(work)
+    print(f"{digest}  FULLSCALE")
+    print(f"{peak_mb:.3f}  FULLSCALE_PEAK_MB")
     return 0
 
 
