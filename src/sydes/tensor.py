@@ -90,9 +90,10 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        if self.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
+        data = self.data
+        if data.size != 1:
+            raise ContractError(f"item() on tensor of shape {data.shape}")
+        return float(data.reshape(()))
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -108,8 +109,8 @@ class Tensor:
         dropped, so no interior node keeps a ``grad``.  The tape itself is
         left intact: a second call differentiates it again and adds to the
         leaves' ``grad``."""
-        if self.size != 1:
-            raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
+        if self.data.size != 1:
+            raise ContractError(f"backward() requires a scalar loss, got shape {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -277,7 +278,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     _check_one_sided(sa, sb)
     # A parent's shape, kept only when its gradient is computed.
     a_shape = sa if a.requires_grad else None
@@ -292,7 +293,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     _check_one_sided(sa, sb)
     # A parent's shape, kept only when its gradient is computed.
     a_shape = sa if a.requires_grad else None
@@ -307,7 +308,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     _check_one_sided(sa, sb)
     # Each operand is kept only when the other, tracked one's gradient reads it.
     for_a = b.data if a.requires_grad else None
@@ -331,7 +332,7 @@ def matmul(a, b) -> Tensor:
     """Matrix product.  Both operands must have ndim >= 2; leading (batch)
     dimensions follow the one-sided broadcast rule."""
     a, b = _coerce(a), _coerce(b)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     if len(sa) < 2 or len(sb) < 2:
         raise ShapeError(f"matmul needs matrices, got shapes {sa} and {sb}")
     if sa[-1] != sb[-2]:
@@ -371,7 +372,7 @@ def swap_last2(a) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     ts = [_coerce(t) for t in tensors]
-    sizes = [t.shape[axis] for t in ts]
+    sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
@@ -403,8 +404,9 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 
 def split(a, sizes, axis: int = 0) -> list[Tensor]:
     a = _coerce(a)
-    if sum(sizes) != a.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis {axis} of {a.shape}")
+    shape = a.data.shape
+    if sum(sizes) != shape[axis]:
+        raise ShapeError(f"split sizes {sizes} do not cover axis {axis} of {shape}")
     out, start = [], 0
     for s in sizes:
         out.append(narrow(a, axis, start, s))
@@ -480,11 +482,12 @@ def gelu(a) -> Tensor:
     a = _coerce(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-
-    def vjp(g):
-        return (g * (cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI),)
-
-    return _track(x * cdf, (a,), vjp)
+    if not (_grad_enabled and a.requires_grad):
+        return Tensor(x * cdf)
+    # The node keeps only the derivative, computed as the VJP would compute
+    # it, so the gradient's bits are those of keeping ``x`` and ``cdf``.
+    d = cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return _track(x * cdf, (a,), lambda g: (g * d,))
 
 
 # -- fused neural-net primitives ----------------------------------------------
@@ -521,9 +524,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     learned affine.  A constant input normalizes to zeros (epsilon guards the
     zero-variance case)."""
     x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
-    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
-        raise ShapeError(f"layer_norm affine {gamma.shape}/{beta.shape} "
-                         f"does not match feature dim of {x.shape}")
+    xs, gs, bs = x.data.shape, gamma.data.shape, beta.data.shape
+    if gs != xs[-1:] or bs != xs[-1:]:
+        raise ShapeError(f"layer_norm affine {gs}/{bs} does not match feature dim of {xs}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -584,7 +587,7 @@ def linear(x, weight, bias=None) -> Tensor:
     ``add`` in the same order, so every value is bitwise theirs.
     """
     x, weight = _coerce(x), _coerce(weight)
-    xs, ws = x.shape, weight.shape
+    xs, ws = x.data.shape, weight.data.shape
     if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0]:
         raise ShapeError(f"linear needs [..., n] x [n, m] with ndim >= 2, "
                          f"got {xs} x {ws}")
@@ -593,8 +596,8 @@ def linear(x, weight, bias=None) -> Tensor:
     has_bias, bias_tracked = bias is not None, False
     if has_bias:
         bias = _coerce(bias)
-        if bias.shape != ws[1:]:
-            raise ShapeError(f"linear bias {bias.shape} does not match weight {ws}")
+        if bias.data.shape != ws[1:]:
+            raise ShapeError(f"linear bias {bias.data.shape} does not match weight {ws}")
         y += bias.data
         parents += (bias,)
         bias_tracked = bias.requires_grad
@@ -650,28 +653,29 @@ def attention(q, k, v, scale: float, mask=None) -> tuple[Tensor, Array]:
     the same order, so every value is bitwise theirs.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    lead = q.shape[:-2]
-    if (q.ndim < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
-            or k.shape[-1] != q.shape[-1] or v.ndim < 2 or v.shape[-2] != k.shape[-2]):
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    lead = qs[:-2]
+    if (len(qs) < 2 or ks[:-2] != lead or vs[:-2] != lead
+            or ks[-1] != qs[-1] or len(vs) < 2 or vs[-2] != ks[-2]):
         raise ShapeError(f"attention needs q [..., Tq, D], k [..., Tk, D] and "
-                         f"v [..., Tk, Dv], got {q.shape}, {k.shape}, {v.shape}")
-    scores_shape = q.shape[:-1] + k.shape[-2:-1]
+                         f"v [..., Tk, Dv], got {qs}, {ks}, {vs}")
+    scores_shape = qs[:-1] + ks[-2:-1]
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if _check_one_sided(scores_shape, mask.shape) != scores_shape:
             raise ShapeError(f"attention mask {mask.shape} does not broadcast "
                              f"onto scores {scores_shape}")
-        mask = mask.reshape((1,) * (q.ndim - mask.ndim) + mask.shape)
+        mask = mask.reshape((1,) * (len(qs) - mask.ndim) + mask.shape)
     p, row_max, row_sum = _attention_weights(q.data, k.data, scale, mask)
-    n = q.shape[0] if lead else 1
+    n = qs[0] if lead else 1
     scores_per_row = p.size // n
 
     def vjp(g):
-        gq = np.empty(q.shape) if q.requires_grad else None
+        gq = np.empty(qs) if q.requires_grad else None
         # gk is the swapped view of a [..., D, Tk] buffer, the layout of the
         # composed ops' product, so later products round as theirs do.
-        gkt = np.empty(lead + (k.shape[-1], k.shape[-2])) if k.requires_grad else None
-        gv = np.empty(v.shape) if v.requires_grad else None
+        gkt = np.empty(lead + (ks[-1], ks[-2])) if k.requires_grad else None
+        gv = np.empty(vs) if v.requires_grad else None
         step = max(1, ATTENTION_CHUNK // scores_per_row)
         chunks = [slice(i, i + step) for i in range(0, n, step)] if lead else [...]
         for c in chunks:
