@@ -26,6 +26,12 @@ this module.  Design points:
   VJP recomputes the weights a chunk of the first axis at a time).  Each is
   one node whose forward and VJP repeat the composed ops' products and sums
   in the same order, so their values are bitwise those of the composed ops.
+* When the right operand of ``matmul`` or ``linear`` is a 2-D [n, m] matrix
+  shared by every leading index of ``x`` [..., n], the VJP computes each
+  gradient as one GEMM over the flattened rows of ``x`` and ``g``, not one
+  small product per leading index (Goto & van de Geijn, 2008): packing and
+  kernel set-up are paid once.  Both ops share that rule, so ``linear``
+  stays bitwise ``matmul`` then ``add``.
 * A ``Parameter`` is a leaf ``Tensor`` with a name and an init rule, so
   modules hand their weights to ops directly; freezing is ``requires_grad``.
 * One-sided broadcasting only.  For elementwise binary ops the two shapes are
@@ -328,9 +334,22 @@ def neg(a) -> Tensor:
 
 # -- matmul ----------------------------------------------------------------
 
+def _shared_rhs_vjp(g: Array, for_x: Array | None, for_w: Array | None,
+                    x_shape: tuple[int, ...]) -> tuple[Array | None, Array | None]:
+    """Gradients of ``x @ w`` for ``x`` [..., n] and a 2-D ``w`` [n, m]
+    shared by every leading index: each is one GEMM over the flattened
+    rows, ``for_x`` being ``w`` (kept for x's gradient) and ``for_w`` being
+    ``x`` (kept for w's), or ``None`` when that gradient is not read."""
+    g2 = g.reshape(-1, g.shape[-1])
+    gx = None if for_x is None else (g2 @ for_x.T).reshape(x_shape)
+    gw = None if for_w is None else for_w.reshape(-1, for_w.shape[-1]).T @ g2
+    return gx, gw
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product.  Both operands must have ndim >= 2; leading (batch)
-    dimensions follow the one-sided broadcast rule."""
+    dimensions follow the one-sided broadcast rule.  For a 2-D ``b`` each
+    gradient is one GEMM over ``a``'s flattened rows, as in ``linear``."""
     a, b = _coerce(a), _coerce(b)
     sa, sb = a.data.shape, b.data.shape
     if len(sa) < 2 or len(sb) < 2:
@@ -342,6 +361,8 @@ def matmul(a, b) -> Tensor:
     for_b = a.data if b.requires_grad else None
 
     def vjp(g):
+        if len(sb) == 2:
+            return _shared_rhs_vjp(g, for_a, for_b, sa)
         ga = None if for_a is None else _unbroadcast(g @ np.swapaxes(for_a, -1, -2), sa)
         gb = None if for_b is None else _unbroadcast(np.swapaxes(for_b, -1, -2) @ g, sb)
         return ga, gb
@@ -583,8 +604,11 @@ def linear(x, weight, bias=None) -> Tensor:
     ``weight`` [n, m] and an optional ``bias`` [m].
 
     The bias is added in place, so the product before the bias is never
-    kept.  Forward and VJP repeat the products and sums of ``matmul`` then
-    ``add`` in the same order, so every value is bitwise theirs.
+    kept.  The VJP computes the gradients of ``x`` and ``weight`` as one
+    GEMM each over ``x``'s flattened rows, the rule ``matmul`` follows for
+    a 2-D right operand.  Forward and VJP repeat the products and sums of
+    ``matmul`` then ``add`` in the same order, so every value is bitwise
+    theirs.
     """
     x, weight = _coerce(x), _coerce(weight)
     xs, ws = x.data.shape, weight.data.shape
@@ -605,8 +629,7 @@ def linear(x, weight, bias=None) -> Tensor:
     for_w = x.data if weight.requires_grad else None
 
     def vjp(g):
-        gx = None if for_x is None else g @ for_x.T
-        gw = None if for_w is None else _unbroadcast(np.swapaxes(for_w, -1, -2) @ g, ws)
+        gx, gw = _shared_rhs_vjp(g, for_x, for_w, xs)
         if not has_bias:
             return gx, gw
         return gx, gw, _unbroadcast(g, ws[1:]) if bias_tracked else None

@@ -113,6 +113,53 @@ class TestLinear:
             T.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
 
 
+class TestSharedRightOperandGradients:
+    """``linear``'s and ``matmul``'s gradients for a 2-D right operand
+    [n, m] shared by every leading index: each is one GEMM over the
+    flattened rows of ``x`` [..., n]."""
+
+    N, M = 4, 5
+
+    def operand(self, case):
+        rng = RngState(31, case)
+        if case == "narrow":
+            # A strided view of the last axis, as ``pixel_head`` receives.
+            full = leaf(rng.split("x"), (2, 5, self.N + 2))
+            x = T.narrow(full, 2, 1, self.N)
+            assert not x.data.flags.c_contiguous
+            return x
+        return leaf(rng.split("x"), {"3d": (2, 3), "4d": (2, 3, 2)}[case] + (self.N,))
+
+    @pytest.mark.parametrize("op", [T.linear, T.matmul])
+    @pytest.mark.parametrize("case", ["3d", "4d", "narrow"])
+    def test_one_gemm_over_flattened_rows(self, op, case):
+        x = self.operand(case)
+        w = leaf(RngState(32, case), (self.N, self.M))
+        out = op(x, w)
+        g = RngState(33, case).normal(out.shape)
+        gx, gw = out._vjp(g)
+        xd, wd = x.data, w.data
+        want_gx = (g.reshape(-1, self.M) @ wd.T).reshape(xd.shape)
+        want_gw = xd.reshape(-1, self.N).T @ g.reshape(-1, self.M)
+        assert gx.shape == xd.shape and gx.tobytes() == want_gx.tobytes()
+        assert gw.shape == wd.shape and gw.tobytes() == want_gw.tobytes()
+        np.testing.assert_allclose(gx, np.einsum("...m,nm->...n", g, wd), rtol=0, atol=1e-12)
+        lead = "abc"[:xd.ndim - 1]
+        np.testing.assert_allclose(gw, np.einsum(f"{lead}n,{lead}m->nm", xd, g),
+                                   rtol=0, atol=1e-12)
+
+    def test_node_keeps_x_itself_not_a_copy(self):
+        # Guard: the rows are flattened inside the VJP, not in the forward.
+        x = self.operand("narrow")
+        w = leaf(RngState(34), (self.N, self.M))
+        out = T.linear(x, w)
+        arrays = [c.cell_contents for c in out._vjp.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        assert any(a is x.data for a in arrays)
+        assert sum(np.shares_memory(a, x.data) for a in arrays) == 1
+        assert all(a is x.data or a is w.data for a in arrays)
+
+
 class TestAttention:
     B, H, TQ, TK, D = 2, 3, 5, 5, 3
 

@@ -187,6 +187,36 @@ class TestTapeKeepsWhatVJPsRead:
         assert b._parents == (node, node) and c._parents[1] is node
         assert a._parents[1] is c._parents[0] and a._parents[1] is not const
 
+    def test_gelu_keeps_only_its_derivative(self):
+        x = leaf(RngState(18), (3, 4))
+        a = x * 2.0
+        out = T.gelu(a)
+        cells = [c.cell_contents for c in out._vjp.__closure__]
+        arrays = [c for c in cells if isinstance(c, np.ndarray)]
+        assert len(arrays) == 1 and not any(isinstance(c, Tensor) for c in cells)
+        xd = a.data
+        cdf = 0.5 * (1.0 + T.erf(xd * T._INV_SQRT2))
+        assert not np.shares_memory(arrays[0], xd) and not np.array_equal(arrays[0], cdf)
+        # The gradient's bits are those of the derivative computed from x and cdf.
+        g = RngState(19).normal((3, 4))
+        want = g * (cdf + xd * np.exp(-0.5 * xd * xd) * T._INV_SQRT2PI)
+        assert out._vjp(g)[0].tobytes() == want.tobytes()
+
+    def test_gelu_untracked_computes_no_derivative(self, monkeypatch):
+        # Guard: no_grad forwards and untracked inputs do not pay for the exp.
+        tracked = leaf(RngState(20), (3, 4))
+        want = T.gelu(tracked).data
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+        with T.no_grad():
+            quiet = T.gelu(tracked)
+        plain = T.gelu(Tensor(tracked.data))
+        assert calls == []
+        for out in (quiet, plain):
+            assert out._vjp is None and not out.requires_grad
+            assert out.data.tobytes() == want.tobytes()
+
     def test_repeated_backward_accumulates_exactly(self):
         x = leaf(RngState(15), (4, 3))
         w = leaf(RngState(16), (3, 3))
