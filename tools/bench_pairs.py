@@ -94,8 +94,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
+    proc = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git {' '.join(args)}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -108,8 +110,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     env = [json.loads(line[4:]) for line in lines if line.startswith("env ")]
     if proc.returncode != 0 or not env or not lines[-1].startswith("{"):
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
-                           + proc.stderr[-2000:])
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         + proc.stderr[-2000:])
     return {"env": env[0], "result": json.loads(lines[-1])}
 
 
@@ -128,7 +130,10 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        metrics = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    metrics = benchmark["end_to_end"]
+    if args.workload not in [w["name"] for w in benchmark["workloads"]]:
+        parser.error(f"--workload {args.workload!r} is not a workload of BENCHMARK.json")
     commits = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
                "change": git("rev-parse", "--verify", (args.change or "HEAD") + "^{commit}")}
     if args.change is None:
