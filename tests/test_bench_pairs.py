@@ -59,15 +59,18 @@ class TestResolved:
         assert bench_pairs.wins([1.0, 2.0, 3.0], [1.0, 1.0, 4.0], "higher") == 1
 
     def test_higher_is_better(self):
-        parent = [1.0, 1.1, 0.9, 1.0]
-        faster = [2.0, 2.1, 1.9, 2.0]
+        parent = [1.0, 1.1, 0.9, 1.0] * 2 + [1.0, 1.1]
+        faster = [2.0, 2.1, 1.9, 2.0] * 2 + [2.0, 2.1]
         assert bench_pairs.resolved(parent, faster, "higher")
         assert not bench_pairs.resolved(parent, faster, "lower")
         assert bench_pairs.resolved(faster, parent, "lower")
 
-    def test_three_pairs_need_three_wins(self):
-        assert bench_pairs.resolved([10.0, 10.0, 10.0], [5.0, 5.0, 5.0], "lower")
-        assert not bench_pairs.resolved([10.0, 10.0, 10.0], [5.0, 5.0, 11.0], "lower")
+    def test_fewer_than_ten_pairs_never_resolve(self):
+        assert not bench_pairs.resolved([10.0, 10.0, 10.0], [5.0, 5.0, 5.0], "lower")
+        assert not bench_pairs.resolved([10.0], [5.0], "lower")
+        assert not bench_pairs.resolved(self.PARENT[:9], [p - 10.0 for p in self.PARENT[:9]],
+                                        "lower")
+        assert bench_pairs.resolved(self.PARENT, [p - 10.0 for p in self.PARENT], "lower")
 
 
 def test_quartiles_interpolate_linearly():

@@ -1,14 +1,14 @@
 """Paired benchmark runs of two commits, written to ``BENCH_<label>.json``.
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --workload W \\
-        --pairs N --seconds S --label L [--seed-base B]
+        --pairs N --seconds S --label L
 
 Checks out each REV with ``git worktree add --detach`` in a temporary
 directory (an omitted ``--change`` means this checkout, as it is on disk),
 then runs ``perfbench/run.py --workload W --seconds S --trace 0`` N times
-on each side.  Pair i uses seed B+i on both sides, and the side that runs
-first alternates from pair to pair, so a drift in the host's speed falls
-on both sides alike.  The worktrees are removed when the tool ends, also
+on each side.  Pair i uses seed ``SEED_BASE + i`` on both sides, and the
+side that runs first alternates from pair to pair, so a drift in the
+host's speed falls on both sides alike.  The worktrees are removed when the tool ends, also
 after an error.
 
 ``BENCH_<label>.json`` in this checkout holds the two commits and, per
@@ -32,6 +32,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED_BASE = 1101
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -51,14 +52,15 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
 
 
 def resolved(parent: list[float], change: list[float], better: str) -> bool:
-    """True when the change is better: it wins at least 9 pairs in 10, and
-    its median is better than the parent's by more than the parent's
-    interquartile range."""
+    """True when the change is better: at least 10 pairs were run, it wins
+    at least 9 pairs in 10, and its median is better than the parent's by
+    more than the parent's interquartile range."""
     q1, q3 = quartiles(parent)
     gap = statistics.median(parent) - statistics.median(change)
     if better != "lower":
         gap = -gap
-    return 10 * wins(parent, change, better) >= 9 * len(parent) and gap > q3 - q1
+    return (len(parent) >= 10 and 10 * wins(parent, change, better) >= 9 * len(parent)
+            and gap > q3 - q1)
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -123,7 +125,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seed-base", type=int, default=1, help="pair i runs seed B+i")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error(f"--label {args.label!r}: use letters, digits, '.', '_' and '-'")
@@ -157,7 +158,7 @@ def main(argv=None) -> int:
             checkouts[side] = path
         runs = []
         for i in range(args.pairs):
-            seed = args.seed_base + i
+            seed = SEED_BASE + i
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 run = {"pair": i, "side": side, "seed": seed}
                 run |= run_once(checkouts[side], args.workload, seed, args.seconds)
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
     summary = summarize(runs, metrics)
     report["workloads"][args.workload] = {
         "pairs": args.pairs, "seconds": args.seconds,
-        "seeds": [args.seed_base + i for i in range(args.pairs)],
+        "seeds": [SEED_BASE + i for i in range(args.pairs)],
         "summary": summary, "runs": runs}
     with open(out_path + ".tmp", "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1, sort_keys=True)
