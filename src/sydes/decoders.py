@@ -85,11 +85,13 @@ class ImageDecoder(nn.Module):
 
     def decode(self, dec_in: Tensor, fused_kv: Tensor, n_masked: int) -> tuple[Tensor, Tensor]:
         """Run the decoder; returns (pixel predictions [G, mP, patch_dim],
-        per-sub-image global vectors [G, dim])."""
+        per-sub-image global vectors [G, dim]).  Only the mask rows and the
+        CLS row are read, and they come first, so the last block computes
+        just those ``n_masked + 1`` rows."""
         x = dec_in
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x, fused_kv)
-        x = self.ln_f(x)
+        x = self.ln_f(self.blocks[-1](x, fused_kv, rows=n_masked + 1))
         pixels = self.pixel_head(T.narrow(x, 1, 0, n_masked)) if n_masked else None
         cls_row = T.reshape(T.narrow(x, 1, n_masked, 1), (x.shape[0], x.shape[2]))
         z = self.z_head(cls_row)

@@ -80,14 +80,17 @@ class ImageEncoder(nn.Module):
         x = T.concat([cls_rows, x], axis=1)
         return x + T.embedding_lookup(self.pos, full_pos)
 
-    def encode(self, tokens: Tensor) -> Tensor:
+    def encode(self, tokens: Tensor, rows: int | None = None) -> Tensor:
+        """Run the blocks and the final norm.  ``rows`` keeps only the first
+        ``rows`` output rows (row 0 is CLS), computed by the last block alone."""
         x = tokens
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x)
-        return self.ln_f(x)
+        return self.ln_f(self.blocks[-1](x, rows=rows))
 
-    def __call__(self, patches: Tensor, positions: np.ndarray) -> Tensor:
-        return self.encode(self.embed(patches, positions))
+    def __call__(self, patches: Tensor, positions: np.ndarray,
+                 rows: int | None = None) -> Tensor:
+        return self.encode(self.embed(patches, positions), rows)
 
 
 class TextEncoder(nn.Module):

@@ -52,11 +52,12 @@ class SydesModel(nn.Module):
 
     # -- shared encoding steps -------------------------------------------
 
-    def encode_low(self, low_patches: np.ndarray) -> Tensor:
-        """Encode full low-resolution patch matrices [B, P, patch_dim]."""
+    def encode_low(self, low_patches: np.ndarray, rows: int | None = None) -> Tensor:
+        """Encode full low-resolution patch matrices [B, P, patch_dim];
+        ``rows`` keeps only the first output rows (``ImageEncoder.encode``)."""
         b, p = low_patches.shape[:2]
         positions = np.broadcast_to(np.arange(p, dtype=np.int64), (b, p))
-        return self.image_encoder(Tensor(low_patches), positions)
+        return self.image_encoder(Tensor(low_patches), positions, rows)
 
     def encode_subs(self, sub_patches: np.ndarray, kept: np.ndarray) -> Tensor:
         """Encode visible sub-image patches.
@@ -92,7 +93,7 @@ class SydesModel(nn.Module):
         consistency reference; ``dc_reference`` pins that reference (used by
         the finite-difference oracle, which must respect the stop-gradient)."""
         b = batch.size
-        V1 = self.encode_low(batch.low_patches)
+        V1 = self.encode_low(batch.low_patches, rows=1)  # the losses read only CLS
         Vsub = self.encode_subs(batch.sub_patches, kept)
         W = self.encode_text(batch.ids, batch.real)
         v_itc, w_itc = self.itc_features(V1, W)
@@ -179,8 +180,9 @@ class BatchArrays:
 def gather_sub_patches(sub_patches: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Patches ``index`` (group-major int [4B, k]) of the sub-images in
     ``sub_patches`` [B, 4, P, patch_dim]; returns [4B, k, patch_dim]."""
-    flat = sub_patches.transpose(1, 0, 2, 3).reshape(-1, *sub_patches.shape[2:])
-    return np.take_along_axis(flat, index[:, :, None], axis=1)
+    g = np.arange(index.shape[0])[:, None]
+    b = sub_patches.shape[0]
+    return sub_patches[g % b, g // b, index]
 
 
 def group_major_masks(specs: list[list]) -> tuple[np.ndarray, np.ndarray]:

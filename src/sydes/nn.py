@@ -127,8 +127,23 @@ class Mlp(Module):
         return self.fc2(T.gelu(self.fc1(x)))
 
 
+def _first_rows(x: Tensor, h: Tensor, mask: np.ndarray | None, rows: int | None):
+    """The residual stream ``x``, the attention queries ``h`` and the
+    self-attention ``mask`` cut to the first ``rows`` rows (all when None)."""
+    if rows is None:
+        return x, h, mask
+    return (T.narrow(x, 1, 0, rows), T.narrow(h, 1, 0, rows),
+            None if mask is None else mask[..., :rows, :])
+
+
 class EncoderBlock(Module):
-    """Pre-norm self-attention block."""
+    """Pre-norm self-attention block.
+
+    With ``rows`` set, only the first ``rows`` output rows are computed:
+    every row still serves as a key and a value, but the queries, the
+    residual and the MLP run on that prefix alone.  Past ``ln1`` and the
+    key and value projections, the tape then keeps only the prefix's arrays.
+    """
 
     def __init__(self, dim: int, heads: int, mlp_ratio: int = 4):
         self.ln1 = LayerNorm(dim)
@@ -136,15 +151,21 @@ class EncoderBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.mlp = Mlp(dim, mlp_ratio)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
+                 rows: int | None = None) -> Tensor:
         h = self.ln1(x)
-        x = x + self.attn(h, h, mask)
+        x, q, mask = _first_rows(x, h, mask, rows)
+        x = x + self.attn(q, h, mask)
         x = x + self.mlp(self.ln2(x))
         return x
 
 
 class DecoderBlock(Module):
-    """Pre-norm block: self-attention, then cross-attention, then MLP."""
+    """Pre-norm block: self-attention, then cross-attention, then MLP.
+
+    ``rows`` computes only the first ``rows`` output rows, as in
+    ``EncoderBlock``; the cross-attention queries come from that prefix too.
+    """
 
     def __init__(self, dim: int, heads: int, mlp_ratio: int = 4):
         self.ln1 = LayerNorm(dim)
@@ -157,9 +178,10 @@ class DecoderBlock(Module):
 
     def __call__(self, x: Tensor, kv: Tensor,
                  self_mask: np.ndarray | None = None,
-                 record: dict | None = None) -> Tensor:
+                 record: dict | None = None, rows: int | None = None) -> Tensor:
         h = self.ln1(x)
-        x = x + self.self_attn(h, h, self_mask)
+        x, q, self_mask = _first_rows(x, h, self_mask, rows)
+        x = x + self.self_attn(q, h, self_mask)
         x = x + self.cross_attn(self.ln_q(x), self.ln_kv(kv), record=record)
         x = x + self.mlp(self.ln2(x))
         return x

@@ -60,6 +60,7 @@ from .errors import ContractError, DegenerateInputError, ShapeError
 
 Array = np.ndarray
 
+_FLOAT64 = np.dtype(np.float64)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -77,7 +78,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -458,7 +461,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.data.shape
     count = a.data.size if axis is None else np.prod(
         [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-    return _track(a.data.mean(axis=axis, keepdims=keepdims), (a,),
+    # sum then divide is what ``ndarray.mean`` does, without its Python wrapper.
+    return _track(a.data.sum(axis=axis, keepdims=keepdims) / count, (a,),
                   lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
 
 
@@ -548,17 +552,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     xs, gs, bs = x.data.shape, gamma.data.shape, beta.data.shape
     if gs != xs[-1:] or bs != xs[-1:]:
         raise ShapeError(f"layer_norm affine {gs}/{bs} does not match feature dim of {xs}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = xs[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
 
     def vjp(g):
         gxhat = g * gamma.data
         gx = inv * (gxhat
-                    - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+                    - gxhat.sum(axis=-1, keepdims=True) / n
+                    - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) / n))
         reduce_axes = tuple(range(g.ndim - 1))
         ggamma = (g * xhat).sum(axis=reduce_axes)
         gbeta = g.sum(axis=reduce_axes)
@@ -572,7 +577,7 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
     degenerate-input error rather than a silent NaN."""
     x = _coerce(x)
     norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
-    if np.any(norm < 1e-12):
+    if (norm < 1e-12).any():
         raise DegenerateInputError("l2_normalize received a zero-norm slice")
     y = x.data / norm
 

@@ -1,7 +1,9 @@
-"""``tools/bench_pairs.py``: the pairing verdict and the per-metric summary,
-on canned ``perfbench/run.py`` result lines (no subprocess is run)."""
+"""``tools/bench_pairs.py``: the pairing verdict, the per-metric summary and
+the recorded digests, on canned ``perfbench/run.py`` result lines and
+``tools/artifact_digest.py`` output (no subprocess is run)."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -103,3 +105,46 @@ def test_summary_resolves_a_clear_gain():
     summary = bench_pairs.summarize(canned_runs(parent, change), METRICS)
     assert summary["step_ms_p50"]["wins"] == 10 and summary["step_ms_p50"]["resolved"]
     assert summary["items_per_s"]["wins"] == 10 and summary["items_per_s"]["resolved"]
+
+
+def test_digests_recorded_once_per_file(tmp_path, monkeypatch):
+    """Both checkouts' ``artifact_digest.py`` lines land in the BENCH file on
+    its first workload and are not rerun for the next; the subprocess and
+    the perfbench runs are stubbed."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "gradcheck"}, {"name": "desk-pretrain"}],
+         "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    digests = []
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if cmd[1].endswith("artifact_digest.py"):
+            assert cmd[1] == os.path.join(str(tmp_path), "tools", "artifact_digest.py")
+            assert cmd[2:] == ["--root", cwd]
+            digests.append(cwd)
+            out = f"{len(digests)}a  ALL\n{len(digests)}b  FULLSCALE\n"
+        else:
+            out = "c0ffee\n" if "rev-parse" in cmd else ""
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, out, "")
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        return {"env": {}, "result": result(100.0, 10.0)}
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    argv = ["--parent", "p", "--change", "c", "--pairs", "2", "--seconds", "1",
+            "--label", "t"]
+    for workload in ("gradcheck", "desk-pretrain"):
+        assert bench_pairs.main(argv + ["--workload", workload]) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert len(digests) == 2 and digests[0].endswith("parent") and digests[1].endswith("change")
+    assert report["digests"] == {"parent": ["1a  ALL", "1b  FULLSCALE"],
+                                 "change": ["2a  ALL", "2b  FULLSCALE"]}
+    assert sorted(report["workloads"]) == ["desk-pretrain", "gradcheck"]
+
+
+def test_failed_digest_names_the_command(monkeypatch):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs:
+                        bench_pairs.subprocess.CompletedProcess(cmd, 1, "", "boom"))
+    with pytest.raises(SystemExit, match="artifact_digest.py --root /x exited 1:\nboom"):
+        bench_pairs.digest_lines("/x")

@@ -4,10 +4,12 @@ pad blocking, shared weights, and sensitivity probes."""
 import numpy as np
 import pytest
 
+from sydes import nn
 from sydes import tensor as T
 from sydes.encoders import EncoderConfig, ImageEncoder, TextEncoder
 from sydes.errors import ContractError
 from sydes.imaging import ImageConfig, sample_mask
+from sydes.model import gather_sub_patches
 from sydes.tensor import RngState, Tensor
 
 CFG = EncoderConfig(image_dim=16, text_dim=16, image_layers=2, text_layers=2,
@@ -219,3 +221,49 @@ class TestSharedEncoder:
         norms = [np.abs(par.grad).sum() for par in model.image_encoder.parameters()
                  if par.grad is not None]
         assert norms and sum(norms) > 0
+
+
+class TestBlockRows:
+    """``rows=k`` computes the first k output rows of a block; every row
+    still serves as a key and a value."""
+
+    DIM, HEADS, T_ROWS = 16, 2, 9
+
+    def block_and_inputs(self, kind, masked):
+        rng = RngState(40, kind)
+        block = (nn.EncoderBlock if kind == "encoder" else nn.DecoderBlock)(
+            self.DIM, self.HEADS, mlp_ratio=2)
+        block.initialize(rng.split("init"))
+        x = Tensor(rng.split("x").normal((3, self.T_ROWS, self.DIM)))
+        kv = Tensor(rng.split("kv").normal((3, 5, self.DIM)))
+        real = np.ones((3, self.T_ROWS), dtype=bool)
+        real[0, 4:] = False
+        mask = nn.causal_pad_mask(real) if masked else None
+        if kind == "encoder":
+            return lambda rows=None: block(x, mask, rows=rows)
+        return lambda rows=None: block(x, kv, mask, rows=rows)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("kind", ["encoder", "decoder"])
+    def test_prefix_rows_equal_the_full_output(self, kind, masked):
+        run = self.block_and_inputs(kind, masked)
+        full = run().data
+        for k in (1, 4, self.T_ROWS):
+            part = run(rows=k).data
+            assert part.shape == (3, k, self.DIM)
+            assert np.abs(part - full[:, :k]).max() <= 1e-13 * np.abs(full).max()
+
+
+def test_gather_sub_patches_equals_the_transposed_gather():
+    """Direct indexing picks the same patches, bit for bit, as copying every
+    sub-image group-major and gathering along the patch axis."""
+    b, p = 3, IMG.patches_per_image
+    sub_patches = RngState(41).uniform((b, 4, p, IMG.patch_dim))
+    flat = sub_patches.transpose(1, 0, 2, 3).reshape(-1, p, IMG.patch_dim)
+    identity = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * b, p))
+    specs = [sample_mask(p, 0.75, RngState(42).split(str(g))) for g in range(4 * b)]
+    for index in (identity, np.stack([s.kept for s in specs]),
+                  np.stack([s.masked for s in specs])):
+        old = np.take_along_axis(flat, index[:, :, None], axis=1)
+        new = gather_sub_patches(sub_patches, index)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()

@@ -231,8 +231,8 @@ class TestTapeKeepsWhatVJPsRead:
 
         block = nn.EncoderBlock.__call__
 
-        def spy_block(self, x, mask=None):
-            out = block(self, x, mask)
+        def spy_block(self, x, mask=None, rows=None):
+            out = block(self, x, mask, rows)
             refs.setdefault("residual", weakref.ref(out.data))
             return out
 
@@ -262,6 +262,97 @@ class TestTapeKeepsWhatVJPsRead:
         alive_kept, grads_kept = self.forward_and_backward(corpus, monkeypatch, keep_outputs=True)
         assert alive_kept["pred"] and alive_kept["residual"]  # the target is no op output
         assert grads == grads_kept and any(g != b"none" for g in grads)
+
+
+class TestLastBlockRows:
+    """Pretraining's last low-res encoder block computes only the CLS row and
+    the image decoder's last block only the mask rows and CLS: the losses
+    and gradients are those of computing every row, up to rounding."""
+
+    BLOCKS = (nn.EncoderBlock, nn.DecoderBlock)
+
+    def forward_and_backward(self, corpus):
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        apply_freeze(model, cfg.pretrain.frozen)
+        batch = data.batch(np.arange(8))
+        kept, masked = training.batch_masks(model, batch.sample_ids, 0,
+                                            cfg.pretrain.mask_ratio, RngState(3))
+        parts = model.pretrain_forward(batch, kept, masked, cfg.tau)
+        losses.pretrain_loss(parts, cfg.pretrain.weights).backward()
+        return ({k: v.item() for k, v in parts.items()},
+                {name: p.grad for name, p in model.named_parameters()})
+
+    def test_equal_to_computing_every_row(self, corpus, monkeypatch):
+        parts, grads = self.forward_and_backward(corpus)
+        for cls in self.BLOCKS:
+            def every_row(self, *args, _call=cls.__call__, rows=None, **kwargs):
+                return _call(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__call__", every_row)
+        ref_parts, ref_grads = self.forward_and_backward(corpus)
+        assert parts.keys() == ref_parts.keys()
+        for k, v in parts.items():
+            assert abs(v - ref_parts[k]) <= 1e-12 * abs(ref_parts[k])
+        assert grads.keys() == ref_grads.keys()
+        largest = max(np.abs(g).max() for g in ref_grads.values() if g is not None)
+        for name, g in grads.items():
+            ref = ref_grads[name]
+            assert (g is None) == (ref is None), name
+            if ref is None:
+                continue
+            # A key bias shifts a score row by a constant, so its true
+            # gradient is zero: only rounding is left to compare.
+            scale = largest if name.endswith("wk.bias") else np.abs(ref).max()
+            assert np.abs(g - ref).max() <= 1e-12 * scale, name
+
+    def test_last_blocks_keep_no_dropped_rows(self, corpus, monkeypatch):
+        """A census of the VJP closures of the nodes each last block makes:
+        only ``ln1``, the key and value projections and attention's keys and
+        values (and, in the decoder, ``ln_kv``) keep an array with every row."""
+        made = {}
+        for cls in self.BLOCKS:
+            def recording(self, x, *args, _call=cls.__call__, rows=None, **kwargs):
+                if rows is None:
+                    return _call(self, x, *args, **kwargs)
+                nodes, track = [], T._track
+
+                def keep(data, parents, vjp):
+                    nodes.append(track(data, parents, vjp))
+                    return nodes[-1]
+                monkeypatch.setattr(T, "_track", keep)
+                try:
+                    out = _call(self, x, *args, rows=rows, **kwargs)
+                finally:
+                    monkeypatch.setattr(T, "_track", track)
+                assert out.shape[1] == rows < x.shape[1]
+                made[type(self).__name__] = (self, x.shape[1], nodes)
+                return out
+            monkeypatch.setattr(cls, "__call__", recording)
+        self.forward_and_backward(corpus)
+
+        def full_row_keepers(block, t, nodes):
+            """(op, owner) per kept array with ``t`` rows; the owner is the
+            block's module whose parameter the node reads, else the closure
+            variable holding the array."""
+            owners = {id(p): name.rsplit(".", 1)[0] for name, p in block.named_parameters()}
+            found = set()
+            for node in nodes:
+                op = node._vjp.__qualname__.split(".")[0]
+                owner = next((owners[id(p)] for p in node._parents if id(p) in owners), None)
+                for var, cell in zip(node._vjp.__code__.co_freevars, node._vjp.__closure__):
+                    value = cell.cell_contents
+                    arr = value.data if isinstance(value, Tensor) else value
+                    if isinstance(arr, np.ndarray) and arr.ndim >= 2 and arr.shape[-2] == t:
+                        found.add((op, owner or var))
+            return found
+
+        kv_side = {("attention", "k"), ("attention", "v")}
+        assert full_row_keepers(*made["EncoderBlock"]) == kv_side | {
+            ("layer_norm", "ln1"), ("linear", "attn.wk"), ("linear", "attn.wv")}
+        assert full_row_keepers(*made["DecoderBlock"]) == kv_side | {
+            ("layer_norm", "ln1"), ("linear", "self_attn.wk"), ("linear", "self_attn.wv"),
+            ("layer_norm", "ln_kv"), ("linear", "cross_attn.wk"),
+            ("linear", "cross_attn.wv")}
 
 
 class TestTapeLifetime:

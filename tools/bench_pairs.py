@@ -11,12 +11,14 @@ side that runs first alternates from pair to pair, so a drift in the
 host's speed falls on both sides alike.  The worktrees are removed when the tool ends, also
 after an error.
 
-``BENCH_<label>.json`` in this checkout holds the two commits and, per
-workload, every run's result line and ``env`` line and, per end-to-end
-metric of ``BENCHMARK.json``, both sides' medians and quartiles, the
-change's wins per pair and the verdict of ``resolved``.  Running the tool
-again with the same label and commits adds or replaces that workload's
-entry, so one file can hold every workload of one change.
+``BENCH_<label>.json`` in this checkout holds the two commits, the output
+lines of ``tools/artifact_digest.py --root`` on each checkout (run once per
+file, before the first workload's pairs) and, per workload, every run's
+result line and ``env`` line and, per end-to-end metric of
+``BENCHMARK.json``, both sides' medians and quartiles, the change's wins per
+pair and the verdict of ``resolved``.  Running the tool again with the same
+label and commits adds or replaces that workload's entry, so one file can
+hold every workload of one change.
 """
 
 from __future__ import annotations
@@ -117,6 +119,16 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return {"env": env[0], "result": json.loads(lines[-1])}
 
 
+def digest_lines(checkout: str) -> list[str]:
+    """The output lines of this checkout's ``tools/artifact_digest.py``
+    run on the sources of ``checkout``."""
+    cmd = [sys.executable, os.path.join(ROOT, "tools", "artifact_digest.py"), "--root", checkout]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1200)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n" + proc.stderr[-2000:])
+    return proc.stdout.strip().splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit compared against")
@@ -156,6 +168,9 @@ def main(argv=None) -> int:
             git("worktree", "add", "--detach", path, commits[side])
             added.append(path)
             checkouts[side] = path
+        if "digests" not in report:
+            report["digests"] = {side: digest_lines(checkouts[side])
+                                 for side in ("parent", "change")}
         runs = []
         for i in range(args.pairs):
             seed = SEED_BASE + i
