@@ -274,10 +274,11 @@ def cmd_reconstruct(args) -> int:
     with no_grad():
         model.pretrain_forward(batch, kept, masked, cfg.tau, aux=aux)
         model.finetune_forward(batch, cfg.task, cfg.tau, capture=capture)
+    sub_patches = batch.sub_patches
     for i in range(n):
         sid = batch.sample_ids[i]
         path = os.path.join(out, f"triptych-{sid}.ppm")
-        export_triptych(path, batch.sub_patches, aux["pixels"], kept, masked,
+        export_triptych(path, sub_patches, aux["pixels"], kept, masked,
                         i, n, cfg.image)
         export_attention(out, sid, capture["weights"], i)
     print(f"wrote {n} triptychs and attention grids under {out}")

@@ -215,4 +215,6 @@ class DatasetArrays:
         return len(self.samples)
 
     def batch(self, index: np.ndarray):
+        """The arrays of rows ``index``; the batch indexes this dataset's
+        sub-image array instead of copying it (``BatchArrays``)."""
         return self.arrays.subset(index)

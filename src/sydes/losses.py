@@ -69,8 +69,7 @@ def reconstruction_loss(target: Tensor, pred: Tensor, subimages: int = 4,
     if g % subimages:
         raise ContractError(f"row count {g} not divisible by {subimages} sub-images")
     batch = g // subimages
-    diff = pred - target
-    per_patch = T.sum_(diff * diff, axis=-1)
+    per_patch = T.sum_squares(pred - target)
     if not squared:
         per_patch = T.sqrt(per_patch)
     total = T.sum_(per_patch)
@@ -124,8 +123,7 @@ def si_loss(global_feats: Tensor, aggregated: Tensor) -> Tensor:
     global image feature and the normalized aggregated sub-image feature."""
     if global_feats.shape != aggregated.shape:
         raise ContractError(f"shapes differ: {global_feats.shape} vs {aggregated.shape}")
-    d = global_feats - aggregated
-    return T.mean(T.sum_(d * d, axis=-1))
+    return T.mean(T.sum_squares(global_feats - aggregated))
 
 
 def similarity_distribution(anchor: Tensor, text_feats: Tensor, tau: float) -> Tensor:

@@ -59,13 +59,11 @@ class SydesModel(nn.Module):
         positions = np.broadcast_to(np.arange(p, dtype=np.int64), (b, p))
         return self.image_encoder(Tensor(low_patches), positions, rows)
 
-    def encode_subs(self, sub_patches: np.ndarray, kept: np.ndarray) -> Tensor:
-        """Encode visible sub-image patches.
-
-        ``sub_patches`` is [B, 4, P, patch_dim]; ``kept`` is int [4B, rP]
-        (group-major).  Returns [4B, rP+1, image_dim].
-        """
-        return self.image_encoder(Tensor(gather_sub_patches(sub_patches, kept)), kept)
+    def encode_subs(self, batch: "BatchArrays", kept: np.ndarray) -> Tensor:
+        """Encode the visible patches ``kept`` (int [4B, rP], group-major) of
+        the batch's sub-images.  Returns [4B, rP+1, image_dim]."""
+        patches = gather_sub_patches(batch.subs, kept, batch.rows)
+        return self.image_encoder(Tensor(patches), kept)
 
     def encode_text(self, ids: np.ndarray, real: np.ndarray) -> Tensor:
         return self.text_encoder(ids, real)
@@ -94,7 +92,7 @@ class SydesModel(nn.Module):
         the finite-difference oracle, which must respect the stop-gradient)."""
         b = batch.size
         V1 = self.encode_low(batch.low_patches, rows=1)  # the losses read only CLS
-        Vsub = self.encode_subs(batch.sub_patches, kept)
+        Vsub = self.encode_subs(batch, kept)
         W = self.encode_text(batch.ids, batch.real)
         v_itc, w_itc = self.itc_features(V1, W)
 
@@ -105,7 +103,7 @@ class SydesModel(nn.Module):
         z_stack = T.transpose(T.reshape(z, (N_SUBS, b, z.shape[1])), (1, 0, 2))
         p_agg = T.l2_normalize(self.aggregator(z_stack))
 
-        targets = Tensor(gather_sub_patches(batch.sub_patches, masked))
+        targets = Tensor(gather_sub_patches(batch.subs, masked, batch.rows))
 
         reference = None if dc_reference is None else Tensor(dc_reference)
         if aux is not None:
@@ -130,7 +128,7 @@ class SydesModel(nn.Module):
         b = batch.size
         p = self.image_cfg.patches_per_image
         kept = np.broadcast_to(np.arange(p, dtype=np.int64), (N_SUBS * b, p))
-        return self.encode_low(batch.low_patches), self.encode_subs(batch.sub_patches, kept)
+        return self.encode_low(batch.low_patches), self.encode_subs(batch, kept)
 
     def finetune_forward(self, batch: "BatchArrays", task: str, tau: float,
                          capture: dict | None = None,
@@ -152,14 +150,22 @@ class SydesModel(nn.Module):
 
 
 class BatchArrays:
-    """Plain-array view of a batch: patchified images plus token ids."""
+    """Plain-array view of a batch: patchified images plus token ids.
 
-    def __init__(self, low_patches: np.ndarray, sub_patches: np.ndarray,
+    The sub-image patches are not copied per batch: ``subs`` is an
+    [N, 4, P, patch_dim] array shared with the dataset and ``rows`` (int
+    [B], default ``arange(N)``) the batch's rows in it, so every gather
+    indexes that array once and a subset of a subset composes its rows.
+    """
+
+    def __init__(self, low_patches: np.ndarray, subs: np.ndarray,
                  ids: np.ndarray, real: np.ndarray,
                  labels: dict[str, np.ndarray] | None = None,
-                 sample_ids: list[str] | None = None):
+                 sample_ids: list[str] | None = None,
+                 rows: np.ndarray | None = None):
         self.low_patches = low_patches
-        self.sub_patches = sub_patches
+        self.subs = subs
+        self.rows = np.arange(subs.shape[0]) if rows is None else rows
         self.ids = ids
         self.real = real
         self.labels = labels or {}
@@ -169,20 +175,30 @@ class BatchArrays:
     def size(self) -> int:
         return self.low_patches.shape[0]
 
+    @property
+    def sub_patches(self) -> np.ndarray:
+        """The batch's sub-image patches [B, 4, P, patch_dim], a copy."""
+        return self.subs[self.rows]
+
     def subset(self, index: np.ndarray) -> "BatchArrays":
         return BatchArrays(
-            self.low_patches[index], self.sub_patches[index],
+            self.low_patches[index], self.subs,
             self.ids[index], self.real[index],
             {t: v[index] for t, v in self.labels.items()},
-            [self.sample_ids[i] for i in index] if self.sample_ids else [])
+            [self.sample_ids[i] for i in index] if self.sample_ids else [],
+            self.rows[index])
 
 
-def gather_sub_patches(sub_patches: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Patches ``index`` (group-major int [4B, k]) of the sub-images in
-    ``sub_patches`` [B, 4, P, patch_dim]; returns [4B, k, patch_dim]."""
+def gather_sub_patches(subs: np.ndarray, index: np.ndarray,
+                       rows: np.ndarray | None = None) -> np.ndarray:
+    """Patches ``index`` (group-major int [4B, k]) of the sub-images of
+    ``subs`` [N, 4, P, patch_dim] at ``rows`` (int [B], default every row);
+    returns [4B, k, patch_dim]."""
+    if rows is None:
+        rows = np.arange(subs.shape[0])
     g = np.arange(index.shape[0])[:, None]
-    b = sub_patches.shape[0]
-    return sub_patches[g % b, g // b, index]
+    b = rows.shape[0]
+    return subs[rows[g % b], g // b, index]
 
 
 def group_major_masks(specs: list[list]) -> tuple[np.ndarray, np.ndarray]:

@@ -20,12 +20,14 @@ this module.  Design points:
   Inside ``with no_grad():`` ops record nothing, for forwards whose
   gradients are never read.  A VJP returns ``None`` for a parent with
   ``requires_grad=False`` instead of computing a gradient nobody reads.
-* Two fused ops keep on the tape only what their VJP reads: ``linear``
-  (``x @ W + b``) and ``attention`` (``softmax(q @ k^T * scale + mask) @ v``,
+* Three fused ops keep on the tape only what their VJP reads: ``linear``
+  (``x @ W + b``), ``attention`` (``softmax(q @ k^T * scale + mask) @ v``,
   which keeps each score row's max and exp-sum, and no [Tq, Tk] array: its
-  VJP recomputes the weights a chunk of the first axis at a time).  Each is
-  one node whose forward and VJP repeat the composed ops' products and sums
-  in the same order, so their values are bitwise those of the composed ops.
+  VJP recomputes the weights a chunk of the first axis at a time) and
+  ``sum_squares`` (``sum_(x * x, axis=-1)``, which keeps only ``x``).  Each
+  is one node whose forward and VJP repeat the composed ops' products and
+  sums in the same order, so their values are bitwise those of the composed
+  ops.
 * When the right operand of ``matmul`` or ``linear`` is a 2-D [n, m] matrix
   shared by every leading index of ``x`` [..., n], the VJP computes each
   gradient as one GEMM over the flattened rows of ``x`` and ``g``, not one
@@ -63,6 +65,9 @@ Array = np.ndarray
 _FLOAT64 = np.dtype(np.float64)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Most float64 values one chunk of the attention VJP, or of the squares in
+# ``sum_squares``, holds (2^17, 1 MB).
+ATTENTION_CHUNK = 1 << 17
 
 
 class Tensor:
@@ -466,13 +471,35 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
                   lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
 
 
-# -- elementwise unary ops ----------------------------------------------------
+def sum_squares(a) -> Tensor:
+    """``sum_(a * a, axis=-1)`` as one tape node, bitwise.
 
-def exp(a) -> Tensor:
+    The forward squares and sums at most ``ATTENTION_CHUNK`` values of
+    ``a`` at a time along its first axis, so no squared array of ``a``'s
+    size is made.  The node keeps only ``a``'s data, and its VJP returns
+    one array, ``a * g[..., None]`` doubled in place: bitwise the
+    ``(g*a) + (g*a)`` that ``mul`` hands to a parent used twice.
+    """
     a = _coerce(a)
-    out_data = np.exp(a.data)
-    return _track(out_data, (a,), lambda g: (g * out_data,))
+    x = a.data
+    if x.ndim < 2:
+        out = (x * x).sum(axis=-1)
+    else:
+        out = np.empty(x.shape[:-1])
+        step = max(1, ATTENTION_CHUNK // max(1, int(np.prod(x.shape[1:]))))
+        for i in range(0, x.shape[0], step):
+            c = x[i:i + step]
+            out[i:i + step] = (c * c).sum(axis=-1)
 
+    def vjp(g):
+        gx = x * np.asarray(g)[..., None]
+        gx += gx
+        return (gx,)
+
+    return _track(out, (a,), vjp)
+
+
+# -- elementwise unary ops ----------------------------------------------------
 
 def log(a) -> Tensor:
     a = _coerce(a)
@@ -640,10 +667,6 @@ def linear(x, weight, bias=None) -> Tensor:
         return gx, gw, _unbroadcast(g, ws[1:]) if bias_tracked else None
 
     return _track(y, parents, vjp)
-
-
-# Most float64 score values one chunk of the attention VJP holds (2^17, 1 MB).
-ATTENTION_CHUNK = 1 << 17
 
 
 def _attention_weights(q: Array, k: Array, scale: float, mask: Array | None,

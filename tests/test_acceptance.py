@@ -230,7 +230,7 @@ def test_criterion_5_guidance_liveness():
 
     V1 = model.encode_low(batch.low_patches)
     full_kept = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * batch.size, p))
-    Vsub = model.encode_subs(batch.sub_patches, full_kept)
+    Vsub = model.encode_subs(batch, full_kept)
     W = model.encode_text(batch.ids, batch.real)
     visual = [V1] + T.split(Vsub, [batch.size] * 4, axis=0)
     fused = model.text_decoder(W, batch.real, visual)

@@ -1,5 +1,6 @@
 """Manifest ingestion with schema enforcement, synthetic corpus properties,
-and the metric suite against hand-computed oracles."""
+batches that index the dataset's sub-images, and the metric suite against
+hand-computed oracles."""
 
 import json
 import os
@@ -10,8 +11,9 @@ import pytest
 from sydes.data import (LABELS, DatasetArrays, Sample, generate_synthetic,
                         ingest_manifest, label_counts, write_manifest)
 from sydes.errors import DataError
-from sydes.imaging import ImageConfig
+from sydes.imaging import ImageConfig, sample_mask
 from sydes.metrics import compute_metrics
+from sydes.model import gather_sub_patches, group_major_masks
 from sydes.ppm import write_ppm
 from sydes.tensor import RngState
 from sydes.text import Vocab
@@ -177,6 +179,46 @@ class TestSynthetic:
         samples = generate_synthetic(8, CFG, RngState(7, "data"), root)
         loaded, _ = ingest_manifest(os.path.join(root, "train.jsonl"), root)
         assert loaded == samples
+
+
+class TestBatchArrays:
+    """``DatasetArrays.batch`` keeps the dataset's sub-image array and the
+    batch's rows instead of copying the batch's sub-images."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("batch"))
+        samples = generate_synthetic(7, CFG, RngState(8, "data"), root)
+        return DatasetArrays(samples, CFG, Vocab.build(s.text for s in samples), 16)
+
+    @staticmethod
+    def masks(n, seed):
+        p = CFG.patches_per_image
+        return group_major_masks([[sample_mask(p, 0.75, RngState(seed).split(f"{i}/{k}"))
+                                   for k in range(4)] for i in range(n)])
+
+    def test_batch_shares_the_dataset_sub_images(self, data):
+        subs = data.arrays.subs
+        batch = data.batch(np.array([5, 1, 3]))
+        assert batch.subs is subs and np.shares_memory(batch.subs, subs)
+        assert np.shares_memory(batch.subset(np.array([2, 0])).subs, subs)
+        assert batch.sub_patches.tobytes() == subs[[5, 1, 3]].tobytes()
+
+    def test_gathers_equal_gathering_from_the_copied_batch(self, data):
+        subs = data.arrays.subs
+        index = RngState(9).permutation(len(data))[:4]
+        inner = np.array([3, 0, 2])
+        cases = [(data.batch(index), index),
+                 (data.batch(index).subset(inner), index[inner])]
+        for batch, rows in cases:
+            assert np.array_equal(batch.rows, rows)
+            assert batch.sample_ids == [data.samples[r].id for r in rows]
+            assert batch.sub_patches.tobytes() == subs[rows].tobytes()
+            kept, masked = self.masks(rows.size, 10)
+            for picks in (kept, masked):
+                old = gather_sub_patches(subs[rows], picks)
+                new = gather_sub_patches(batch.subs, picks, batch.rows)
+                assert new.tobytes() == old.tobytes()
 
 
 class TestMetrics:

@@ -178,7 +178,7 @@ class TestDecodeText:
         V1 = model.encode_low(batch.low_patches)
         p = model.image_cfg.patches_per_image
         kept = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * batch.size, p))
-        Vsub = model.encode_subs(batch.sub_patches, kept)
+        Vsub = model.encode_subs(batch, kept)
         W = model.encode_text(batch.ids, batch.real)
         visual = [V1] + T.split(Vsub, [batch.size] * 4, axis=0)
         fused = model.text_decoder(W, batch.real, visual)

@@ -193,7 +193,7 @@ class TestSharedEncoder:
         specs = [[sm(p, 0.5, RngState(8).split(f"{i}/{n}")) for n in range(4)]
                  for i in range(batch.size)]
         kept, _ = group_major_masks(specs)
-        Vs = model.encode_subs(batch.sub_patches, kept)
+        Vs = model.encode_subs(batch, kept)
         T.sum_(Vs * Vs).backward()
         grads_sub = {par.name for par in model.image_encoder.parameters()
                      if par.grad is not None and np.abs(par.grad).sum() > 0}

@@ -1,5 +1,5 @@
-"""The fused ``linear`` and ``attention`` ops: bitwise agreement with the
-composed ops they replace, skipped gradients for untracked parents, finite
+"""The fused ``linear``, ``attention`` and ``sum_squares`` ops: bitwise
+agreement with the composed ops they replace, skipped gradients for untracked parents, finite
 differences, and one tape node per call."""
 
 from collections import Counter
@@ -298,6 +298,43 @@ class TestAttentionRecompute:
             assert not np.shares_memory(a, p)
             if mask is None or not np.shares_memory(a, mask):
                 assert a.size < t * t, a.shape
+
+
+class TestSumSquares:
+    SHAPES = [(7,), (5, 6), (5, 3, 4), (3, 2, 4, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_bitwise_equal_to_composed_ops(self, shape, chunked, monkeypatch):
+        rng = RngState(50, "sum-squares")
+        x = leaf(rng.split("x"), shape)
+        upstream = rng.split("g").normal(shape[:-1])
+        if chunked:
+            # Two leading rows per chunk, so the last chunk is short when
+            # the first axis is odd.
+            monkeypatch.setattr(T, "ATTENTION_CHUNK", 2 * x.data[0].size)
+        assert_bitwise(grads_of(lambda: T.sum_squares(x), [x], upstream),
+                       grads_of(lambda: T.sum_(x * x, axis=-1), [x], upstream))
+
+    def test_node_keeps_only_its_input(self):
+        x = leaf(RngState(51), (4, 3, 5))
+        a = x * 2.0  # interior: linked through a data-less graph node
+        out = T.sum_squares(a)
+        cells = [c.cell_contents for c in out._vjp.__closure__]
+        arrays = [c for c in cells if isinstance(c, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is a.data
+        assert not any(isinstance(c, Tensor) for c in cells)
+        assert all(p.data.size == 0 for p in out._parents)
+        assert tape_kinds(out) == Counter(sum_squares=1, mul=1)
+
+    def test_untracked_input_records_nothing(self):
+        x = leaf(RngState(52), (3, 4))
+        with T.no_grad():
+            quiet = T.sum_squares(x)
+        plain = T.sum_squares(Tensor(x.data))
+        for out in (quiet, plain):
+            assert out._vjp is None and not out.requires_grad
+            assert out.data.tobytes() == (x.data * x.data).sum(axis=-1).tobytes()
 
 
 class TestTapeNodes:

@@ -1,6 +1,8 @@
 """Analytic identities, invariances, and gradients for all five losses and
 the two stage composites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,39 @@ class TestReconstruction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             reconstruction_loss(Tensor(np.zeros((4, 2, 5))), Tensor(np.zeros((4, 3, 5))))
+
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_bitwise_equal_to_the_composed_ops(self, squared):
+        rng = RngState(4, "rec-bitwise")
+        target = Tensor(rng.split("t").uniform((8, 3, 5)))
+        pred = Tensor(rng.split("p").normal((8, 3, 5)), requires_grad=True)
+        loss = reconstruction_loss(target, pred, squared=squared)
+        loss.backward()
+        got = (loss.data.tobytes(), pred.grad.tobytes())
+        pred.zero_grad()
+        diff = pred - target
+        per_patch = T.sum_(diff * diff, axis=-1)
+        if not squared:
+            per_patch = T.sqrt(per_patch)
+        want = T.sum_(per_patch) * (1.0 / (8 * 3))
+        want.backward()
+        assert got == (want.data.tobytes(), pred.grad.tobytes())
+
+    def test_forward_and_backward_peak_memory(self):
+        """Guard: the loss holds one array of the inputs' size besides the
+        difference it keeps, so forward plus backward peaks near 2x one
+        input (the composed ``sum_(d * d)`` peaked near 5x)."""
+        rng = RngState(5, "rec-memory")
+        target = Tensor(rng.split("t").uniform((16, 24, 96)))
+        pred = Tensor(rng.split("p").normal((16, 24, 96)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            reconstruction_loss(target, pred).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * pred.data.nbytes
 
 
 class TestItc:
@@ -152,6 +187,19 @@ class TestSi:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ContractError):
             si_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+
+    def test_bitwise_equal_to_the_composed_ops(self):
+        a = Tensor(unit_rows(17, 4, 6), requires_grad=True)
+        b = Tensor(unit_rows(18, 4, 6))
+        loss = si_loss(a, b)
+        loss.backward()
+        got = (loss.data.tobytes(), a.grad.tobytes())
+        a.zero_grad()
+        d = a - b
+        want = T.mean(T.sum_(d * d, axis=-1))
+        want.backward()
+        assert got == (want.data.tobytes(), a.grad.tobytes())
 
 
 class TestSimilarityDistribution:

@@ -307,8 +307,8 @@ def _op_scenarios(rng):
     me = leaf(rng.split("mean"), (n, m))
     scen.append(("mean", [me], lambda: T.sum_(T.tanh(T.mean(me, axis=0)))))
 
-    ex = leaf(rng.split("exp"), (n,), 0.5)
-    scen.append(("exp", [ex], lambda: T.sum_(T.exp(ex))))
+    ss = leaf(rng.split("sum_squares"), (n, m))
+    scen.append(("sum_squares", [ss], lambda: T.sum_(T.tanh(T.sum_squares(ss)))))
 
     lg = Tensor(rng.split("log").uniform((n,), 0.5, 2.0), requires_grad=True)
     scen.append(("log", [lg], lambda: T.sum_(T.log(lg))))
