@@ -52,6 +52,7 @@ this module.  Design points:
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -482,11 +483,11 @@ def sum_squares(a) -> Tensor:
     """
     a = _coerce(a)
     x = a.data
-    if x.ndim < 2:
+    if x.ndim < 2 or x.size <= ATTENTION_CHUNK:
         out = (x * x).sum(axis=-1)
     else:
         out = np.empty(x.shape[:-1])
-        step = max(1, ATTENTION_CHUNK // max(1, int(np.prod(x.shape[1:]))))
+        step = max(1, ATTENTION_CHUNK // math.prod(x.shape[1:]))
         for i in range(0, x.shape[0], step):
             c = x[i:i + step]
             out[i:i + step] = (c * c).sum(axis=-1)

@@ -1,6 +1,6 @@
 """The fused ``linear``, ``attention`` and ``sum_squares`` ops: bitwise
-agreement with the composed ops they replace, skipped gradients for untracked parents, finite
-differences, and one tape node per call."""
+agreement with the composed ops they replace, skipped gradients for
+untracked parents, finite differences, and one tape node per call."""
 
 from collections import Counter
 

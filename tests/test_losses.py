@@ -54,7 +54,6 @@ class TestReconstruction:
         with pytest.raises(ContractError):
             reconstruction_loss(Tensor(np.zeros((4, 2, 5))), Tensor(np.zeros((4, 3, 5))))
 
-
     @pytest.mark.parametrize("squared", [True, False])
     def test_bitwise_equal_to_the_composed_ops(self, squared):
         rng = RngState(4, "rec-bitwise")
@@ -187,7 +186,6 @@ class TestSi:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ContractError):
             si_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
-
 
     def test_bitwise_equal_to_the_composed_ops(self):
         a = Tensor(unit_rows(17, 4, 6), requires_grad=True)
