@@ -475,8 +475,9 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 def sum_squares(a) -> Tensor:
     """``sum_(a * a, axis=-1)`` as one tape node, bitwise.
 
-    The forward squares and sums at most ``ATTENTION_CHUNK`` values of
-    ``a`` at a time along its first axis, so no squared array of ``a``'s
+    An input of two or more axes and more than ``ATTENTION_CHUNK`` values
+    is squared and summed a few leading rows at a time (as many as fit in
+    ``ATTENTION_CHUNK`` values, at least one), so no squared array of its
     size is made.  The node keeps only ``a``'s data, and its VJP returns
     one array, ``a * g[..., None]`` doubled in place: bitwise the
     ``(g*a) + (g*a)`` that ``mul`` hands to a parent used twice.
