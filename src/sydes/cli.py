@@ -274,7 +274,7 @@ def cmd_reconstruct(args) -> int:
     with no_grad():
         model.pretrain_forward(batch, kept, masked, cfg.tau, aux=aux)
         model.finetune_forward(batch, cfg.task, cfg.tau, capture=capture)
-    sub_patches = batch.sub_patches
+    sub_patches = batch.sub_patches()
     for i in range(n):
         sid = batch.sample_ids[i]
         path = os.path.join(out, f"triptych-{sid}.ppm")

@@ -175,9 +175,8 @@ class BatchArrays:
     def size(self) -> int:
         return self.low_patches.shape[0]
 
-    @property
     def sub_patches(self) -> np.ndarray:
-        """The batch's sub-image patches [B, 4, P, patch_dim], a copy."""
+        """A copy of the batch's sub-image patches [B, 4, P, patch_dim]."""
         return self.subs[self.rows]
 
     def subset(self, index: np.ndarray) -> "BatchArrays":
@@ -190,12 +189,10 @@ class BatchArrays:
 
 
 def gather_sub_patches(subs: np.ndarray, index: np.ndarray,
-                       rows: np.ndarray | None = None) -> np.ndarray:
+                       rows: np.ndarray) -> np.ndarray:
     """Patches ``index`` (group-major int [4B, k]) of the sub-images of
-    ``subs`` [N, 4, P, patch_dim] at ``rows`` (int [B], default every row);
-    returns [4B, k, patch_dim]."""
-    if rows is None:
-        rows = np.arange(subs.shape[0])
+    ``subs`` [N, 4, P, patch_dim] at ``rows`` (int [B]); returns
+    [4B, k, patch_dim]."""
     g = np.arange(index.shape[0])[:, None]
     b = rows.shape[0]
     return subs[rows[g % b], g // b, index]

@@ -52,7 +52,6 @@ this module.  Design points:
 from __future__ import annotations
 
 import hashlib
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -475,23 +474,21 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 def sum_squares(a) -> Tensor:
     """``sum_(a * a, axis=-1)`` as one tape node, bitwise.
 
-    An input of two or more axes and more than ``ATTENTION_CHUNK`` values
-    is squared and summed a few leading rows at a time (as many as fit in
-    ``ATTENTION_CHUNK`` values, at least one), so no squared array of its
-    size is made.  The node keeps only ``a``'s data, and its VJP returns
-    one array, ``a * g[..., None]`` doubled in place: bitwise the
-    ``(g*a) + (g*a)`` that ``mul`` hands to a parent used twice.
+    The input is squared and summed a few rows of its last axis at a time
+    (as many as fit in ``ATTENTION_CHUNK`` values, at least one), so no
+    squared array of its size is made.  The node keeps only ``a``'s data,
+    and its VJP returns one array, ``a * g[..., None]`` doubled in place:
+    bitwise the ``(g*a) + (g*a)`` that ``mul`` hands to a parent used twice.
     """
     a = _coerce(a)
     x = a.data
-    if x.ndim < 2 or x.size <= ATTENTION_CHUNK:
-        out = (x * x).sum(axis=-1)
-    else:
-        out = np.empty(x.shape[:-1])
-        step = max(1, ATTENTION_CHUNK // math.prod(x.shape[1:]))
-        for i in range(0, x.shape[0], step):
-            c = x[i:i + step]
-            out[i:i + step] = (c * c).sum(axis=-1)
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty(rows.shape[0])
+    step = max(1, ATTENTION_CHUNK // x.shape[-1])
+    for i in range(0, rows.shape[0], step):
+        c = rows[i:i + step]
+        out[i:i + step] = (c * c).sum(axis=-1)
+    out = out.reshape(x.shape[:-1])
 
     def vjp(g):
         gx = x * np.asarray(g)[..., None]

@@ -166,10 +166,11 @@ def test_criterion_3_masking_tiling_invariants():
     aux = {}
     model.pretrain_forward(batch, kept, masked, tau=0.5, aux=aux)
     complete = True
+    sub_patches = batch.sub_patches()
     for g in range(4 * batch.size):
         n, i = divmod(g, batch.size)
         grid = np.full((p, image_cfg.patch_dim), np.nan)
-        grid[kept[g]] = batch.sub_patches[i, n][kept[g]]
+        grid[kept[g]] = sub_patches[i, n][kept[g]]
         grid[masked[g]] = aux["pixels"][g]
         complete &= bool(np.isfinite(grid).all())
         unpatchify(grid, image_cfg)

@@ -1,7 +1,6 @@
-"""``tools/bench_pairs.py``: the pairing verdict, the no-regression verdict,
-the per-metric summary and the recorded digests, on canned
-``perfbench/run.py`` result lines and ``tools/artifact_digest.py`` output
-(no subprocess is run)."""
+"""``tools/bench_pairs.py``: the pairing verdict, the per-metric summary and
+the recorded digests, on canned ``perfbench/run.py`` result lines and
+``tools/artifact_digest.py`` output (no subprocess is run)."""
 
 import importlib.util
 import json
@@ -76,44 +75,6 @@ class TestResolved:
         assert bench_pairs.resolved(self.PARENT, [p - 10.0 for p in self.PARENT], "lower")
 
 
-class TestRegression:
-    PARENT = TestResolved.PARENT  # median 101.5, IQR 3.75 (3.7% of the median)
-    WIDE = [100.0, 150.0, 60.0, 130.0, 80.0, 120.0, 70.0, 140.0, 90.0, 110.0]
-
-    def test_median_worse_by_more_than_the_bound(self):
-        slower = [p * 1.06 for p in self.PARENT]
-        assert bench_pairs.regression(self.PARENT, slower, "lower", 0.05) == "worse"
-        assert bench_pairs.regression(self.PARENT, slower, "lower", 0.25) == "within"
-        # Only the medians count: one wild run does not make it worse.
-        one_bad = [p * 1.01 for p in self.PARENT]
-        one_bad[3] = 500.0
-        assert bench_pairs.regression(self.PARENT, one_bad, "lower", 0.05) == "within"
-
-    def test_higher_is_better(self):
-        parent = [10.0 + 0.1 * (i % 3) for i in range(10)]
-        fewer = [0.7 * p for p in parent]
-        assert bench_pairs.regression(parent, fewer, "higher", 0.25) == "worse"
-        assert bench_pairs.regression(parent, fewer, "lower", 0.25) == "within"
-        assert bench_pairs.regression(parent, [0.8 * p for p in parent], "higher",
-                                      0.25) == "within"
-
-    def test_parent_spread_wider_than_the_bound_is_unresolved(self):
-        q1, q3 = bench_pairs.quartiles(self.WIDE)
-        assert q3 - q1 > 0.05 * 105.0
-        assert bench_pairs.regression(self.WIDE, list(self.WIDE), "lower", 0.05) == "unresolved"
-        # A change that beats the parent's median but not every parent run
-        # is still unresolved.
-        better = [p - 20.0 for p in self.WIDE]
-        assert bench_pairs.regression(self.WIDE, better, "lower", 0.05) == "unresolved"
-
-    def test_beating_every_parent_run_resolves_a_wide_spread(self):
-        below_all = [55.0 + i for i in range(4)]
-        assert bench_pairs.regression(self.WIDE, below_all, "lower", 0.05) == "within"
-        # A tie with the parent's best run is not a win.
-        assert bench_pairs.regression(self.WIDE, below_all + [60.0], "lower",
-                                      0.05) == "unresolved"
-
-
 def test_quartiles_interpolate_linearly():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 4.0)
     assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 3.25)
@@ -144,15 +105,6 @@ def test_summary_resolves_a_clear_gain():
     summary = bench_pairs.summarize(canned_runs(parent, change), METRICS)
     assert summary["step_ms_p50"]["wins"] == 10 and summary["step_ms_p50"]["resolved"]
     assert summary["items_per_s"]["wins"] == 10 and summary["items_per_s"]["resolved"]
-
-
-def test_summary_reports_regression_with_each_bound():
-    parent = [100.0 + i % 3 for i in range(10)]
-    slower = [1.2 * p for p in parent]
-    metrics = [dict(METRICS[0], bound=0.1), METRICS[1]]
-    summary = bench_pairs.summarize(canned_runs(parent, slower), metrics)
-    assert summary["step_ms_p50"]["regression"] == "worse"
-    assert summary["items_per_s"]["regression"] == "within"  # 16.7% fewer, bound 25%
 
 
 def test_digests_recorded_once_per_file(tmp_path, monkeypatch):
@@ -196,20 +148,3 @@ def test_failed_digest_names_the_command(monkeypatch):
                         bench_pairs.subprocess.CompletedProcess(cmd, 1, "", "boom"))
     with pytest.raises(SystemExit, match="artifact_digest.py --root /x exited 1:\nboom"):
         bench_pairs.digest_lines("/x")
-
-
-def test_summary_lines_print_both_verdicts(tmp_path, monkeypatch, capsys):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"workloads": [{"name": "gradcheck"}], "end_to_end": METRICS}))
-    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: "c0ffee" if args[0] == "rev-parse" else "")
-    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: None)
-    monkeypatch.setattr(bench_pairs, "digest_lines", lambda checkout: [])
-    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds:
-                        {"env": {}, "result": result(100.0, 10.0)})
-    assert bench_pairs.main(["--parent", "p", "--change", "c", "--pairs", "2", "--seconds", "1",
-                             "--label", "t", "--workload", "gradcheck"]) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines()
-             if line.startswith("gradcheck ")]
-    assert len(lines) == len(METRICS)
-    assert all(line.endswith("resolved False regression within") for line in lines)

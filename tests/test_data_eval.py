@@ -202,7 +202,7 @@ class TestBatchArrays:
         batch = data.batch(np.array([5, 1, 3]))
         assert batch.subs is subs and np.shares_memory(batch.subs, subs)
         assert np.shares_memory(batch.subset(np.array([2, 0])).subs, subs)
-        assert batch.sub_patches.tobytes() == subs[[5, 1, 3]].tobytes()
+        assert batch.sub_patches().tobytes() == subs[[5, 1, 3]].tobytes()
 
     def test_gathers_equal_gathering_from_the_copied_batch(self, data):
         subs = data.arrays.subs
@@ -213,10 +213,10 @@ class TestBatchArrays:
         for batch, rows in cases:
             assert np.array_equal(batch.rows, rows)
             assert batch.sample_ids == [data.samples[r].id for r in rows]
-            assert batch.sub_patches.tobytes() == subs[rows].tobytes()
+            assert batch.sub_patches().tobytes() == subs[rows].tobytes()
             kept, masked = self.masks(rows.size, 10)
             for picks in (kept, masked):
-                old = gather_sub_patches(subs[rows], picks)
+                old = gather_sub_patches(subs[rows], picks, np.arange(rows.size))
                 new = gather_sub_patches(batch.subs, picks, batch.rows)
                 assert new.tobytes() == old.tobytes()
 

@@ -133,11 +133,12 @@ class TestDecodeImage:
         model.pretrain_forward(batch, kept, masked, tau=0.5, aux=aux)
         p = image_cfg.patches_per_image
         b = batch.size
+        sub_patches = batch.sub_patches()
         for n in range(4):
             for i in range(b):
                 g = n * b + i
                 grid = np.full((p, image_cfg.patch_dim), np.nan)
-                grid[kept[g]] = batch.sub_patches[i, n][kept[g]]
+                grid[kept[g]] = sub_patches[i, n][kept[g]]
                 grid[masked[g]] = aux["pixels"][g]
                 assert np.isfinite(grid).all()
                 unpatchify(grid, image_cfg)  # shape-valid by construction

@@ -265,5 +265,5 @@ def test_gather_sub_patches_equals_the_transposed_gather():
     for index in (identity, np.stack([s.kept for s in specs]),
                   np.stack([s.masked for s in specs])):
         old = np.take_along_axis(flat, index[:, :, None], axis=1)
-        new = gather_sub_patches(sub_patches, index)
+        new = gather_sub_patches(sub_patches, index, np.arange(b))
         assert new.shape == old.shape and new.tobytes() == old.tobytes()

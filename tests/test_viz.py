@@ -28,13 +28,14 @@ def decoded():
 
 def test_triptych_layout(decoded):
     batch, image_cfg, kept, masked, aux = decoded
-    trip = reconstruction_triptych(batch.sub_patches, aux["pixels"], kept, masked,
+    sub_patches = batch.sub_patches()
+    trip = reconstruction_triptych(sub_patches, aux["pixels"], kept, masked,
                                    0, batch.size, image_cfg)
     h = image_cfg.high_res
     assert trip.shape == (h, 3 * h, 3)
     # left panel reproduces the source exactly
     from sydes.imaging import unpatchify
-    quads = [unpatchify(batch.sub_patches[0, n], image_cfg) for n in range(4)]
+    quads = [unpatchify(sub_patches[0, n], image_cfg) for n in range(4)]
     top = np.concatenate(quads[:2], axis=1)
     bottom = np.concatenate(quads[2:], axis=1)
     assert np.array_equal(trip[:, :h], np.concatenate([top, bottom], axis=0))

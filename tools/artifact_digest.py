@@ -14,10 +14,9 @@ gradient from one seeded pretraining forward and backward at
 ``full_scale_profile()`` (448/224/16 images, 196 patches) on a batch of 2.
 That covers the shapes the desk run does not reach: 197-token attention and
 the 768-wide patch projection.  It takes about 5 s more.  After it comes
-"FULLSCALE_PEAK_MB", the ``tracemalloc`` peak in MB of building that
-batch and its masks and of that forward and backward: the arrays a batch
-copies, the tape and the gradients hold, counted exactly, so a memory change
-can be checked without timing noise.  It is not part of "ALL".
+"FULLSCALE_PEAK_MB", the ``tracemalloc`` peak in MB of that forward and
+backward: the arrays the tape and the gradients hold, counted exactly, so a
+memory change can be checked without timing noise.  It is not part of "ALL".
 
 A change that is not meant to alter numerics must print the same output
 before and after.  ``SYDES_THREADS`` is set to 1, so that the BLAS thread
@@ -93,8 +92,7 @@ def pipeline(cli, work: str) -> list[str]:
 def fullscale_gradients(work: str) -> tuple[str, float]:
     """sha256 of the loss and the parameter gradients of one seeded
     full-scale pretraining step (forward and backward, no update), and the
-    ``tracemalloc`` peak in MB of that step, the batch and its masks
-    included."""
+    ``tracemalloc`` peak in MB of that forward and backward."""
     from sydes import config, data, losses, model, text, training
     from sydes.tensor import RngState
 
@@ -108,11 +106,10 @@ def fullscale_gradients(work: str) -> tuple[str, float]:
                            decoder_layers=cfg.decoder_layers, decoder_heads=cfg.decoder_heads)
     net.initialize(rng)
     training.apply_freeze(net, cfg.pretrain.frozen)
+    batch = arrays.batch(list(range(FULLSCALE_BATCH)))
+    kept, masked = training.batch_masks(net, batch.sample_ids, 1, cfg.pretrain.mask_ratio, rng)
     tracemalloc.start()
     try:
-        batch = arrays.batch(list(range(FULLSCALE_BATCH)))
-        kept, masked = training.batch_masks(net, batch.sample_ids, 1, cfg.pretrain.mask_ratio,
-                                            rng)
         parts = net.pretrain_forward(batch, kept, masked, cfg.tau)
         loss = losses.pretrain_loss(parts, cfg.pretrain.weights)
         loss.backward()

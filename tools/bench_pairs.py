@@ -16,10 +16,9 @@ lines of ``tools/artifact_digest.py --root`` on each checkout (run once per
 file, before the first workload's pairs) and, per workload, every run's
 result line and ``env`` line and, per end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles, the change's wins per
-pair, the verdict of ``resolved`` (a gain) and that of ``regression`` (the
-no-regression rule, with the metric's ``bound``).  Running the tool again
-with the same label and commits adds or replaces that workload's entry, so
-one file can hold every workload of one change.
+pair and the verdict of ``resolved``.  Running the tool again with the same
+label and commits adds or replaces that workload's entry, so one file can
+hold every workload of one change.
 """
 
 from __future__ import annotations
@@ -66,29 +65,10 @@ def resolved(parent: list[float], change: list[float], better: str) -> bool:
             and gap > q3 - q1)
 
 
-def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
-    """The no-regression rule: "worse" when the change's median is worse
-    than the parent's by more than ``bound``, as a fraction of the parent's
-    median; else "unresolved" when the parent's IQR, as a fraction of its
-    median, is wider than ``bound``, unless every change run beats every
-    parent run; else "within"."""
-    sign = 1.0 if better == "lower" else -1.0
-    parent_median = statistics.median(parent)
-    allowed = bound * abs(parent_median)
-    if sign * (statistics.median(change) - parent_median) > allowed:
-        return "worse"
-    q1, q3 = quartiles(parent)
-    beats_every_run = all(sign * (p - c) > 0 for p in parent for c in change)
-    if q3 - q1 > allowed and not beats_every_run:
-        return "unresolved"
-    return "within"
-
-
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric (``BENCHMARK.json`` entries with ``name``,
     ``unit`` and ``better``): each side's median and quartiles over
-    ``runs``, the ratio of medians, the change's wins and both verdicts
-    (``regression`` reads the metric's ``bound``).
+    ``runs``, the ratio of medians, the change's wins and the verdict.
     Each run is ``{"pair", "side", "result"}`` with ``side`` "parent" or
     "change" and ``result`` the result line of ``perfbench/run.py``."""
     sides = {"parent": {}, "change": {}}
@@ -110,8 +90,6 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                           if entry["parent_median"] else None)
         entry["wins"] = wins(values["parent"], values["change"], better)
         entry["resolved"] = resolved(values["parent"], values["change"], better)
-        entry["regression"] = regression(values["parent"], values["change"], better,
-                                         metric["bound"])
         summary[name] = entry
     for side in sides:
         summary[f"{side}_failed"] = sum(sides[side][i]["failed"] for i in pairs)
@@ -223,8 +201,7 @@ def main(argv=None) -> int:
         e = summary[metric["name"]]
         print(f"{args.workload:<20} {metric['name']:<12} parent {e['parent_median']:.6g} "
               f"(IQR {e['parent_iqr']:.3g}) change {e['change_median']:.6g} "
-              f"wins {e['wins']}/{e['pairs']} resolved {e['resolved']} "
-              f"regression {e['regression']}")
+              f"wins {e['wins']}/{e['pairs']} resolved {e['resolved']}")
     print(f"wrote {out_path}")
     return 0
 
