@@ -301,6 +301,10 @@ EXIT_BROKEN_PIPE = 141
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, least in (("n", 1), ("val_n", 0), ("test_n", 0), ("cases", 1)):
+        if getattr(args, flag, least) < least:
+            parser.exit(1, f"sydes {args.command}: error: --{flag.replace('_', '-')} "
+                           f"must be at least {least}, got {getattr(args, flag)}\n")
     try:
         status = COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .imaging import ImageConfig, mixed_scale_split, patchify
-from .model import TASKS
+from .model import N_SUBS, TASKS
 from .ppm import read_ppm, write_ppm
 from .tensor import RngState
 from .text import Vocab, tokenize
@@ -191,7 +191,7 @@ class DatasetArrays:
         n = len(samples)
         p = cfg.patches_per_image
         low = np.zeros((n, p, cfg.patch_dim))
-        subs = np.zeros((n, 4, p, cfg.patch_dim))
+        subs = np.zeros((n, N_SUBS, p, cfg.patch_dim))
         ids = np.zeros((n, seq_len), dtype=np.int64)
         real = np.zeros((n, seq_len), dtype=bool)
         for i, s in enumerate(samples):
@@ -201,8 +201,7 @@ class DatasetArrays:
                                 f"got {image.shape[1]}x{image.shape[0]} (width x height)")
             bundle = mixed_scale_split(cfg.normalize(image), cfg, source_id=s.id)
             low[i] = patchify(bundle.low, cfg)
-            for nsub in range(4):
-                subs[i, nsub] = patchify(bundle.subs[nsub], cfg)
+            subs[i] = [patchify(sub, cfg) for sub in bundle.subs]
             seq = tokenize(s.text, vocab, seq_len)
             ids[i] = seq.ids
             real[i] = seq.real_mask()

@@ -51,29 +51,24 @@ class LossWeights:
         return cls(cls=1.0, itc=0.4)
 
 
-def reconstruction_loss(target: Tensor, pred: Tensor, subimages: int = 4,
-                        squared: bool = True) -> Tensor:
+def reconstruction_loss(target: Tensor, pred: Tensor, squared: bool = True) -> Tensor:
     """Pixel error over masked patches.
 
-    ``target`` and ``pred`` are [subimages * B, masked, patch_dim] with the
-    sub-image index major.  Per sample: the per-patch L2 error summed over
-    all sub-images and masked patches, normalized by the total masked count;
-    the result is the batch mean.  ``squared`` selects the squared-L2 (MSE)
-    convention; False uses the plain L2 norm.
+    ``target`` and ``pred`` are [G, masked, patch_dim], one row per
+    sub-image of a sample.  The per-patch L2 error is summed over all rows
+    and masked patches and divided by G * masked: the batch mean of each
+    sample's error over its masked count.  ``squared`` selects the
+    squared-L2 (MSE) convention; False uses the plain L2 norm.
     """
     if pred.shape != target.shape:
         raise ContractError(f"prediction shape {pred.shape} != target shape {target.shape}")
     g, n_masked, _ = pred.shape
     if n_masked == 0:
         raise ContractError("reconstruction loss undefined with no masked patches (mask ratio 0)")
-    if g % subimages:
-        raise ContractError(f"row count {g} not divisible by {subimages} sub-images")
-    batch = g // subimages
     per_patch = T.sum_squares(pred - target)
     if not squared:
         per_patch = T.sqrt(per_patch)
-    total = T.sum_(per_patch)
-    return total * (1.0 / (batch * subimages * n_masked))
+    return T.sum_(per_patch) * (1.0 / (g * n_masked))
 
 
 def itc_loss(image_feats: Tensor, text_feats: Tensor, tau: float) -> Tensor:
@@ -84,11 +79,9 @@ def itc_loss(image_feats: Tensor, text_feats: Tensor, tau: float) -> Tensor:
         raise ContractError("itc loss needs at least one pair")
     if image_feats.shape != text_feats.shape:
         raise ContractError(f"feature shapes differ: {image_feats.shape} vs {text_feats.shape}")
-    logits = T.matmul(image_feats, T.swap_last2(text_feats)) * (1.0 / tau)
-    eye = Tensor(np.eye(n))
-    i2t = -T.sum_(T.log_softmax(logits, axis=-1) * eye) * (1.0 / n)
-    t2i = -T.sum_(T.log_softmax(T.swap_last2(logits), axis=-1) * eye) * (1.0 / n)
-    return 0.5 * (i2t + t2i)
+    logits = T.matmul(image_feats, T.transpose(text_feats, (1, 0))) * (1.0 / tau)
+    pairs = np.arange(n)
+    return 0.5 * (cls_loss(logits, pairs) + cls_loss(T.transpose(logits, (1, 0)), pairs))
 
 
 class Aggregator(nn.Module):
@@ -128,7 +121,7 @@ def si_loss(global_feats: Tensor, aggregated: Tensor) -> Tensor:
 
 def similarity_distribution(anchor: Tensor, text_feats: Tensor, tau: float) -> Tensor:
     """Row-stochastic [N, N]: row i is softmax_j(<anchor_i, text_j> / tau)."""
-    logits = T.matmul(anchor, T.swap_last2(text_feats)) * (1.0 / tau)
+    logits = T.matmul(anchor, T.transpose(text_feats, (1, 0))) * (1.0 / tau)
     return T.softmax(logits, axis=-1)
 
 

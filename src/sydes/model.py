@@ -113,8 +113,7 @@ class SydesModel(nn.Module):
                 v_itc, w_itc, tau).data.copy()
 
         return {
-            "rec": losses.reconstruction_loss(targets, pixels, subimages=N_SUBS,
-                                              squared=rec_squared),
+            "rec": losses.reconstruction_loss(targets, pixels, squared=rec_squared),
             "itc": losses.itc_loss(v_itc, w_itc, tau),
             "si": losses.si_loss(v_itc, p_agg),
             "dc": losses.dc_loss(p_agg, v_itc, w_itc, tau, entropy_sign=entropy_sign,

@@ -28,12 +28,11 @@ this module.  Design points:
   is one node whose forward and VJP repeat the composed ops' products and
   sums in the same order, so their values are bitwise those of the composed
   ops.
-* When the right operand of ``matmul`` or ``linear`` is a 2-D [n, m] matrix
-  shared by every leading index of ``x`` [..., n], the VJP computes each
-  gradient as one GEMM over the flattened rows of ``x`` and ``g``, not one
-  small product per leading index (Goto & van de Geijn, 2008): packing and
-  kernel set-up are paid once.  Both ops share that rule, so ``linear``
-  stays bitwise ``matmul`` then ``add``.
+* A product with a 2-D right operand [n, m], shared by every leading index
+  of ``x`` [..., n], is ``linear`` (``matmul`` hands it there).  Its VJP
+  computes each gradient as one GEMM over the flattened rows of ``x`` and
+  ``g``, not one small product per leading index (Goto & van de Geijn,
+  2008): packing and kernel set-up are paid once.
 * A ``Parameter`` is a leaf ``Tensor`` with a name and an init rule, so
   modules hand their weights to ops directly; freezing is ``requires_grad``.
 * One-sided broadcasting only.  For elementwise binary ops the two shapes are
@@ -41,8 +40,8 @@ this module.  Design points:
   must then either match or be 1 *on a single operand across all axes* (the
   output shape always equals one operand's padded shape).  Mutual expansion
   (e.g. ``[3,1] * [1,4]``) is rejected so outer-product-style surprises fail
-  loudly.  Scalars broadcast with anything.  Batched matmul applies the same
-  rule to the leading dimensions.
+  loudly.  Scalars broadcast with anything.  Batched matmul does not
+  broadcast: its operands' leading dimensions must be equal.
 * ``RngState`` is a counter-based Philox generator keyed by
   blake2b-128(seed, stream).  Identical seed and stream path give an
   identical draw sequence on every platform.  Each named stream is meant to
@@ -94,10 +93,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def size(self) -> int:
@@ -342,38 +337,27 @@ def neg(a) -> Tensor:
 
 # -- matmul ----------------------------------------------------------------
 
-def _shared_rhs_vjp(g: Array, for_x: Array | None, for_w: Array | None,
-                    x_shape: tuple[int, ...]) -> tuple[Array | None, Array | None]:
-    """Gradients of ``x @ w`` for ``x`` [..., n] and a 2-D ``w`` [n, m]
-    shared by every leading index: each is one GEMM over the flattened
-    rows, ``for_x`` being ``w`` (kept for x's gradient) and ``for_w`` being
-    ``x`` (kept for w's), or ``None`` when that gradient is not read."""
-    g2 = g.reshape(-1, g.shape[-1])
-    gx = None if for_x is None else (g2 @ for_x.T).reshape(x_shape)
-    gw = None if for_w is None else for_w.reshape(-1, for_w.shape[-1]).T @ g2
-    return gx, gw
-
-
 def matmul(a, b) -> Tensor:
-    """Matrix product.  Both operands must have ndim >= 2; leading (batch)
-    dimensions follow the one-sided broadcast rule.  For a 2-D ``b`` each
-    gradient is one GEMM over ``a``'s flattened rows, as in ``linear``."""
+    """Matrix product of ``a`` [..., n, k] and ``b`` [..., k, m], both of
+    ndim >= 2.  A 2-D ``b`` is shared by every leading index of ``a``, so
+    the product is ``linear(a, b)``; otherwise the leading (batch)
+    dimensions must be equal."""
     a, b = _coerce(a), _coerce(b)
     sa, sb = a.data.shape, b.data.shape
     if len(sa) < 2 or len(sb) < 2:
         raise ShapeError(f"matmul needs matrices, got shapes {sa} and {sb}")
     if sa[-1] != sb[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {sa} x {sb}")
-    _check_one_sided(sa[:-2], sb[:-2])
+    if len(sb) == 2:
+        return linear(a, b)
+    if sa[:-2] != sb[:-2]:
+        raise ShapeError(f"matmul batch dimensions disagree: {sa} x {sb}")
     for_a = b.data if a.requires_grad else None
     for_b = a.data if b.requires_grad else None
 
     def vjp(g):
-        if len(sb) == 2:
-            return _shared_rhs_vjp(g, for_a, for_b, sa)
-        ga = None if for_a is None else _unbroadcast(g @ np.swapaxes(for_a, -1, -2), sa)
-        gb = None if for_b is None else _unbroadcast(np.swapaxes(for_b, -1, -2) @ g, sb)
-        return ga, gb
+        return (None if for_a is None else g @ np.swapaxes(for_a, -1, -2),
+                None if for_b is None else np.swapaxes(for_b, -1, -2) @ g)
 
     return _track(a.data @ b.data, (a, b), vjp)
 
@@ -391,12 +375,6 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
     inv = np.argsort(axes)
     return _track(np.transpose(a.data, axes), (a,),
                   lambda g: (np.transpose(g, inv),))
-
-
-def swap_last2(a) -> Tensor:
-    a = _coerce(a)
-    return _track(np.swapaxes(a.data, -1, -2), (a,),
-                  lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -634,12 +612,12 @@ def linear(x, weight, bias=None) -> Tensor:
     """``x @ weight + bias`` as one tape node, for ``x`` [..., n] (ndim >= 2),
     ``weight`` [n, m] and an optional ``bias`` [m].
 
-    The bias is added in place, so the product before the bias is never
-    kept.  The VJP computes the gradients of ``x`` and ``weight`` as one
-    GEMM each over ``x``'s flattened rows, the rule ``matmul`` follows for
-    a 2-D right operand.  Forward and VJP repeat the products and sums of
-    ``matmul`` then ``add`` in the same order, so every value is bitwise
-    theirs.
+    ``matmul`` with a 2-D right operand is this op without a bias.  The
+    bias is added in place, so the product before the bias is never kept.
+    The VJP computes the gradients of ``x`` and ``weight`` as one GEMM each
+    over ``x``'s flattened rows.  Forward and VJP repeat the products and
+    sums of ``matmul`` then ``add`` in the same order, so every value is
+    bitwise theirs.
     """
     x, weight = _coerce(x), _coerce(weight)
     xs, ws = x.data.shape, weight.data.shape
@@ -660,7 +638,9 @@ def linear(x, weight, bias=None) -> Tensor:
     for_w = x.data if weight.requires_grad else None
 
     def vjp(g):
-        gx, gw = _shared_rhs_vjp(g, for_x, for_w, xs)
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = None if for_x is None else (g2 @ for_x.T).reshape(xs)
+        gw = None if for_w is None else for_w.reshape(-1, xs[-1]).T @ g2
         if not has_bias:
             return gx, gw
         return gx, gw, _unbroadcast(g, ws[1:]) if bias_tracked else None

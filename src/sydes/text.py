@@ -55,6 +55,8 @@ class Vocab:
     def from_tokens(cls, tokens, source: str = "vocabulary") -> "Vocab":
         """Inverse of :meth:`tokens`: one token per id, the reserved ones
         first.  ``source`` names where the list came from in errors."""
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{source}: expected a list of token strings")
         if tuple(tokens[:len(RESERVED)]) != RESERVED:
             raise DataError(f"{source}: reserved tokens missing or reordered")
         if len(set(tokens)) != len(tokens):

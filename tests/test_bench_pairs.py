@@ -99,6 +99,16 @@ def test_summary_per_metric():
     assert summary["parent_attempted"] == summary["change_attempted"] == 40
 
 
+def test_summary_lines_print_failed_operations():
+    parent = [100.0, 104.0, 98.0, 110.0]
+    change = [90.0, 95.0, 99.0, 97.0]
+    summary = bench_pairs.summarize(canned_runs(parent, change), METRICS)
+    lines = bench_pairs.summary_lines("gradcheck", summary, METRICS)
+    assert len(lines) == len(METRICS) + 1
+    assert lines[0].split()[:2] == ["gradcheck", "step_ms_p50"]
+    assert lines[-1].split() == ["gradcheck", "failed", "parent", "0/40", "change", "2/40"]
+
+
 def test_summary_resolves_a_clear_gain():
     parent = [100.0 + i % 3 for i in range(10)]
     change = [90.0 + i % 3 for i in range(10)]

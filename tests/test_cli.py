@@ -330,6 +330,26 @@ class TestConfigSources:
         err = capsys.readouterr().err
         assert f"{bad}: embedded run_config: {field}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["finetune", "eval", "reconstruct"])
+    @pytest.mark.parametrize("vocab", [5, None, "nested", "int"])
+    def test_bad_embedded_vocab_is_data_error(self, workspace, tmp_path, capsys,
+                                              command, vocab):
+        meta, rng, _ = read_checkpoint(workspace["ckpt"])
+        cfg = RunConfig.from_dict(meta["run_config"])
+        model = SydesModel(cfg.image, cfg.encoder, len(meta["vocab"]),
+                           decoder_layers=cfg.decoder_layers,
+                           decoder_heads=cfg.decoder_heads)
+        load_checkpoint(workspace["ckpt"], model)
+        vocab = {"nested": [*meta["vocab"], ["x"]], "int": [*meta["vocab"], 7]}.get(vocab, vocab)
+        bad = str(tmp_path / "bad-vocab.ckpt")
+        save_checkpoint(bad, model, rng, {**meta, "vocab": vocab})
+        rc = main([command, "--checkpoint", bad, "--data", workspace["data"],
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{bad}: embedded vocab: expected a list of token strings" in err
+                and "Traceback" not in err)
+
     @pytest.mark.parametrize("key, value", [("text", 5), ("image", 7), ("id", None)])
     def test_manifest_field_of_wrong_type_is_data_error(self, workspace, tmp_path, capsys,
                                                         key, value):
@@ -553,6 +573,25 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv, flag, least", [
+        (["gen-data", "--n", "0"], "--n", 1),
+        (["gen-data", "--n", "-3"], "--n", 1),
+        (["gen-data", "--val-n", "-1"], "--val-n", 0),
+        (["gen-data", "--test-n", "-2"], "--test-n", 0),
+        (["gradcheck", "--cases", "0"], "--cases", 1),
+        (["gradcheck", "--cases", "-2"], "--cases", 1),
+        (["reconstruct", "--checkpoint", "x.ckpt", "--n", "0"], "--n", 1),
+        (["reconstruct", "--checkpoint", "x.ckpt", "--n", "-2"], "--n", 1),
+    ], ids=["gen_n_0", "gen_n_neg", "gen_val_n_neg", "gen_test_n_neg", "cases_0",
+            "cases_neg", "reconstruct_n_0", "reconstruct_n_neg"])
+    def test_count_below_its_least_is_usage_error(self, tmp_path, capsys, argv, flag, least):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)] if argv[0] == "gen-data" else argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be at least {least}, got {argv[-1]}" in err
+        assert not os.listdir(tmp_path)
 
     def test_invalid_task_choice_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

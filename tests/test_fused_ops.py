@@ -53,8 +53,14 @@ def causal(t):
     return np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, -np.inf)
 
 
+def swap_last2(x):
+    """``x`` with its last two axes swapped: ``k^T`` in attention."""
+    n = len(x.shape)
+    return T.transpose(x, tuple(range(n - 2)) + (n - 1, n - 2))
+
+
 def composed_attention(q, k, v, scale, mask):
-    scores = T.matmul(q, T.swap_last2(k)) * scale
+    scores = T.matmul(q, swap_last2(k)) * scale
     if mask is not None:
         scores = scores + Tensor(mask)
     return T.matmul(T.softmax(scores, axis=-1), v)
@@ -187,7 +193,7 @@ class TestAttention:
             return composed_attention(*[heads_first(x) for x in raw], scale, mask)
 
         assert_bitwise(grads_of(fused, raw, upstream), grads_of(composed, raw, upstream))
-        scores = T.matmul(heads_first(raw[0]), T.swap_last2(heads_first(raw[1]))) * scale
+        scores = T.matmul(heads_first(raw[0]), swap_last2(heads_first(raw[1]))) * scale
         if mask is not None:
             scores = scores + Tensor(mask)
         assert weights["p"].tobytes() == T.softmax(scores, axis=-1).data.tobytes()
@@ -270,7 +276,7 @@ class TestAttentionRecompute:
 
         assert_bitwise(grads_of(fused, raw, upstream), grads_of(composed, raw, upstream))
         assert calls == [self.B, 2, 2, 1]
-        scores = T.matmul(heads_first(raw[0]), T.swap_last2(heads_first(raw[1]))) * scale
+        scores = T.matmul(heads_first(raw[0]), swap_last2(heads_first(raw[1]))) * scale
         if mask is not None:
             scores = scores + Tensor(mask)
         assert weights["p"].tobytes() == T.softmax(scores, axis=-1).data.tobytes()

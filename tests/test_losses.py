@@ -30,7 +30,7 @@ class TestReconstruction:
         """One patch, error 0.5 on each of 4 pixels: 4 * 0.25 = 1.0."""
         target = Tensor(np.zeros((1, 1, 4)))
         pred = Tensor(np.full((1, 1, 4), 0.5))
-        assert reconstruction_loss(target, pred, subimages=1).item() == pytest.approx(1.0)
+        assert reconstruction_loss(target, pred).item() == pytest.approx(1.0)
 
     def test_squared_homogeneity(self):
         target = Tensor(np.zeros((4, 2, 5)))

@@ -29,6 +29,10 @@ class TestForwardExamples:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
+    def test_batched_matmul_leading_dims_must_be_equal(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(1, 4, 5\)"):
+            T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 4, 5))))
+
     def test_matmul_grad_is_ones_times_bt(self):
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         b = Tensor(np.arange(12.0).reshape(3, 4))

@@ -16,9 +16,10 @@ lines of ``tools/artifact_digest.py --root`` on each checkout (run once per
 file, before the first workload's pairs) and, per workload, every run's
 result line and ``env`` line and, per end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles, the change's wins per
-pair and the verdict of ``resolved``.  Running the tool again with the same
-label and commits adds or replaces that workload's entry, so one file can
-hold every workload of one change.
+pair and the verdict of ``resolved``.  Each workload also records, and the
+printed summary shows, each side's failed and attempted operations.
+Running the tool again with the same label and commits adds or replaces
+that workload's entry, so one file can hold every workload of one change.
 """
 
 from __future__ import annotations
@@ -95,6 +96,21 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         summary[f"{side}_failed"] = sum(sides[side][i]["failed"] for i in pairs)
         summary[f"{side}_attempted"] = sum(sides[side][i]["attempted"] for i in pairs)
     return summary
+
+
+def summary_lines(workload: str, summary: dict, metrics: list[dict]) -> list[str]:
+    """The printed summary of one workload: a line per end-to-end metric,
+    then each side's failed and attempted operations."""
+    lines = []
+    for metric in metrics:
+        e = summary[metric["name"]]
+        lines.append(f"{workload:<20} {metric['name']:<12} parent {e['parent_median']:.6g} "
+                     f"(IQR {e['parent_iqr']:.3g}) change {e['change_median']:.6g} "
+                     f"wins {e['wins']}/{e['pairs']} resolved {e['resolved']}")
+    lines.append(f"{workload:<20} failed       "
+                 f"parent {summary['parent_failed']}/{summary['parent_attempted']} "
+                 f"change {summary['change_failed']}/{summary['change_attempted']}")
+    return lines
 
 
 def git(*args: str) -> str:
@@ -197,11 +213,8 @@ def main(argv=None) -> int:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
     os.replace(out_path + ".tmp", out_path)
-    for metric in metrics:
-        e = summary[metric["name"]]
-        print(f"{args.workload:<20} {metric['name']:<12} parent {e['parent_median']:.6g} "
-              f"(IQR {e['parent_iqr']:.3g}) change {e['change_median']:.6g} "
-              f"wins {e['wins']}/{e['pairs']} resolved {e['resolved']}")
+    for line in summary_lines(args.workload, summary, metrics):
+        print(line)
     print(f"wrote {out_path}")
     return 0
 
