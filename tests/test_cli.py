@@ -39,6 +39,19 @@ def read_text(path):
         return f.read()
 
 
+def resave(src, dst, edit):
+    """Save checkpoint ``src`` again as ``dst`` with its meta passed
+    through ``edit``; returns ``dst``."""
+    meta, rng, _ = read_checkpoint(src)
+    cfg = RunConfig.from_dict(meta["run_config"])
+    model = SydesModel(cfg.image, cfg.encoder, len(meta["vocab"]),
+                       decoder_layers=cfg.decoder_layers,
+                       decoder_heads=cfg.decoder_heads)
+    load_checkpoint(src, model)
+    save_checkpoint(dst, model, rng, edit(meta))
+    return dst
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Shared corpus + config + pretrain checkpoint for the command tests."""
@@ -204,15 +217,8 @@ class TestFinetuneEval:
             self, workspace, tmp_path, capsys, command):
         """A checkpoint whose vocab does not start with <pad> <cls> <unk>
         would shift every token id; it is refused, naming the file."""
-        meta, rng, _ = read_checkpoint(workspace["ckpt"])
-        cfg = RunConfig.from_dict(meta["run_config"])
-        model = SydesModel(cfg.image, cfg.encoder, len(meta["vocab"]),
-                           decoder_layers=cfg.decoder_layers,
-                           decoder_heads=cfg.decoder_heads)
-        load_checkpoint(workspace["ckpt"], model)
-        meta["vocab"][0], meta["vocab"][1] = meta["vocab"][1], meta["vocab"][0]
-        bad = str(tmp_path / "swapped.ckpt")
-        save_checkpoint(bad, model, rng, meta)
+        bad = resave(workspace["ckpt"], str(tmp_path / "swapped.ckpt"), lambda meta: {
+            **meta, "vocab": [meta["vocab"][1], meta["vocab"][0], *meta["vocab"][2:]]})
         rc = main([command, "--task", "sentiment", "--checkpoint", bad,
                    "--data", workspace["data"], "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -314,16 +320,9 @@ class TestConfigSources:
         ({"pretrain": {"epochs": "2"}}, "pretrain: epochs")])
     def test_bad_embedded_config_is_data_error(self, workspace, tmp_path, capsys,
                                                command, run_config, field):
-        meta, rng, _ = read_checkpoint(workspace["ckpt"])
-        cfg = RunConfig.from_dict(meta["run_config"])
-        model = SydesModel(cfg.image, cfg.encoder, len(meta["vocab"]),
-                           decoder_layers=cfg.decoder_layers,
-                           decoder_heads=cfg.decoder_heads)
-        load_checkpoint(workspace["ckpt"], model)
-        if isinstance(run_config, dict):
-            run_config = {**meta["run_config"], **run_config}
-        bad = str(tmp_path / "bad-config.ckpt")
-        save_checkpoint(bad, model, rng, {**meta, "run_config": run_config})
+        bad = resave(workspace["ckpt"], str(tmp_path / "bad-config.ckpt"), lambda meta: {
+            **meta, "run_config": ({**meta["run_config"], **run_config}
+                                   if isinstance(run_config, dict) else run_config)})
         rc = main([command, "--checkpoint", bad, "--data", workspace["data"],
                    "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -334,15 +333,9 @@ class TestConfigSources:
     @pytest.mark.parametrize("vocab", [5, None, "nested", "int"])
     def test_bad_embedded_vocab_is_data_error(self, workspace, tmp_path, capsys,
                                               command, vocab):
-        meta, rng, _ = read_checkpoint(workspace["ckpt"])
-        cfg = RunConfig.from_dict(meta["run_config"])
-        model = SydesModel(cfg.image, cfg.encoder, len(meta["vocab"]),
-                           decoder_layers=cfg.decoder_layers,
-                           decoder_heads=cfg.decoder_heads)
-        load_checkpoint(workspace["ckpt"], model)
-        vocab = {"nested": [*meta["vocab"], ["x"]], "int": [*meta["vocab"], 7]}.get(vocab, vocab)
-        bad = str(tmp_path / "bad-vocab.ckpt")
-        save_checkpoint(bad, model, rng, {**meta, "vocab": vocab})
+        bad = resave(workspace["ckpt"], str(tmp_path / "bad-vocab.ckpt"), lambda meta: {
+            **meta, "vocab": {"nested": [*meta["vocab"], ["x"]],
+                              "int": [*meta["vocab"], 7]}.get(vocab, vocab)})
         rc = main([command, "--checkpoint", bad, "--data", workspace["data"],
                    "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -126,6 +126,25 @@ class TestItc:
         with pytest.raises(ContractError):
             itc_loss(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), tau=1.0)
 
+    def test_bitwise_equal_to_the_eye_form(self):
+        """Each direction is ``cls_loss`` with labels ``arange(n)``, whose
+        one-hot is ``np.eye(n)``: values and gradients are bitwise the
+        cross-entropy written against the identity."""
+        v = Tensor(unit_rows(21, 5, 6), requires_grad=True)
+        w = Tensor(unit_rows(22, 5, 6), requires_grad=True)
+        loss = itc_loss(v, w, tau=0.3)
+        loss.backward()
+        got = (loss.data.tobytes(), v.grad.tobytes(), w.grad.tobytes())
+        v.zero_grad()
+        w.zero_grad()
+        logits = T.matmul(v, T.transpose(w, (1, 0))) * (1.0 / 0.3)
+        eye = Tensor(np.eye(5))
+        i2t = -T.sum_(T.log_softmax(logits, axis=-1) * eye) * (1.0 / 5)
+        t2i = -T.sum_(T.log_softmax(T.transpose(logits, (1, 0)), axis=-1) * eye) * (1.0 / 5)
+        want = 0.5 * (i2t + t2i)
+        want.backward()
+        assert got == (want.data.tobytes(), v.grad.tobytes(), w.grad.tobytes())
+
 
 class TestAggregator:
     def make(self, dim=6):
