@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .imaging import ImageConfig, mixed_scale_split, patchify
+from .imaging import ImageConfig, mixed_scale_split, patchify, quadrants
 from .model import N_SUBS, TASKS
-from .ppm import read_ppm, write_ppm
+from .ppm import read_ppm_bytes, write_ppm
 from .tensor import RngState
 from .text import Vocab, tokenize
 
@@ -180,7 +180,13 @@ def generate_synthetic(n: int, cfg: ImageConfig, rng: RngState, out_dir: str,
 
 class DatasetArrays:
     """Patchified images and tokenized texts for a list of samples, ready to
-    slice into batches."""
+    slice into batches.
+
+    The low-resolution patches are float64 (a 2x2 mean is not an 8-bit
+    value); the sub-image patches keep the PPM's uint8 channel bytes, an
+    eighth of their float64 size, and a gather expands only the rows it
+    returns (``imaging.patch_pixels``).
+    """
 
     def __init__(self, samples: list[Sample], cfg: ImageConfig, vocab: Vocab,
                  seq_len: int):
@@ -191,24 +197,24 @@ class DatasetArrays:
         n = len(samples)
         p = cfg.patches_per_image
         low = np.zeros((n, p, cfg.patch_dim))
-        subs = np.zeros((n, N_SUBS, p, cfg.patch_dim))
+        subs = np.zeros((n, N_SUBS, p, cfg.patch_dim), dtype=np.uint8)
         ids = np.zeros((n, seq_len), dtype=np.int64)
         real = np.zeros((n, seq_len), dtype=bool)
         for i, s in enumerate(samples):
-            image = read_ppm(s.image_path)
+            image = read_ppm_bytes(s.image_path)
             if image.shape[:2] != (cfg.high_res, cfg.high_res):
                 raise DataError(f"{s.image_path}: expected a {cfg.high_res}x{cfg.high_res} image, "
                                 f"got {image.shape[1]}x{image.shape[0]} (width x height)")
-            bundle = mixed_scale_split(cfg.normalize(image), cfg, source_id=s.id)
+            bundle = mixed_scale_split(cfg.normalize(image / 255.0), cfg, source_id=s.id)
             low[i] = patchify(bundle.low, cfg)
-            subs[i] = [patchify(sub, cfg) for sub in bundle.subs]
+            subs[i] = [patchify(sub, cfg) for sub in quadrants(image)]
             seq = tokenize(s.text, vocab, seq_len)
             ids[i] = seq.ids
             real[i] = seq.real_mask()
         labels = {task: np.array([s.label_index(task) for s in samples], dtype=np.int64)
                   for task in TASKS}
         self.arrays = BatchArrays(low, subs, ids, real, labels,
-                                  [s.id for s in samples])
+                                  [s.id for s in samples], image_cfg=cfg)
 
     def __len__(self) -> int:
         return len(self.samples)

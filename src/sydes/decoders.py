@@ -42,7 +42,8 @@ def pool_text(W: Tensor, real: np.ndarray) -> Tensor:
 
 
 class ImageDecoder(nn.Module):
-    """Reconstructs masked patch pixels and emits one global vector per
+    """Decodes the masked patches' rows, which ``pixel_head`` maps to
+    pixels inside the reconstruction loss, and emits one global vector per
     sub-image (read off the CLS-carrying row)."""
 
     def __init__(self, image_dim: int, dim: int, patch_count: int, patch_dim: int,
@@ -84,18 +85,18 @@ class ImageDecoder(nn.Module):
         return rows + T.embedding_lookup(self.pos, positions)
 
     def decode(self, dec_in: Tensor, fused_kv: Tensor, n_masked: int) -> tuple[Tensor, Tensor]:
-        """Run the decoder; returns (pixel predictions [G, mP, patch_dim],
-        per-sub-image global vectors [G, dim]).  Only the mask rows and the
+        """Run the decoder; returns (mask rows [G, mP, dim], per-sub-image
+        global vectors [G, dim]).  ``pixel_head`` maps the mask rows to
+        pixel predictions [G, mP, patch_dim].  Only the mask rows and the
         CLS row are read, and they come first, so the last block computes
         just those ``n_masked + 1`` rows."""
         x = dec_in
         for block in self.blocks[:-1]:
             x = block(x, fused_kv)
         x = self.ln_f(self.blocks[-1](x, fused_kv, rows=n_masked + 1))
-        pixels = self.pixel_head(T.narrow(x, 1, 0, n_masked)) if n_masked else None
         cls_row = T.reshape(T.narrow(x, 1, n_masked, 1), (x.shape[0], x.shape[2]))
         z = self.z_head(cls_row)
-        return pixels, z
+        return T.narrow(x, 1, 0, n_masked), z
 
     def __call__(self, visible: Tensor, kept: np.ndarray, masked: np.ndarray,
                  W: Tensor, real: np.ndarray) -> tuple[Tensor, Tensor]:

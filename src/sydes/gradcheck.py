@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import losses, nn
 from . import tensor as T
 from .encoders import EncoderConfig
 from .imaging import ImageConfig, sample_mask
@@ -51,7 +51,8 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        """No coordinate disagreed, and at least one was checked."""
+        return self.checked > 0 and self.failures == 0
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -114,11 +115,23 @@ def _unit_rows(rng: RngState, shape) -> Tensor:
     return Tensor(rng.normal(shape), requires_grad=True)
 
 
+def identity_head(dim: int) -> nn.Linear:
+    """A frozen linear head that maps each row to itself, bitwise: an
+    ``eye`` weight and a zero bias."""
+    head = nn.Linear(dim, dim)
+    head.weight.data = np.eye(dim)
+    head.weight.frozen = head.bias.frozen = True
+    return head
+
+
 def _scenario_rec(rng: RngState, result: CheckResult) -> None:
+    # The leaf is the prediction itself, sent through an identity head.
     b, n_masked, pd = 2, 3, 5
-    target = Tensor(rng.split("target").uniform((4 * b, n_masked, pd)))
+    target = rng.split("target").uniform((4 * b, n_masked, pd))
     pred = Tensor(rng.split("pred").normal((4 * b, n_masked, pd)), requires_grad=True)
-    check_leaves(lambda: losses.reconstruction_loss(target, pred), [pred], result, rng)
+    head = identity_head(pd)
+    check_leaves(lambda: losses.reconstruction_loss(pred, head, target.__getitem__),
+                 [pred], result, rng)
 
 
 def _scenario_itc(rng: RngState, result: CheckResult) -> None:

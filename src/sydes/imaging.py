@@ -127,13 +127,15 @@ def mixed_scale_split(image: np.ndarray, cfg: ImageConfig, source_id: str = "") 
         raise ShapeError(f"expected image of shape {(hr, hr, cfg.channels)}, got {image.shape}")
     lr = cfg.low_res
     low = image.reshape(lr, 2, lr, 2, cfg.channels).mean(axis=(1, 3))
-    subs = (
-        image[:lr, :lr],
-        image[:lr, lr:],
-        image[lr:, :lr],
-        image[lr:, lr:],
-    )
-    return MixedScaleBundle(low=low, subs=subs, source_id=source_id)
+    return MixedScaleBundle(low=low, subs=quadrants(image), source_id=source_id)
+
+
+def quadrants(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four quadrant views of an image of even side, in top-left,
+    top-right, bottom-left, bottom-right order (the inverse of
+    :func:`tile_quadrants`)."""
+    h = image.shape[0] // 2
+    return image[:h, :h], image[:h, h:], image[h:, :h], image[h:, h:]
 
 
 def patchify(image: np.ndarray, cfg: ImageConfig) -> np.ndarray:
@@ -149,6 +151,17 @@ def patchify(image: np.ndarray, cfg: ImageConfig) -> np.ndarray:
     x = image.reshape(side, ps, side, ps, c)
     x = x.transpose(0, 2, 1, 3, 4)
     return x.reshape(side * side, ps * ps * c)
+
+
+def patch_pixels(patches: np.ndarray, cfg: ImageConfig) -> np.ndarray:
+    """Float pixels of patch rows [..., patch_dim].  uint8 channel bytes
+    become ``cfg.normalize(bytes / 255.0)``, channel on the last axis:
+    bitwise what ``read_ppm`` then ``normalize`` give.  Float arrays are
+    returned unchanged."""
+    if patches.dtype != np.uint8:
+        return patches
+    x = patches / 255.0
+    return cfg.normalize(x.reshape(*x.shape[:-1], -1, cfg.channels)).reshape(x.shape)
 
 
 def unpatchify(patches: np.ndarray, cfg: ImageConfig) -> np.ndarray:

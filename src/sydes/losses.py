@@ -51,21 +51,22 @@ class LossWeights:
         return cls(cls=1.0, itc=0.4)
 
 
-def reconstruction_loss(target: Tensor, pred: Tensor, squared: bool = True) -> Tensor:
+def reconstruction_loss(rows: Tensor, head: nn.Linear, target, squared: bool = True) -> Tensor:
     """Pixel error over masked patches.
 
-    ``target`` and ``pred`` are [G, masked, patch_dim], one row per
-    sub-image of a sample.  The per-patch L2 error is summed over all rows
-    and masked patches and divided by G * masked: the batch mean of each
-    sample's error over its masked count.  ``squared`` selects the
-    squared-L2 (MSE) convention; False uses the plain L2 norm.
+    ``rows`` [G, masked, dim] are the decoder's mask rows, one row group per
+    sub-image of a sample, and ``head`` the linear layer that maps them to
+    pixel predictions [G, masked, patch_dim].  ``target(c)`` returns the
+    target pixels of the row groups ``c``, a slice of G.  The per-patch L2
+    error is summed over all groups and masked patches and divided by
+    G * masked: the batch mean of each sample's error over its masked count.
+    ``squared`` selects the squared-L2 (MSE) convention; False uses the
+    plain L2 norm.  The predictions are never kept (``T.linear_sq_error``).
     """
-    if pred.shape != target.shape:
-        raise ContractError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    g, n_masked, _ = pred.shape
+    g, n_masked = rows.shape[:2]
     if n_masked == 0:
         raise ContractError("reconstruction loss undefined with no masked patches (mask ratio 0)")
-    per_patch = T.sum_squares(pred - target)
+    per_patch = T.linear_sq_error(rows, head.weight, head.bias, target)
     if not squared:
         per_patch = T.sqrt(per_patch)
     return T.sum_(per_patch) * (1.0 / (g * n_masked))
@@ -116,7 +117,8 @@ def si_loss(global_feats: Tensor, aggregated: Tensor) -> Tensor:
     global image feature and the normalized aggregated sub-image feature."""
     if global_feats.shape != aggregated.shape:
         raise ContractError(f"shapes differ: {global_feats.shape} vs {aggregated.shape}")
-    return T.mean(T.sum_squares(global_feats - aggregated))
+    d = global_feats - aggregated
+    return T.mean(T.sum_(d * d, axis=-1))
 
 
 def similarity_distribution(anchor: Tensor, text_feats: Tensor, tau: float) -> Tensor:

@@ -12,6 +12,8 @@ group-major, i.e. row g = n * B + b holds sub-image n of sample b.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import losses, nn
@@ -19,7 +21,7 @@ from . import tensor as T
 from .decoders import ClassifierHead, ImageDecoder, TextDecoder
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .errors import ConfigError
-from .imaging import ImageConfig
+from .imaging import ImageConfig, patch_pixels
 from .tensor import Tensor
 
 TASKS = ("sentiment", "emotion", "desire")
@@ -62,7 +64,7 @@ class SydesModel(nn.Module):
     def encode_subs(self, batch: "BatchArrays", kept: np.ndarray) -> Tensor:
         """Encode the visible patches ``kept`` (int [4B, rP], group-major) of
         the batch's sub-images.  Returns [4B, rP+1, image_dim]."""
-        patches = gather_sub_patches(batch.subs, kept, batch.rows)
+        patches = gather_sub_patches(batch.subs, kept, batch.rows, batch.image_cfg)
         return self.image_encoder(Tensor(patches), kept)
 
     def encode_text(self, ids: np.ndarray, real: np.ndarray) -> Tensor:
@@ -87,9 +89,10 @@ class SydesModel(nn.Module):
                          dc_reference: np.ndarray | None = None) -> dict[str, Tensor]:
         """Masked-reconstruction wiring; returns the four pretraining loss
         parts.  ``kept``/``masked`` are group-major int arrays [4B, rP] and
-        [4B, mP].  Pass ``aux`` to receive raw predictions and the detached
-        consistency reference; ``dc_reference`` pins that reference (used by
-        the finite-difference oracle, which must respect the stop-gradient)."""
+        [4B, mP].  Pass ``aux`` to receive the pixel predictions, computed
+        off the tape, and the detached consistency reference;
+        ``dc_reference`` pins that reference (used by the finite-difference
+        oracle, which must respect the stop-gradient)."""
         b = batch.size
         V1 = self.encode_low(batch.low_patches, rows=1)  # the losses read only CLS
         Vsub = self.encode_subs(batch, kept)
@@ -98,22 +101,27 @@ class SydesModel(nn.Module):
 
         W4 = T.concat([W] * N_SUBS, axis=0)
         real4 = np.tile(batch.real, (N_SUBS, 1))
-        pixels, z = self.image_decoder(Vsub, kept, masked, W4, real4)
+        mask_rows, z = self.image_decoder(Vsub, kept, masked, W4, real4)
+        pixel_head = self.image_decoder.pixel_head
 
         z_stack = T.transpose(T.reshape(z, (N_SUBS, b, z.shape[1])), (1, 0, 2))
         p_agg = T.l2_normalize(self.aggregator(z_stack))
 
-        targets = Tensor(gather_sub_patches(batch.subs, masked, batch.rows))
+        # The loss gathers its targets a few groups at a time, in its
+        # forward and again in its VJP.
+        targets = partial(gather_sub_patches, batch.subs, masked, batch.rows, batch.image_cfg)
 
         reference = None if dc_reference is None else Tensor(dc_reference)
         if aux is not None:
-            aux["pixels"] = pixels.data.copy()
+            with T.no_grad():
+                aux["pixels"] = pixel_head(mask_rows).data
             aux["z"] = z.data.copy()
             aux["dc_reference"] = losses.similarity_distribution(
                 v_itc, w_itc, tau).data.copy()
 
         return {
-            "rec": losses.reconstruction_loss(targets, pixels, squared=rec_squared),
+            "rec": losses.reconstruction_loss(mask_rows, pixel_head, targets,
+                                              squared=rec_squared),
             "itc": losses.itc_loss(v_itc, w_itc, tau),
             "si": losses.si_loss(v_itc, p_agg),
             "dc": losses.dc_loss(p_agg, v_itc, w_itc, tau, entropy_sign=entropy_sign,
@@ -155,16 +163,21 @@ class BatchArrays:
     [N, 4, P, patch_dim] array shared with the dataset and ``rows`` (int
     [B], default ``arange(N)``) the batch's rows in it, so every gather
     indexes that array once and a subset of a subset composes its rows.
+    ``subs`` holds uint8 channel bytes, which a gather expands by
+    ``image_cfg`` (``imaging.patch_pixels``), or float pixels, used as
+    they are.
     """
 
     def __init__(self, low_patches: np.ndarray, subs: np.ndarray,
                  ids: np.ndarray, real: np.ndarray,
                  labels: dict[str, np.ndarray] | None = None,
                  sample_ids: list[str] | None = None,
-                 rows: np.ndarray | None = None):
+                 rows: np.ndarray | None = None,
+                 image_cfg: ImageConfig | None = None):
         self.low_patches = low_patches
         self.subs = subs
         self.rows = np.arange(subs.shape[0]) if rows is None else rows
+        self.image_cfg = image_cfg
         self.ids = ids
         self.real = real
         self.labels = labels or {}
@@ -175,8 +188,8 @@ class BatchArrays:
         return self.low_patches.shape[0]
 
     def sub_patches(self) -> np.ndarray:
-        """A copy of the batch's sub-image patches [B, 4, P, patch_dim]."""
-        return self.subs[self.rows]
+        """A float copy of the batch's sub-image patches [B, 4, P, patch_dim]."""
+        return patch_pixels(self.subs[self.rows], self.image_cfg)
 
     def subset(self, index: np.ndarray) -> "BatchArrays":
         return BatchArrays(
@@ -184,17 +197,19 @@ class BatchArrays:
             self.ids[index], self.real[index],
             {t: v[index] for t, v in self.labels.items()},
             [self.sample_ids[i] for i in index] if self.sample_ids else [],
-            self.rows[index])
+            self.rows[index], self.image_cfg)
 
 
-def gather_sub_patches(subs: np.ndarray, index: np.ndarray,
-                       rows: np.ndarray) -> np.ndarray:
-    """Patches ``index`` (group-major int [4B, k]) of the sub-images of
-    ``subs`` [N, 4, P, patch_dim] at ``rows`` (int [B]); returns
-    [4B, k, patch_dim]."""
-    g = np.arange(index.shape[0])[:, None]
+def gather_sub_patches(subs: np.ndarray, index: np.ndarray, rows: np.ndarray,
+                       cfg: ImageConfig | None = None,
+                       groups: slice = slice(None)) -> np.ndarray:
+    """Float pixels of patches ``index`` (group-major int [4B, k]) of the
+    sub-images of ``subs`` [N, 4, P, patch_dim] at ``rows`` (int [B]), for
+    the groups ``groups`` of the 4B; returns [len(groups), k, patch_dim].
+    uint8 ``subs`` are expanded by ``cfg`` (``imaging.patch_pixels``)."""
+    g = np.arange(index.shape[0])[groups, None]
     b = rows.shape[0]
-    return subs[rows[g % b], g // b, index]
+    return patch_pixels(subs[rows[g % b], g // b, index[groups]], cfg)
 
 
 def group_major_masks(specs: list[list]) -> tuple[np.ndarray, np.ndarray]:

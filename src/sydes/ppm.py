@@ -1,7 +1,8 @@
 """Minimal binary PPM (P6) reader/writer.
 
 Pixels are exchanged as float arrays in [0, 1] of shape [H, W, 3]; files use
-8-bit channels (maxval 255).  This is the only image codec in the package.
+8-bit channels (maxval 255), which ``read_ppm_bytes`` returns as they are.
+This is the only image codec in the package.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ from .errors import DataError
 
 
 def read_ppm(path: str) -> np.ndarray:
+    """The image at ``path`` as float64 [H, W, 3] in [0, 1]."""
+    return read_ppm_bytes(path) / 255.0
+
+
+def read_ppm_bytes(path: str) -> np.ndarray:
+    """The image at ``path`` as its uint8 [H, W, 3] channel bytes."""
     with open(path, "rb") as f:
         raw = f.read()
     fields: list[bytes] = []
@@ -47,8 +54,7 @@ def read_ppm(path: str) -> np.ndarray:
     body = raw[pos:pos + n]
     if len(body) != n:
         raise DataError(f"{path}: expected {n} pixel bytes, found {len(body)}")
-    img = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
-    return img.astype(np.float64) / 255.0
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
 
 
 def write_ppm(path: str, image: np.ndarray) -> None:

@@ -24,7 +24,8 @@ this module.  Design points:
   (``x @ W + b``), ``attention`` (``softmax(q @ k^T * scale + mask) @ v``,
   which keeps each score row's max and exp-sum, and no [Tq, Tk] array: its
   VJP recomputes the weights a chunk of the first axis at a time) and
-  ``sum_squares`` (``sum_(x * x, axis=-1)``, which keeps only ``x``).  Each
+  ``linear_sq_error`` (the per-row ``sum_((x @ W + b - target)**2)``, which
+  keeps ``x``, ``W`` and ``b`` and no residual: its VJP rebuilds it).  Each
   is one node whose forward and VJP repeat the composed ops' products and
   sums in the same order, so their values are bitwise those of the composed
   ops.
@@ -64,8 +65,8 @@ Array = np.ndarray
 _FLOAT64 = np.dtype(np.float64)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# Most float64 values one chunk of the attention VJP, or of the squares in
-# ``sum_squares``, holds (2^17, 1 MB).
+# Most float64 values one chunk of the attention VJP, or of the target and
+# the squares in ``linear_sq_error``, holds (2^17, 1 MB).
 ATTENTION_CHUNK = 1 << 17
 
 
@@ -372,7 +373,8 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
     a = _coerce(a)
-    inv = np.argsort(axes)
+    # The inverse permutation, as np.argsort(axes) gives it, without its call.
+    inv = sorted(range(len(axes)), key=axes.__getitem__)
     return _track(np.transpose(a.data, axes), (a,),
                   lambda g: (np.transpose(g, inv),))
 
@@ -447,33 +449,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     # sum then divide is what ``ndarray.mean`` does, without its Python wrapper.
     return _track(a.data.sum(axis=axis, keepdims=keepdims) / count, (a,),
                   lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
-
-
-def sum_squares(a) -> Tensor:
-    """``sum_(a * a, axis=-1)`` as one tape node, bitwise.
-
-    The input is squared and summed a few rows of its last axis at a time
-    (as many as fit in ``ATTENTION_CHUNK`` values, at least one), so no
-    squared array of its size is made.  The node keeps only ``a``'s data,
-    and its VJP returns one array, ``a * g[..., None]`` doubled in place:
-    bitwise the ``(g*a) + (g*a)`` that ``mul`` hands to a parent used twice.
-    """
-    a = _coerce(a)
-    x = a.data
-    rows = x.reshape(-1, x.shape[-1])
-    out = np.empty(rows.shape[0])
-    step = max(1, ATTENTION_CHUNK // x.shape[-1])
-    for i in range(0, rows.shape[0], step):
-        c = rows[i:i + step]
-        out[i:i + step] = (c * c).sum(axis=-1)
-    out = out.reshape(x.shape[:-1])
-
-    def vjp(g):
-        gx = x * np.asarray(g)[..., None]
-        gx += gx
-        return (gx,)
-
-    return _track(out, (a,), vjp)
 
 
 # -- elementwise unary ops ----------------------------------------------------
@@ -646,6 +621,61 @@ def linear(x, weight, bias=None) -> Tensor:
         return gx, gw, _unbroadcast(g, ws[1:]) if bias_tracked else None
 
     return _track(y, parents, vjp)
+
+
+def linear_sq_error(x, weight, bias, target) -> Tensor:
+    """The per-row squared error of ``linear(x, weight, bias)`` against a
+    target, ``sum_((y - t) * (y - t), axis=-1)``, as one tape node, for
+    ``x`` [G, ..., n], ``weight`` [n, m] and ``bias`` [m].
+
+    ``target(c)`` returns the rows of ``t`` [G, ..., m] at ``c``, a slice of
+    the first axis, so ``t`` is never held whole.  The forward makes the
+    residual ``y - t`` in one buffer (``linear``'s product and in-place
+    bias add), subtracts the target a chunk of the first axis at a time (at
+    most ``ATTENTION_CHUNK`` values, at least one index) and sums each
+    chunk's squared rows.  The node keeps ``x``, ``weight``, ``bias`` and
+    ``target``, and no residual: its VJP rebuilds it once, as ``attention``
+    rebuilds its weights.  Every value is bitwise that of ``linear``, then
+    ``sub``, then ``sum_(d * d, axis=-1)``.
+    """
+    x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
+    xd, wd, bd = x.data, weight.data, bias.data
+    xs, ws = xd.shape, wd.shape
+    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or bd.shape != ws[1:]:
+        raise ShapeError(f"linear_sq_error needs [..., n] x [n, m] + [m] with ndim >= 2, "
+                         f"got {xs} x {ws} + {bd.shape}")
+    n, m = xs[0], ws[1]
+    step = max(1, ATTENTION_CHUNK // (int(np.prod(xs[1:-1])) * m))
+    tracked = x.requires_grad, weight.requires_grad, bias.requires_grad
+
+    def residual(sums: Array | None = None) -> Array:
+        r = xd @ wd
+        r += bd
+        for i in range(0, n, step):
+            rc = r[i:i + step]
+            t = target(slice(i, i + step))
+            if t.shape != rc.shape:
+                raise ShapeError(f"linear_sq_error target rows {t.shape} != predictions {rc.shape}")
+            rc -= t
+            if sums is not None:
+                flat = rc.reshape(-1, m)
+                sums[i:i + step] = (flat * flat).sum(axis=-1).reshape(rc.shape[:-1])
+        return r
+
+    out = np.empty(xs[:-1])
+    residual(out)
+
+    def vjp(g):
+        # sum_'s and sub's gradients, then linear's, in their order.
+        gr = residual()
+        gr *= np.asarray(g)[..., None]
+        gr += gr
+        g2 = gr.reshape(-1, m)
+        return ((g2 @ wd.T).reshape(xs) if tracked[0] else None,
+                xd.reshape(-1, xs[-1]).T @ g2 if tracked[1] else None,
+                _unbroadcast(gr, ws[1:]) if tracked[2] else None)
+
+    return _track(out, (x, weight, bias), vjp)
 
 
 def _attention_weights(q: Array, k: Array, scale: float, mask: Array | None,

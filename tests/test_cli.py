@@ -172,6 +172,22 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert image in err and f"got {width}x{height}" in err and "Traceback" not in err
 
+    def test_truncated_pixel_data_is_data_error_naming_file(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+        image = os.path.join(data, first["image"])
+        blob = read_bytes(image)
+        with open(image, "wb") as f:
+            f.write(blob[:-100])
+        rc = main(["pretrain", "--config", workspace["config"], "--data", str(data),
+                   "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        n = 64 * 64 * 3
+        assert f"{image}: expected {n} pixel bytes, found {n - 100}" in err
+        assert "Traceback" not in err and not os.path.exists(tmp_path / "o" / "pretrain-epoch1.ckpt")
+
 
 @pytest.fixture(scope="module")
 def finetuned(workspace):

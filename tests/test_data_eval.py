@@ -11,10 +11,10 @@ import pytest
 from sydes.data import (LABELS, DatasetArrays, Sample, generate_synthetic,
                         ingest_manifest, label_counts, write_manifest)
 from sydes.errors import DataError
-from sydes.imaging import ImageConfig, sample_mask
+from sydes.imaging import ImageConfig, mixed_scale_split, patch_pixels, patchify, sample_mask
 from sydes.metrics import compute_metrics
 from sydes.model import gather_sub_patches, group_major_masks
-from sydes.ppm import write_ppm
+from sydes.ppm import read_ppm, write_ppm
 from sydes.tensor import RngState
 from sydes.text import Vocab
 
@@ -202,7 +202,7 @@ class TestBatchArrays:
         batch = data.batch(np.array([5, 1, 3]))
         assert batch.subs is subs and np.shares_memory(batch.subs, subs)
         assert np.shares_memory(batch.subset(np.array([2, 0])).subs, subs)
-        assert batch.sub_patches().tobytes() == subs[[5, 1, 3]].tobytes()
+        assert batch.sub_patches().tobytes() == (subs[[5, 1, 3]] / 255.0).tobytes()
 
     def test_gathers_equal_gathering_from_the_copied_batch(self, data):
         subs = data.arrays.subs
@@ -213,12 +213,37 @@ class TestBatchArrays:
         for batch, rows in cases:
             assert np.array_equal(batch.rows, rows)
             assert batch.sample_ids == [data.samples[r].id for r in rows]
-            assert batch.sub_patches().tobytes() == subs[rows].tobytes()
+            assert batch.sub_patches().tobytes() == patch_pixels(subs[rows], CFG).tobytes()
             kept, masked = self.masks(rows.size, 10)
             for picks in (kept, masked):
-                old = gather_sub_patches(subs[rows], picks, np.arange(rows.size))
-                new = gather_sub_patches(batch.subs, picks, batch.rows)
+                old = gather_sub_patches(subs[rows], picks, np.arange(rows.size), CFG)
+                new = gather_sub_patches(batch.subs, picks, batch.rows, CFG)
                 assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("cfg", [CFG, ImageConfig(normalize_mean=(0.5, 0.4, 0.3),
+                                                      normalize_std=(0.2, 0.25, 0.3))],
+                             ids=["plain", "normalized"])
+    def test_sub_images_are_bytes_that_expand_to_the_float_path(self, tmp_path, cfg):
+        """The dataset keeps sub-image bytes; every gather is bitwise the
+        float64 ``read_ppm`` then ``normalize`` path, and so are the
+        low-resolution patches."""
+        samples = generate_synthetic(5, cfg, RngState(12, "data"), str(tmp_path))
+        data = DatasetArrays(samples, cfg, Vocab.build(s.text for s in samples), 16)
+        assert data.arrays.subs.dtype == np.uint8
+        bundles = [mixed_scale_split(cfg.normalize(read_ppm(s.image_path)), cfg)
+                   for s in samples]
+        subs = np.array([[patchify(sub, cfg) for sub in b.subs] for b in bundles])
+        low = np.array([patchify(b.low, cfg) for b in bundles])
+        assert data.arrays.low_patches.tobytes() == low.tobytes()
+        rows = np.array([4, 0, 2])
+        batch = data.batch(rows)
+        assert batch.sub_patches().tobytes() == subs[rows].tobytes()
+        for picks in self.masks(rows.size, 13):
+            want = gather_sub_patches(subs[rows], picks, np.arange(rows.size))
+            got = gather_sub_patches(batch.subs, picks, batch.rows, batch.image_cfg)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            part = gather_sub_patches(batch.subs, picks, batch.rows, cfg, slice(2, 7))
+            assert part.tobytes() == want[2:7].tobytes()
 
 
 class TestMetrics:

@@ -1,13 +1,14 @@
-"""The fused ``linear``, ``attention`` and ``sum_squares`` ops: bitwise
+"""The fused ``linear``, ``attention`` and ``linear_sq_error`` ops: bitwise
 agreement with the composed ops they replace, skipped gradients for
 untracked parents, finite differences, and one tape node per call."""
 
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from sydes import nn
+from sydes import losses, nn
 from sydes import tensor as T
 from sydes.errors import ShapeError
 from sydes.gradcheck import CheckResult, check_leaves
@@ -34,19 +35,37 @@ def assert_bitwise(got, want):
         assert ga.shape == gb.shape and ga.tobytes() == gb.tobytes()
 
 
-def tape_kinds(root) -> Counter:
-    """Op nodes reachable from ``root``, counted by the function that built
-    their VJP."""
-    kinds, seen, stack = Counter(), set(), [root]
+def tape_nodes(root) -> list:
+    """Op nodes reachable from ``root``."""
+    nodes, seen, stack = [], set(), [root]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         if node._vjp is not None:
-            kinds[node._vjp.__qualname__.split(".")[0]] += 1
+            nodes.append(node)
         stack.extend(node._parents)
-    return kinds
+    return nodes
+
+
+def tape_kinds(root) -> Counter:
+    """Op nodes reachable from ``root``, counted by the function that built
+    their VJP."""
+    return Counter(node._vjp.__qualname__.split(".")[0] for node in tape_nodes(root))
+
+
+def closure_arrays(fn) -> list:
+    """The arrays a function's closure holds, also through the closures of
+    the Python functions it holds."""
+    arrays = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, types.FunctionType):
+            arrays += closure_arrays(value)
+    return arrays
 
 
 def causal(t):
@@ -307,40 +326,95 @@ class TestAttentionRecompute:
 
 
 class TestSumSquares:
-    SHAPES = [(7,), (5, 6), (5, 3, 4), (3, 2, 4, 5)]
+    """``linear_sq_error``: the per-row sum of squares of a linear layer's
+    residual against a target, as one node."""
+
+    SHAPES = [(7, 4), (5, 6, 4), (5, 3, 4), (3, 2, 4, 4)]
+    M = 5
+
+    def operands(self, seed, shape):
+        rng = RngState(seed, "linear-sq-error")
+        x = leaf(rng.split("x"), shape)
+        w, b = leaf(rng.split("w"), (shape[-1], self.M)), leaf(rng.split("b"), (self.M,))
+        t = rng.split("t").uniform(shape[:-1] + (self.M,))
+        return x, w, b, t
+
+    @staticmethod
+    def composed(x, w, b, t):
+        d = T.linear(x, w, b) - Tensor(t)
+        return T.sum_(d * d, axis=-1)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("chunked", [False, True])
     def test_bitwise_equal_to_composed_ops(self, shape, chunked, monkeypatch):
-        rng = RngState(50, "sum-squares")
-        x = leaf(rng.split("x"), shape)
-        upstream = rng.split("g").normal(shape[:-1])
+        x, w, b, t = self.operands(50, shape)
+        upstream = RngState(50, "g").normal(shape[:-1])
         if chunked:
             # Two leading rows per chunk, so the last chunk is short when
             # the first axis is odd.
-            monkeypatch.setattr(T, "ATTENTION_CHUNK", 2 * x.data[0].size)
-        assert_bitwise(grads_of(lambda: T.sum_squares(x), [x], upstream),
-                       grads_of(lambda: T.sum_(x * x, axis=-1), [x], upstream))
+            monkeypatch.setattr(T, "ATTENTION_CHUNK", 2 * t[0].size)
+        assert_bitwise(grads_of(lambda: T.linear_sq_error(x, w, b, t.__getitem__),
+                                [x, w, b], upstream),
+                       grads_of(lambda: self.composed(x, w, b, t), [x, w, b], upstream))
 
-    def test_node_keeps_only_its_input(self):
-        x = leaf(RngState(51), (4, 3, 5))
-        a = x * 2.0  # interior: linked through a data-less graph node
-        out = T.sum_squares(a)
-        cells = [c.cell_contents for c in out._vjp.__closure__]
-        arrays = [c for c in cells if isinstance(c, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0] is a.data
-        assert not any(isinstance(c, Tensor) for c in cells)
-        assert all(p.data.size == 0 for p in out._parents)
-        assert tape_kinds(out) == Counter(sum_squares=1, mul=1)
+    def test_node_keeps_only_its_input(self, monkeypatch):
+        """No node of a reconstruction loss's tape keeps an array the size
+        of the residual: the rows, weight and bias are smaller (the head
+        widens 3 to 8), and the target is read through its function."""
+        monkeypatch.setattr(T, "ATTENTION_CHUNK", 16)
+        rng = RngState(51, "rec-closure")
+        head = nn.Linear(3, 8)
+        head.initialize(rng.split("head"))
+        x = leaf(rng.split("x"), (4, 6, 3))
+        rows = T.narrow(x * 2.0, 1, 0, 5)  # interior, as the decoder's mask rows are
+        t = rng.split("t").uniform((4, 5, 8))
+        loss = losses.reconstruction_loss(rows, head, t.__getitem__)
+        assert tape_kinds(loss) == Counter(linear_sq_error=1, sum_=1, mul=2, narrow=1)
+        node = next(n for n in tape_nodes(loss) if n._vjp.__qualname__.startswith("linear_sq"))
+        assert node._parents == (rows._node, head.weight, head.bias)
+        arrays = []
+        for n in tape_nodes(loss):
+            arrays += closure_arrays(n._vjp)
+        assert any(a is rows.data for a in arrays)
+        for a in arrays:
+            assert a.size < t.size and not np.shares_memory(a, t), a.shape
+        loss.backward()
+        assert x.grad.shape == x.shape and head.weight.grad.shape == (3, 8)
 
     def test_untracked_input_records_nothing(self):
-        x = leaf(RngState(52), (3, 4))
+        x, w, b, t = self.operands(52, (3, 4))
         with T.no_grad():
-            quiet = T.sum_squares(x)
-        plain = T.sum_squares(Tensor(x.data))
+            quiet = T.linear_sq_error(x, w, b, t.__getitem__)
+        plain = T.linear_sq_error(*(Tensor(v.data) for v in (x, w, b)), t.__getitem__)
+        want = self.composed(x, w, b, t).data.tobytes()
         for out in (quiet, plain):
             assert out._vjp is None and not out.requires_grad
-            assert out.data.tobytes() == (x.data * x.data).sum(axis=-1).tobytes()
+            assert out.data.tobytes() == want
+
+    def test_untracked_parent_gets_no_gradient(self):
+        x, w, b, t = self.operands(53, (2, 3, 4))
+        w.requires_grad = False
+        out = T.linear_sq_error(x, w, b, t.__getitem__)
+        gx, gw, gb = out._vjp(np.ones(out.shape))
+        assert gx.shape == x.shape and gw is None and gb.shape == (self.M,)
+
+    def test_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(T, "ATTENTION_CHUNK", 30)
+        for case in range(5):
+            x, w, b, t = self.operands(case, (3, 2, 4))
+            result = CheckResult("linear_sq_error")
+            check_leaves(lambda: T.sum_(T.tanh(T.linear_sq_error(x, w, b, t.__getitem__))),
+                         [x, w, b], result, RngState(case))
+            assert result.passed and result.checked == x.size + w.size + b.size, result.line()
+
+    def test_shape_errors(self):
+        x, w, b, t = self.operands(54, (2, 3, 4))
+        with pytest.raises(ShapeError):
+            T.linear_sq_error(x, w, b, lambda c: t[c, :2])
+        with pytest.raises(ShapeError):
+            T.linear_sq_error(x, w, Tensor(np.ones(4)), t.__getitem__)
+        with pytest.raises(ShapeError):
+            T.linear_sq_error(Tensor(np.ones(4)), w, b, t.__getitem__)
 
 
 class TestTapeNodes:

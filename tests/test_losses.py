@@ -8,8 +8,8 @@ import pytest
 
 from sydes import losses
 from sydes import tensor as T
-from sydes.errors import ContractError, DataError
-from sydes.gradcheck import SCENARIOS, CheckResult
+from sydes.errors import ContractError, DataError, ShapeError
+from sydes.gradcheck import SCENARIOS, CheckResult, identity_head, run_suite
 from sydes.losses import (Aggregator, LossWeights, cls_loss, dc_loss,
                           finetune_loss, itc_loss, pretrain_loss,
                           reconstruction_loss, si_loss, similarity_distribution)
@@ -21,45 +21,52 @@ def unit_rows(seed, n, d):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def rec_loss(target, pred, **kwargs):
+    """``reconstruction_loss`` of ``pred`` against ``target``: ``pred`` is
+    sent through an identity head, which gives it back bitwise."""
+    head = identity_head(pred.shape[-1])
+    return reconstruction_loss(pred, head, target.data.__getitem__, **kwargs)
+
+
 class TestReconstruction:
     def test_perfect_prediction_zero(self):
         x = Tensor(RngState(1).uniform((4, 3, 6)))
-        assert reconstruction_loss(x, Tensor(x.data.copy())).item() == 0.0
+        assert rec_loss(x, Tensor(x.data.copy())).item() == 0.0
 
     def test_hand_sum_single_patch(self):
         """One patch, error 0.5 on each of 4 pixels: 4 * 0.25 = 1.0."""
         target = Tensor(np.zeros((1, 1, 4)))
         pred = Tensor(np.full((1, 1, 4), 0.5))
-        assert reconstruction_loss(target, pred).item() == pytest.approx(1.0)
+        assert rec_loss(target, pred).item() == pytest.approx(1.0)
 
     def test_squared_homogeneity(self):
         target = Tensor(np.zeros((4, 2, 5)))
         pred = Tensor(RngState(2).normal((4, 2, 5)))
-        one = reconstruction_loss(target, pred).item()
-        two = reconstruction_loss(target, Tensor(2 * pred.data)).item()
+        one = rec_loss(target, pred).item()
+        two = rec_loss(target, Tensor(2 * pred.data)).item()
         assert two == pytest.approx(4 * one)
 
     def test_unsquared_variant_homogeneity(self):
         target = Tensor(np.zeros((4, 2, 5)))
         pred = Tensor(RngState(3).normal((4, 2, 5)))
-        one = reconstruction_loss(target, pred, squared=False).item()
-        two = reconstruction_loss(target, Tensor(2 * pred.data), squared=False).item()
+        one = rec_loss(target, pred, squared=False).item()
+        two = rec_loss(target, Tensor(2 * pred.data), squared=False).item()
         assert two == pytest.approx(2 * one)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ContractError):
-            reconstruction_loss(Tensor(np.zeros((4, 0, 5))), Tensor(np.zeros((4, 0, 5))))
+            rec_loss(Tensor(np.zeros((4, 0, 5))), Tensor(np.zeros((4, 0, 5))))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            reconstruction_loss(Tensor(np.zeros((4, 2, 5))), Tensor(np.zeros((4, 3, 5))))
+        with pytest.raises(ShapeError):
+            rec_loss(Tensor(np.zeros((4, 2, 5))), Tensor(np.zeros((4, 3, 5))))
 
     @pytest.mark.parametrize("squared", [True, False])
     def test_bitwise_equal_to_the_composed_ops(self, squared):
         rng = RngState(4, "rec-bitwise")
         target = Tensor(rng.split("t").uniform((8, 3, 5)))
         pred = Tensor(rng.split("p").normal((8, 3, 5)), requires_grad=True)
-        loss = reconstruction_loss(target, pred, squared=squared)
+        loss = rec_loss(target, pred, squared=squared)
         loss.backward()
         got = (loss.data.tobytes(), pred.grad.tobytes())
         pred.zero_grad()
@@ -72,15 +79,16 @@ class TestReconstruction:
         assert got == (want.data.tobytes(), pred.grad.tobytes())
 
     def test_forward_and_backward_peak_memory(self):
-        """Guard: the loss holds one array of the inputs' size besides the
-        difference it keeps, so forward plus backward peaks near 2x one
-        input (the composed ``sum_(d * d)`` peaked near 5x)."""
+        """Guard: the loss keeps no difference; its backward holds the
+        rebuilt residual and the rows' gradient, so forward plus backward
+        peaks near 2x one input (the composed ``sum_(d * d)`` peaked near
+        5x)."""
         rng = RngState(5, "rec-memory")
         target = Tensor(rng.split("t").uniform((16, 24, 96)))
         pred = Tensor(rng.split("p").normal((16, 24, 96)), requires_grad=True)
         tracemalloc.start()
         try:
-            reconstruction_loss(target, pred).backward()
+            rec_loss(target, pred).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,6 +362,13 @@ class TestLossGradients:
     """Every loss matches finite differences on small random inputs (a
     faster slice of the acceptance gradient oracle)."""
 
+    def test_nothing_checked_is_no_pass(self):
+        assert not CheckResult("empty").passed
+        results = run_suite(seed=0, cases=0, composite_cases=1)
+        for r in results[:len(SCENARIOS)]:
+            assert r.checked == 0 and not r.passed and " FAIL  coords=0 " in r.line()
+        assert all(r.checked and r.passed for r in results[len(SCENARIOS):])
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_loss_matches_finite_differences(self, name):
         result = CheckResult(name)
@@ -368,7 +383,7 @@ class TestLossGradients:
             p = Tensor(unit_rows(440 + seed, 4, 6))
             target = Tensor(RngState(seed, "t").uniform((4, 2, 5)))
             pred = Tensor(RngState(seed, "p").normal((4, 2, 5)))
-            assert reconstruction_loss(target, pred).item() >= 0
+            assert rec_loss(target, pred).item() >= 0
             assert itc_loss(v, w, 0.3).item() >= 0
             assert si_loss(v, p).item() >= 0
             logits = Tensor(RngState(seed, "l").normal((4, 3)))

@@ -311,8 +311,12 @@ def _op_scenarios(rng):
     me = leaf(rng.split("mean"), (n, m))
     scen.append(("mean", [me], lambda: T.sum_(T.tanh(T.mean(me, axis=0)))))
 
-    ss = leaf(rng.split("sum_squares"), (n, m))
-    scen.append(("sum_squares", [ss], lambda: T.sum_(T.tanh(T.sum_squares(ss)))))
+    se_x = leaf(rng.split("sq_error/x"), (2, n, m))
+    se_w = leaf(rng.split("sq_error/w"), (m, k))
+    se_b = leaf(rng.split("sq_error/b"), (k,))
+    se_t = rng.split("sq_error/t").uniform((2, n, k))
+    scen.append(("linear_sq_error", [se_x, se_w, se_b],
+                 lambda: T.sum_(T.tanh(T.linear_sq_error(se_x, se_w, se_b, se_t.__getitem__)))))
 
     lg = Tensor(rng.split("log").uniform((n,), 0.5, 2.0), requires_grad=True)
     scen.append(("log", [lg], lambda: T.sum_(T.log(lg))))

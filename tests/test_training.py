@@ -223,11 +223,17 @@ class TestTapeKeepsWhatVJPsRead:
         kept, masked = training.batch_masks(model, batch.sample_ids, 0,
                                             cfg.pretrain.mask_ratio, RngState(3))
         refs = {}
-        reconstruction_loss = losses.reconstruction_loss
+        sq_error = T.linear_sq_error
 
-        def spy_loss(target, pred, **kwargs):
-            refs["target"], refs["pred"] = weakref.ref(target.data), weakref.ref(pred.data)
-            return reconstruction_loss(target, pred, **kwargs)
+        def spy_sq_error(x, weight, bias, target):
+            def spy_target(c):
+                rows = target(c)
+                refs["target"] = weakref.ref(rows)
+                return rows
+
+            out = sq_error(x, weight, bias, spy_target)
+            refs["errors"] = weakref.ref(out.data)
+            return out
 
         block = nn.EncoderBlock.__call__
 
@@ -236,7 +242,7 @@ class TestTapeKeepsWhatVJPsRead:
             refs.setdefault("residual", weakref.ref(out.data))
             return out
 
-        monkeypatch.setattr(losses, "reconstruction_loss", spy_loss)
+        monkeypatch.setattr(T, "linear_sq_error", spy_sq_error)
         monkeypatch.setattr(nn.EncoderBlock, "__call__", spy_block)
         outputs = []
         if keep_outputs:
@@ -257,10 +263,10 @@ class TestTapeKeepsWhatVJPsRead:
 
     def test_unread_outputs_die_with_the_forward(self, corpus, monkeypatch):
         alive, grads = self.forward_and_backward(corpus, monkeypatch, keep_outputs=False)
-        assert alive == {"target": False, "pred": False, "residual": False}
+        assert alive == {"target": False, "errors": False, "residual": False}
         monkeypatch.undo()
         alive_kept, grads_kept = self.forward_and_backward(corpus, monkeypatch, keep_outputs=True)
-        assert alive_kept["pred"] and alive_kept["residual"]  # the target is no op output
+        assert alive_kept["errors"] and alive_kept["residual"]  # the target is no op output
         assert grads == grads_kept and any(g != b"none" for g in grads)
 
 
