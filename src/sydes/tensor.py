@@ -666,7 +666,8 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
     residual(out)
 
     def vjp(g):
-        # sum_'s and sub's gradients, then linear's, in their order.
+        # The squares' gradient (the residual times g, doubled), which sub
+        # passes on unchanged, then linear's, in the composed ops' order.
         gr = residual()
         gr *= np.asarray(g)[..., None]
         gr += gr
