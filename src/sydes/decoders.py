@@ -142,4 +142,4 @@ class ClassifierHead(nn.Module):
 
     def __call__(self, fused: Tensor) -> Tensor:
         pooled = T.mean(fused, axis=1)
-        return self.fc2(T.gelu(self.fc1(pooled)))
+        return T.mlp(pooled, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)

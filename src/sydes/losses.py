@@ -81,8 +81,9 @@ def itc_loss(image_feats: Tensor, text_feats: Tensor, tau: float) -> Tensor:
     if image_feats.shape != text_feats.shape:
         raise ContractError(f"feature shapes differ: {image_feats.shape} vs {text_feats.shape}")
     logits = T.matmul(image_feats, T.transpose(text_feats, (1, 0))) * (1.0 / tau)
-    pairs = np.arange(n)
-    return 0.5 * (cls_loss(logits, pairs) + cls_loss(T.transpose(logits, (1, 0)), pairs))
+    pairs = np.eye(n)  # the one-hot rows of arange(n), which need no label check
+    return 0.5 * (_cross_entropy(logits, pairs)
+                  + _cross_entropy(T.transpose(logits, (1, 0)), pairs))
 
 
 class Aggregator(nn.Module):
@@ -109,7 +110,7 @@ class Aggregator(nn.Module):
         alpha = self.scores(z)
         pooled = T.matmul(T.reshape(alpha, (z.shape[0], 1, z.shape[1])), z)
         pooled = T.reshape(pooled, (z.shape[0], z.shape[2]))
-        return self.fc2(T.gelu(self.fc1(pooled)))
+        return T.mlp(pooled, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
 
 def si_loss(global_feats: Tensor, aggregated: Tensor) -> Tensor:
@@ -164,7 +165,12 @@ def cls_loss(logits: Tensor, labels: np.ndarray, sample_ids=None) -> Tensor:
         raise DataError(f"label {labels[bad[0]]} out of range [0, {k}) for sample {ident}")
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    return -T.sum_(T.log_softmax(logits, axis=-1) * Tensor(onehot)) * (1.0 / n)
+    return _cross_entropy(logits, onehot)
+
+
+def _cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """Mean softmax cross-entropy of [N, K] logits against one-hot rows."""
+    return -T.sum_(T.log_softmax(logits, axis=-1) * Tensor(onehot)) * (1.0 / onehot.shape[0])
 
 
 def pretrain_loss(parts: dict[str, Tensor], weights: LossWeights) -> Tensor:

@@ -80,10 +80,12 @@ class LayerNorm(Module):
 
 
 class MultiHeadAttention(Module):
-    """Standard scaled dot-product attention over [B, T, C] tokens.
+    """Standard scaled dot-product attention over [B, T, C] tokens, one
+    tape node (``T.attention``) that keeps only its inputs and weights.
 
     ``mask`` is an optional additive array broadcast onto the score tensor
-    [B, H, Tq, Tk]; use 0 for allowed and -inf for blocked entries.  Set
+    [B, H, Tq, Tk]; use 0 for allowed and -inf for blocked entries.  With
+    ``rows`` set, only the first ``rows`` query tokens attend.  Set
     ``record`` to a dict to capture the post-softmax attention weights.
     """
 
@@ -91,7 +93,6 @@ class MultiHeadAttention(Module):
         if dim % heads:
             raise ContractError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(dim, dim)
         self.wk = Linear(dim, dim)
         self.wv = Linear(dim, dim)
@@ -99,41 +100,24 @@ class MultiHeadAttention(Module):
 
     def __call__(self, q_tokens: Tensor, kv_tokens: Tensor,
                  mask: np.ndarray | None = None,
-                 record: dict | None = None) -> Tensor:
-        B, Tq, C = q_tokens.shape
-        Tk = kv_tokens.shape[1]
-        H, D = self.heads, self.head_dim
-
-        def heads_first(x: Tensor, t: int) -> Tensor:
-            return T.transpose(T.reshape(x, (B, t, H, D)), (0, 2, 1, 3))
-
-        q = heads_first(self.wq(q_tokens), Tq)
-        k = heads_first(self.wk(kv_tokens), Tk)
-        v = heads_first(self.wv(kv_tokens), Tk)
-
-        out, weights = T.attention(q, k, v, 1.0 / np.sqrt(D), mask)
+                 record: dict | None = None, rows: int | None = None) -> Tensor:
+        weights = [t for lin in (self.wq, self.wk, self.wv, self.wo)
+                   for t in (lin.weight, lin.bias)]
+        out, p = T.attention(q_tokens, kv_tokens, weights, self.heads, mask, rows)
         if record is not None:
-            record["weights"] = weights
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, Tq, C))
-        return self.wo(out)
+            record["weights"] = p
+        return out
 
 
 class Mlp(Module):
+    """``fc2(gelu(fc1(x)))``, one tape node (``T.mlp``) that keeps no hidden rows."""
+
     def __init__(self, dim: int, ratio: int = 4):
         self.fc1 = Linear(dim, dim * ratio)
         self.fc2 = Linear(dim * ratio, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
-
-
-def _first_rows(x: Tensor, h: Tensor, mask: np.ndarray | None, rows: int | None):
-    """The residual stream ``x``, the attention queries ``h`` and the
-    self-attention ``mask`` cut to the first ``rows`` rows (all when None)."""
-    if rows is None:
-        return x, h, mask
-    return (T.narrow(x, 1, 0, rows), T.narrow(h, 1, 0, rows),
-            None if mask is None else mask[..., :rows, :])
+        return T.mlp(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
 
 class EncoderBlock(Module):
@@ -154,8 +138,8 @@ class EncoderBlock(Module):
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  rows: int | None = None) -> Tensor:
         h = self.ln1(x)
-        x, q, mask = _first_rows(x, h, mask, rows)
-        x = x + self.attn(q, h, mask)
+        x = x if rows is None else T.narrow(x, 1, 0, rows)
+        x = x + self.attn(h, h, mask, rows=rows)
         x = x + self.mlp(self.ln2(x))
         return x
 
@@ -180,8 +164,8 @@ class DecoderBlock(Module):
                  self_mask: np.ndarray | None = None,
                  record: dict | None = None, rows: int | None = None) -> Tensor:
         h = self.ln1(x)
-        x, q, self_mask = _first_rows(x, h, self_mask, rows)
-        x = x + self.self_attn(q, h, self_mask)
+        x = x if rows is None else T.narrow(x, 1, 0, rows)
+        x = x + self.self_attn(h, h, self_mask, rows=rows)
         x = x + self.cross_attn(self.ln_q(x), self.ln_kv(kv), record=record)
         x = x + self.mlp(self.ln2(x))
         return x

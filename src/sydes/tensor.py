@@ -20,15 +20,16 @@ this module.  Design points:
   Inside ``with no_grad():`` ops record nothing, for forwards whose
   gradients are never read.  A VJP returns ``None`` for a parent with
   ``requires_grad=False`` instead of computing a gradient nobody reads.
-* Three fused ops keep on the tape only what their VJP reads: ``linear``
-  (``x @ W + b``), ``attention`` (``softmax(q @ k^T * scale + mask) @ v``,
-  which keeps each score row's max and exp-sum, and no [Tq, Tk] array: its
-  VJP recomputes the weights a chunk of the first axis at a time) and
-  ``linear_sq_error`` (the per-row ``sum_((x @ W + b - target)**2)``, which
-  keeps ``x``, ``W`` and ``b`` and no residual: its VJP rebuilds it).  Each
-  is one node whose forward and VJP repeat the composed ops' products and
-  sums in the same order, so their values are bitwise those of the composed
-  ops.
+* Four fused ops keep on the tape only what their VJP reads: ``linear``
+  (``x @ W + b``); multi-head ``attention`` with its projections, which
+  keeps its inputs, weights and each score row's max and exp-sum, and
+  whose VJP rebuilds q, k, v, the weights and the context; ``mlp``
+  (``fc2(gelu(fc1(x)))``, which keeps ``x``, the weights and GELU's
+  ``cdf``); and ``linear_sq_error`` (the per-row ``sum_((x @ W + b -
+  target)**2)``, which keeps ``x``, ``W`` and ``b``).  Cheap interiors are
+  rebuilt, not kept (selective recomputation, Korthikanti et al., 2022).
+  Each is one node whose forward and VJP repeat the composed ops' products
+  and sums in the same order, so their values are bitwise theirs.
 * A product with a 2-D right operand [n, m], shared by every leading index
   of ``x`` [..., n], is ``linear`` (``matmul`` hands it there).  Its VJP
   computes each gradient as one GEMM over the flattened rows of ``x`` and
@@ -227,7 +228,7 @@ def _track(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     a parent is tracked.  The output links each parent through
     ``_graph_node``, so it references no parent's array.  ``vjp`` captures
     the shapes, flags and arrays it reads, and a ``Tensor`` only when it
-    reads that tensor's data (``attention`` keeps ``q``, ``k`` and ``v``)."""
+    reads that tensor's data (``layer_norm`` keeps ``gamma``)."""
     out = Tensor(data)
     if _grad_enabled:
         for p in parents:  # a loop: any() over a generator costs more per op
@@ -481,19 +482,6 @@ def sigmoid(a) -> Tensor:
     return _track(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def gelu(a) -> Tensor:
-    """Exact (erf-based) GELU."""
-    a = _coerce(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    if not (_grad_enabled and a.requires_grad):
-        return Tensor(x * cdf)
-    # The node keeps only the derivative, computed as the VJP would compute
-    # it, so the gradient's bits are those of keeping ``x`` and ``cdf``.
-    d = cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return _track(x * cdf, (a,), lambda g: (g * d,))
-
-
 # -- fused neural-net primitives ----------------------------------------------
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -698,67 +686,148 @@ def _attention_weights(q: Array, k: Array, scale: float, mask: Array | None,
     return p, row_max, row_sum
 
 
-def attention(q, k, v, scale: float, mask=None) -> tuple[Tensor, Array]:
-    """Scaled dot-product attention ``softmax(q @ k^T * scale + mask) @ v``
-    as one tape node.
-
-    ``q`` is [..., Tq, D], ``k`` [..., Tk, D] and ``v`` [..., Tk, Dv], with
-    equal leading dims.  ``mask`` is an optional additive array that
-    broadcasts onto the [..., Tq, Tk] scores: 0 for allowed and -inf for
-    blocked entries, with at least one allowed entry per row.  Returns the
-    output and the attention weights, which the caller owns: the node keeps
-    only each row's max and exp-sum ([..., Tq, 1]), and its VJP recomputes
-    the weights from them along the first axis, at most ``ATTENTION_CHUNK``
-    score values at a time.  Forward and VJP repeat the products, sums and
-    roundings of ``matmul``, ``mul``, ``add``, ``softmax`` and ``matmul`` in
-    the same order, so every value is bitwise theirs.
+def attention(x, kv, weights, heads: int, mask=None,
+              rows: int | None = None) -> tuple[Tensor, Array]:
+    """Multi-head attention of the tokens ``x`` [B, T, C] over ``kv`` [B,
+    Tk, C] as one tape node: the ``linear`` projections ``weights`` = (wq,
+    bq, wk, bk, wv, bv, wo, bo) around ``softmax(q @ k^T / sqrt(D) + mask)
+    @ v`` on ``heads`` heads of D = C / heads.  ``mask`` broadcasts onto
+    the [B, H, Tq, Tk] scores (0 allowed, -inf blocked, at least one
+    allowed per row).  With ``rows`` set, the queries are the first
+    ``rows`` rows of ``x`` and of the mask.  Returns the output [B, Tq, C]
+    and the attention weights, which the caller owns.  The node keeps the
+    inputs, the weights and each score row's max and exp-sum; its VJP
+    rebuilds q, k and v, then the weights and the context a chunk of
+    samples (at most ``ATTENTION_CHUNK`` scores) at a time.  Every value is
+    bitwise that of the composed ``linear``, head split, ``softmax``, head
+    merge and ``narrow`` ops (with ``x is kv``, its input's gradient is
+    q's, k's and v's summed in that order).
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
-    lead = qs[:-2]
-    if (len(qs) < 2 or ks[:-2] != lead or vs[:-2] != lead
-            or ks[-1] != qs[-1] or len(vs) < 2 or vs[-2] != ks[-2]):
-        raise ShapeError(f"attention needs q [..., Tq, D], k [..., Tk, D] and "
-                         f"v [..., Tk, Dv], got {qs}, {ks}, {vs}")
-    scores_shape = qs[:-1] + ks[-2:-1]
+    x, kv = _coerce(x), _coerce(kv)
+    params = tuple(_coerce(w) for w in weights)
+    wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in params)
+    xd, kvd = x.data if rows is None else x.data[:, :rows], kv.data
+    C = xd.shape[-1]
+    if (xd.ndim != 3 or kvd.ndim != 3 or kvd.shape[::2] != xd.shape[::2] or C % heads
+            or any(w.shape != (C, C) for w in (wq, wk, wv, wo))
+            or any(b.shape != (C,) for b in (bq, bk, bv, bo))):
+        raise ShapeError(f"attention needs x [B, T, C], kv [B, Tk, C], {heads} heads "
+                         f"dividing C and [C, C] + [C] projections, got {xd.shape}, "
+                         f"{kvd.shape} and {[p.data.shape for p in params]}")
+    (B, Tq, _), Tk, D = xd.shape, kvd.shape[1], C // heads
+    scale, scores_shape = 1.0 / np.sqrt(D), (B, heads, Tq, Tk)
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
+        mask = mask if rows is None else mask[..., :rows, :]
         if _check_one_sided(scores_shape, mask.shape) != scores_shape:
             raise ShapeError(f"attention mask {mask.shape} does not broadcast "
                              f"onto scores {scores_shape}")
-        mask = mask.reshape((1,) * (len(qs) - mask.ndim) + mask.shape)
-    p, row_max, row_sum = _attention_weights(q.data, k.data, scale, mask)
-    n = qs[0] if lead else 1
-    scores_per_row = p.size // n
+        mask = mask.reshape((1,) * (4 - mask.ndim) + mask.shape)
+
+    def heads_first(inp: Array, w: Array, b: Array) -> Array:
+        y = inp @ w
+        y += b
+        return y.reshape(B, -1, heads, D).transpose(0, 2, 1, 3)
+
+    def qkv():
+        return heads_first(xd, wq, bq), heads_first(kvd, wk, bk), heads_first(kvd, wv, bv)
+
+    q, k, v = qkv()
+    p, row_max, row_sum = _attention_weights(q, k, scale, mask)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(B, Tq, C) @ wo
+    out += bo
+    t = [w.requires_grad for w in (x, kv) + params]
+    step = max(1, ATTENTION_CHUNK // (heads * Tq * Tk))
+
+    def merged(gh: Array, inp: Array, w: Array, t_in: bool, t_w: bool, t_b: bool):
+        """One projection's input, weight and bias gradients from its heads'."""
+        gm = gh.transpose(0, 2, 1, 3).reshape(inp.shape)
+        g2 = gm.reshape(-1, C)
+        return ((g2 @ w.T).reshape(inp.shape) if t_in else None,
+                inp.reshape(-1, C).T @ g2 if t_w else None,
+                _unbroadcast(gm, (C,)) if t_b else None)
 
     def vjp(g):
-        gq = np.empty(qs) if q.requires_grad else None
-        # gk is the swapped view of a [..., D, Tk] buffer, the layout of the
+        g2 = g.reshape(-1, C)
+        go = (g2 @ wo.T).reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
+        q, k, v = qkv()
+        ctx = np.empty((B, Tq, C))
+        ctx_h = ctx.reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
+        # gk is the swapped view of a [B, H, D, Tk] buffer, the layout of the
         # composed ops' product, so later products round as theirs do.
-        gkt = np.empty(lead + (ks[-1], ks[-2])) if k.requires_grad else None
-        gv = np.empty(vs) if v.requires_grad else None
-        step = max(1, ATTENTION_CHUNK // scores_per_row)
-        chunks = [slice(i, i + step) for i in range(0, n, step)] if lead else [...]
-        for c in chunks:
+        gq, gkt, gv = np.empty(q.shape), np.empty((B, heads, D, Tk)), np.empty(v.shape)
+        for i in range(0, B, step):
+            c = slice(i, i + step)
             pc, _, _ = _attention_weights(
-                q.data[c], k.data[c], scale,
-                mask if mask is None or mask.shape[0] == 1 else mask[c],
+                q[c], k[c], scale, mask if mask is None or mask.shape[0] == 1 else mask[c],
                 row_max[c], row_sum[c])
-            if gv is not None:
-                np.matmul(np.swapaxes(pc, -1, -2), g[c], out=gv[c])
-            if gq is None and gkt is None:
-                continue
-            gs = g[c] @ np.swapaxes(v.data[c], -1, -2)
+            np.matmul(pc, v[c], out=ctx_h[c])
+            np.matmul(np.swapaxes(pc, -1, -2), go[c], out=gv[c])
+            gs = go[c] @ np.swapaxes(v[c], -1, -2)
             gs -= (gs * pc).sum(axis=-1, keepdims=True)
             gs *= pc
             gs *= scale
-            if gq is not None:
-                np.matmul(gs, k.data[c], out=gq[c])
-            if gkt is not None:
-                np.matmul(np.swapaxes(q.data[c], -1, -2), gs, out=gkt[c])
-        return gq, None if gkt is None else np.swapaxes(gkt, -1, -2), gv
+            np.matmul(gs, k[c], out=gq[c])
+            np.matmul(np.swapaxes(q[c], -1, -2), gs, out=gkt[c])
+        del q, k, v, go
+        gwo = ctx.reshape(-1, C).T @ g2 if t[8] else None
+        gx, gwq, gbq = merged(gq, xd, wq, t[0], t[2], t[3])
+        gk_in, gwk, gbk = merged(np.swapaxes(gkt, -1, -2), kvd, wk, t[1], t[4], t[5])
+        gv_in, gwv, gbv = merged(gv, kvd, wv, t[1], t[6], t[7])
+        if gx is not None and rows is not None:  # narrow's gradient: zeros past the rows
+            gx = np.pad(gx, ((0, 0), (0, x.data.shape[1] - rows), (0, 0)))
+        grads = (gwq, gbq, gwk, gbk, gwv, gbv, gwo, _unbroadcast(g, (C,)) if t[9] else None)
+        if x is kv:
+            return (None if gx is None else (gx + gk_in) + gv_in, *grads)
+        return (gx, None if gk_in is None else gk_in + gv_in, *grads)
 
-    return _track(p @ v.data, (q, k, v), vjp), p
+    return _track(out, (kv,) + params if x is kv else (x, kv) + params, vjp), p
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` with the exact (erf-based)
+    GELU, as one tape node, for ``x`` [..., n] (ndim >= 2), ``w1`` [n, k]
+    and ``w2`` [k, m].  The node keeps ``x``, the weights and GELU's
+    ``cdf``, and no hidden rows: its VJP rebuilds the pre-activation ``a``
+    with the first GEMM, then ``a * cdf`` and GELU's derivative, so ``erf``
+    runs once per call.  Every value is bitwise that of ``linear``, GELU's
+    ``a * cdf`` and ``linear``.
+    """
+    params = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
+    xd, w1d, b1d, w2d, b2d = (t.data for t in params)
+    xs, k, m = xd.shape, b1d.shape[-1:], b2d.shape[-1:]
+    if (len(xs) < 2 or len(k) != 1 or len(m) != 1
+            or (w1d.shape, b1d.shape, w2d.shape, b2d.shape) != (xs[-1:] + k, k, k + m, m)):
+        raise ShapeError(f"mlp needs [..., n] x [n, k] + [k] x [k, m] + [m] with ndim >= 2, "
+                         f"got {[t.data.shape for t in params]}")
+
+    a = xd @ w1d
+    a += b1d
+    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    a *= cdf
+    y = a @ w2d
+    y += b2d
+    tracked = [t.requires_grad for t in params]
+
+    def vjp(g):
+        a = xd @ w1d  # the pre-activation, rebuilt
+        a += b1d
+        g2 = g.reshape(-1, g.shape[-1])
+        gw2 = (a * cdf).reshape(-1, a.shape[-1]).T @ g2 if tracked[3] else None
+        gb2 = _unbroadcast(g, b2d.shape) if tracked[4] else None
+        d = np.exp(a * -0.5 * a)  # GELU's derivative, in place: the same bits
+        d *= a
+        del a
+        d *= _INV_SQRT2PI
+        d += cdf
+        ga = (g2 @ w2d.T).reshape(d.shape)
+        ga *= d
+        ga2 = ga.reshape(-1, ga.shape[-1])
+        return ((ga2 @ w1d.T).reshape(xs) if tracked[0] else None,
+                xd.reshape(-1, xs[-1]).T @ ga2 if tracked[1] else None,
+                _unbroadcast(ga, b1d.shape) if tracked[2] else None, gw2, gb2)
+
+    return _track(y, params, vjp)
 
 
 # -- parameters ----------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""The fused ``linear``, ``attention`` and ``linear_sq_error`` ops: bitwise
-agreement with the composed ops they replace, skipped gradients for
-untracked parents, finite differences, and one tape node per call."""
+"""The fused ``linear``, ``attention``, ``mlp`` and ``linear_sq_error`` ops:
+bitwise agreement with the composed ops they replace, skipped gradients for
+untracked parents, finite differences, one tape node per call, and what
+each node keeps."""
 
 import types
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from sydes import losses, nn
+from sydes import decoders, losses, nn
 from sydes import tensor as T
 from sydes.errors import ShapeError
 from sydes.gradcheck import CheckResult, check_leaves
@@ -56,15 +58,21 @@ def tape_kinds(root) -> Counter:
 
 
 def closure_arrays(fn) -> list:
-    """The arrays a function's closure holds, also through the closures of
-    the Python functions it holds."""
+    """The arrays a function's closure holds, also through the tuples and
+    lists and the closures of the Python functions it holds."""
     arrays = []
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
+
+    def walk(value):
         if isinstance(value, np.ndarray):
             arrays.append(value)
         elif isinstance(value, types.FunctionType):
-            arrays += closure_arrays(value)
+            arrays.extend(closure_arrays(value))
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+
+    for cell in fn.__closure__ or ():
+        walk(cell.cell_contents)
     return arrays
 
 
@@ -78,17 +86,68 @@ def swap_last2(x):
     return T.transpose(x, tuple(range(n - 2)) + (n - 1, n - 2))
 
 
-def composed_attention(q, k, v, scale, mask):
-    scores = T.matmul(q, swap_last2(k)) * scale
-    if mask is not None:
-        scores = scores + Tensor(mask)
-    return T.matmul(T.softmax(scores, axis=-1), v)
-
-
 def heads_first(x):
     """[B, T, H, D] -> [B, H, T, D], the strided layout attention sees in
     ``MultiHeadAttention``."""
     return T.transpose(x, (0, 2, 1, 3))
+
+
+def attention_inputs(rng, kind, b, t, tk, c, rows):
+    """Query tokens ``x``, key and value tokens (``x`` itself but for a
+    cross-attention), the eight projection leaves, an upstream gradient and
+    the ``rows`` prefix (None but for kind "rows")."""
+    x = leaf(rng.split("x"), (b, t, c))
+    kv = leaf(rng.split("kv"), (b, tk, c)) if kind == "cross" else x
+    weights = [leaf(rng.split(f"{name}/{part}"), (c, c) if part == "w" else (c,))
+               for name in "qkvo" for part in "wb"]
+    rows = rows if kind == "rows" else None
+    upstream = rng.split("g").normal((b, rows or t, c))
+    return x, kv, weights, upstream, rows
+
+
+def attention_leaves(x, kv, weights):
+    return ([x] if x is kv else [x, kv]) + weights
+
+
+def fused_mha(x, kv, weights, heads, mask, rows, record=None):
+    out, p = T.attention(x, kv, weights, heads, mask, rows)
+    if record is not None:
+        record["p"] = p
+    return out
+
+
+def composed_mha(x, kv, weights, heads, mask, rows, record=None):
+    """Multi-head attention from the composed ops, as ``nn`` built it
+    before it was one node: the q, k and v projections with their head
+    splits, scaled softmax attention, the head merge and ``wo``."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    b, _, c = x.shape
+    d = c // heads
+    if rows is not None:
+        x = T.narrow(x, 1, 0, rows)
+        mask = None if mask is None else mask[..., :rows, :]
+
+    def split(tokens, w, bias):
+        return heads_first(T.reshape(T.linear(tokens, w, bias), (b, tokens.shape[1], heads, d)))
+
+    q, k, v = split(x, wq, bq), split(kv, wk, bk), split(kv, wv, bv)
+    scores = T.matmul(q, swap_last2(k)) * (1.0 / np.sqrt(d))
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    p = T.softmax(scores, axis=-1)
+    if record is not None:
+        record["p"] = p.data
+    out = T.transpose(T.matmul(p, v), (0, 2, 1, 3))
+    return T.linear(T.reshape(out, (b, x.shape[1], c)), wo, bo)
+
+
+def composed_gelu(a):
+    """The exact GELU as its own node, as it was before it joined ``mlp``:
+    the node keeps the derivative."""
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    d = cdf + x * np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return T._track(x * cdf, (a,), lambda g: (g * d,))
 
 
 class TestLinear:
@@ -186,143 +245,216 @@ class TestSharedRightOperandGradients:
 
 
 class TestAttention:
-    B, H, TQ, TK, D = 2, 3, 5, 5, 3
+    """``attention``: multi-head attention as one node, bitwise the composed
+    projections, head split, softmax attention, head merge and ``wo``, for
+    self-attention, cross-attention (Tq != Tk) and a ``rows=`` prefix."""
 
-    def inputs(self, seed, tk=TK):
-        rng = RngState(seed, "attention")
-        raw = [leaf(rng.split(n), (self.B, t, self.H, self.D))
-               for n, t in (("q", self.TQ), ("k", tk), ("v", tk))]
-        upstream = rng.split("g").normal((self.B, self.H, self.TQ, self.D))
-        return raw, upstream
+    B, H, T_, TK, C, ROWS = 2, 3, 5, 7, 6, 3
+    KINDS = ("self", "cross", "rows")
+
+    def inputs(self, seed, kind, b=B):
+        return attention_inputs(RngState(seed, "attention"), kind, b, self.T_,
+                                self.TK, self.C, self.ROWS)
+
+    def mask(self, mask_kind, kind, b=B):
+        tk = self.TK if kind == "cross" else self.T_
+        if mask_kind == "none":
+            return None
+        if mask_kind == "finite":
+            return RngState(22, "attention-mask").normal((b, 1, self.T_, tk))
+        real = np.ones((b, tk), dtype=bool)
+        real[0, -2:] = False  # two pad tokens in the first sample
+        if kind == "cross":
+            return np.where(real, 0.0, -np.inf)[:, None, None, :]
+        return nn.causal_pad_mask(real)
 
     @pytest.mark.parametrize("mask_kind", ["none", "causal", "finite"])
     def test_bitwise_equal_to_composed_ops(self, mask_kind):
-        raw, upstream = self.inputs(21)
-        mask = {"none": None,
-                "causal": causal(self.TQ)[None, None],
-                "finite": RngState(22).normal((self.B, 1, self.TQ, self.TK))}[mask_kind]
-        scale = 1.0 / np.sqrt(self.D)
-        weights = {}
-
-        def fused():
-            out, weights["p"] = T.attention(*[heads_first(x) for x in raw], scale, mask)
-            return out
-
-        def composed():
-            return composed_attention(*[heads_first(x) for x in raw], scale, mask)
-
-        assert_bitwise(grads_of(fused, raw, upstream), grads_of(composed, raw, upstream))
-        scores = T.matmul(heads_first(raw[0]), swap_last2(heads_first(raw[1]))) * scale
-        if mask is not None:
-            scores = scores + Tensor(mask)
-        assert weights["p"].tobytes() == T.softmax(scores, axis=-1).data.tobytes()
-        if mask_kind == "causal":
-            above = np.triu_indices(self.TQ, 1)
-            assert np.all(weights["p"][..., above[0], above[1]] == 0.0)
+        for kind in self.KINDS:
+            x, kv, weights, upstream, rows = self.inputs(21, kind)
+            mask = self.mask(mask_kind, kind)
+            leaves = attention_leaves(x, kv, weights)
+            got, want = {}, {}
+            assert_bitwise(
+                grads_of(lambda: fused_mha(x, kv, weights, self.H, mask, rows, got),
+                         leaves, upstream),
+                grads_of(lambda: composed_mha(x, kv, weights, self.H, mask, rows, want),
+                         leaves, upstream))
+            assert got["p"].tobytes() == want["p"].tobytes(), kind
+            if mask_kind == "causal" and kind != "cross":
+                above = np.triu_indices(rows or self.T_, 1, self.T_)
+                assert np.all(got["p"][..., above[0], above[1]] == 0.0)
 
     def test_untracked_parents_get_no_gradient(self):
-        raw, _ = self.inputs(23)
-        q, k, v = (heads_first(x) for x in raw)
-        out, _ = T.attention(q, k, Tensor(v.data), 0.5)
-        gq, gk, gv = out._vjp(np.ones(out.shape))
-        assert gq.shape == q.shape and gk.shape == k.shape and gv is None
-        out, _ = T.attention(Tensor(q.data), Tensor(k.data), v, 0.5)
-        gq, gk, gv = out._vjp(np.ones(out.shape))
-        assert gq is None and gk is None and gv.shape == v.shape
+        x, kv, weights, _, _ = self.inputs(23, "cross")
+        for w in weights[2:4]:  # a frozen key projection
+            w.requires_grad = False
+        out, _ = T.attention(x, kv, weights, self.H)
+        gx, gkv, *gw = out._vjp(np.ones(out.shape))
+        assert gx.shape == x.shape and gkv.shape == kv.shape
+        assert gw[2] is None and gw[3] is None
+        assert all(g.shape == w.shape for g, w in zip(gw, weights) if w.requires_grad)
+        # Only the output projection tracked: nothing else is computed.
+        quiet = [Tensor(w.data) for w in weights[:6]] + weights[6:]
+        out, _ = T.attention(Tensor(x.data), Tensor(kv.data), quiet, self.H)
+        grads = out._vjp(np.ones(out.shape))
+        assert all(g is None for g in grads[:8])
+        assert grads[8].shape == (self.C, self.C) and grads[9].shape == (self.C,)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_finite_differences(self, masked):
-        for case in range(3):
+        for case, kind in enumerate(self.KINDS):
             rng = RngState(case, "attention-fd")
-            q, k, v = (leaf(rng.split(n), (2, 2, 4, 3)) for n in "qkv")
-            w = Tensor(rng.split("w").normal((2, 2, 4, 3)))
-            mask = causal(4) if masked else None
+            x, kv, weights, _, rows = attention_inputs(rng, kind, 2, 4, 3, 4, 2)
+            w = Tensor(rng.split("w").normal((2, rows or 4, 4)))
+            mask = None
+            if masked:
+                mask = causal(4)[None, None] if kind != "cross" else np.array([0.0, 0.0, -np.inf])
+            leaves = attention_leaves(x, kv, weights)
             result = CheckResult("attention")
-            check_leaves(lambda: T.sum_(T.attention(q, k, v, 0.7, mask)[0] * w),
-                         [q, k, v], result, rng)
-            assert result.passed, result.line()
+            check_leaves(lambda: T.sum_(T.attention(x, kv, weights, 2, mask, rows)[0] * w),
+                         leaves, result, rng)
+            assert result.passed and result.checked == sum(v.size for v in leaves), result.line()
 
     def test_cross_attention_lengths(self):
-        raw, _ = self.inputs(24, tk=7)
-        q, k, v = (heads_first(x) for x in raw)
-        out, p = T.attention(q, k, v, 0.5)
-        assert out.shape == (self.B, self.H, self.TQ, self.D)
-        assert p.shape == (self.B, self.H, self.TQ, 7)
+        x, kv, weights, _, _ = self.inputs(24, "cross")
+        out, p = T.attention(x, kv, weights, self.H)
+        assert out.shape == (self.B, self.T_, self.C)
+        assert p.shape == (self.B, self.H, self.T_, self.TK)
         assert np.allclose(p.sum(-1), 1.0, atol=1e-12)
 
     def test_shape_errors(self):
-        q = Tensor(np.ones((2, 5, 4)))
+        x, kv, weights, _, _ = self.inputs(25, "cross")
         with pytest.raises(ShapeError):
-            T.attention(q, Tensor(np.ones((2, 5, 3))), Tensor(np.ones((2, 5, 4))), 1.0)
+            T.attention(x, Tensor(np.ones((2, 7, 4))), weights, self.H)
         with pytest.raises(ShapeError):
-            T.attention(q, Tensor(np.ones((2, 6, 4))), Tensor(np.ones((2, 5, 4))), 1.0)
+            T.attention(x, Tensor(np.ones((3, 7, 6))), weights, self.H)
+        with pytest.raises(ShapeError):
+            T.attention(x, kv, weights, 4)
+        with pytest.raises(ShapeError):
+            T.attention(x, kv, weights[:7] + [Tensor(np.ones(5))], self.H)
         with pytest.raises(ShapeError, match="mask"):
-            T.attention(q, q, q, 1.0, np.zeros((3, 2, 5, 5)))
+            T.attention(x, kv, weights, self.H, np.zeros((2, 2, 3, 5, 7)))
 
 
 class TestAttentionRecompute:
-    """The VJP recomputes the weights chunk by chunk from the row statistics
-    the node keeps; nothing of size Tq*Tk stays on the tape."""
+    """The VJP rebuilds q, k, v, the weights and the context chunk by chunk
+    from the inputs and the row statistics the node keeps; nothing of size
+    Tq*Tk stays on the tape."""
 
-    B, H, T_, D = 5, 2, 5, 3
+    B = 5
+    KINDS = TestAttention.KINDS
+
+    def chunked(self, mask_kind, chunk_scores, monkeypatch):
+        """Bitwise agreement with the composed ops for every kind, with a
+        chunk of ``chunk_scores(tq, tk)`` score values; the calls of
+        ``_attention_weights`` per kind, by leading size."""
+        shapes = TestAttention()
+        calls = {}
+        for kind in self.KINDS:
+            x, kv, weights, upstream, rows = shapes.inputs(41, kind, self.B)
+            mask = shapes.mask(mask_kind, kind, self.B)
+            tq, tk = upstream.shape[1], kv.shape[1]
+            monkeypatch.setattr(T, "ATTENTION_CHUNK", chunk_scores(shapes.H * tq * tk))
+            calls[kind] = []
+
+            def counting(*args, _weights=T._attention_weights, _calls=calls[kind]):
+                _calls.append(args[0].shape[0])
+                return _weights(*args)
+
+            monkeypatch.setattr(T, "_attention_weights", counting)
+            leaves = attention_leaves(x, kv, weights)
+            got = grads_of(lambda: fused_mha(x, kv, weights, shapes.H, mask, rows),
+                           leaves, upstream)
+            monkeypatch.undo()
+            assert_bitwise(got, grads_of(
+                lambda: composed_mha(x, kv, weights, shapes.H, mask, rows), leaves, upstream))
+        return calls
 
     @pytest.mark.parametrize("mask_kind", ["none", "causal", "finite"])
     def test_chunked_vjp_bitwise_equal_to_composed_ops(self, mask_kind, monkeypatch):
-        rng = RngState(41, "attention-chunks")
-        raw = [leaf(rng.split(n), (self.B, self.T_, self.H, self.D)) for n in "qkv"]
-        upstream = rng.split("g").normal((self.B, self.H, self.T_, self.D))
-        mask = {"none": None,
-                "causal": causal(self.T_)[None, None],
-                "finite": rng.split("mask").normal((self.B, 1, self.T_, self.T_))}[mask_kind]
-        scale = 1.0 / np.sqrt(self.D)
         # Two samples' scores per chunk: chunks of 2, 2 and 1 samples.
-        monkeypatch.setattr(T, "ATTENTION_CHUNK", 2 * self.H * self.T_ * self.T_)
-        calls = []
+        calls = self.chunked(mask_kind, lambda per_sample: 2 * per_sample, monkeypatch)
+        assert calls == {kind: [self.B, 2, 2, 1] for kind in self.KINDS}
 
-        def counting(*args, _weights=T._attention_weights):
-            calls.append(args[0].shape[0])
-            return _weights(*args)
-
-        monkeypatch.setattr(T, "_attention_weights", counting)
-        weights = {}
-
-        def fused():
-            out, weights["p"] = T.attention(*[heads_first(x) for x in raw], scale, mask)
-            return out
-
-        def composed():
-            return composed_attention(*[heads_first(x) for x in raw], scale, mask)
-
-        assert_bitwise(grads_of(fused, raw, upstream), grads_of(composed, raw, upstream))
-        assert calls == [self.B, 2, 2, 1]
-        scores = T.matmul(heads_first(raw[0]), swap_last2(heads_first(raw[1]))) * scale
-        if mask is not None:
-            scores = scores + Tensor(mask)
-        assert weights["p"].tobytes() == T.softmax(scores, axis=-1).data.tobytes()
-
-    def test_unbatched_inputs_are_one_chunk(self, monkeypatch):
-        rng = RngState(43, "attention-2d")
-        raw = [leaf(rng.split(n), (t, 3)) for n, t in (("q", 4), ("k", 6), ("v", 6))]
-        upstream = rng.split("g").normal((4, 3))
-        mask = rng.split("mask").normal((4, 6))
-        monkeypatch.setattr(T, "ATTENTION_CHUNK", 1)
-        assert_bitwise(grads_of(lambda: T.attention(*raw, 0.5, mask)[0], raw, upstream),
-                       grads_of(lambda: composed_attention(*raw, 0.5, mask), raw, upstream))
+    def test_chunk_holds_at_least_one_sample(self, monkeypatch):
+        calls = self.chunked("finite", lambda per_sample: 1, monkeypatch)
+        assert calls == {kind: [self.B] + [1] * self.B for kind in self.KINDS}
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_node_keeps_no_score_sized_array(self, masked):
-        b, h, t, d = 2, 2, 8, 3
-        rng = RngState(42, "attention-closure")
-        q, k, v = (leaf(rng.split(n), (b, h, t, d)) for n in "qkv")
+        b, h, t, c = 2, 2, 8, 4
+        x, kv, weights, _, _ = attention_inputs(RngState(42, "attention-closure"),
+                                                "self", b, t, t, c, t)
         mask = causal(t)[None, None] if masked else None
-        out, p = T.attention(q, k, v, 0.5, mask)
-        captured = [cell.cell_contents for cell in out._vjp.__closure__]
-        arrays = [a for a in captured if isinstance(a, np.ndarray)]
-        assert arrays
+        out, p = T.attention(x, kv, weights, h, mask)
+        arrays = closure_arrays(out._vjp)
+        assert any(a is x.data for a in arrays)
         for a in arrays:
             assert not np.shares_memory(a, p)
             if mask is None or not np.shares_memory(a, mask):
-                assert a.size < t * t, a.shape
+                assert a.size < b * h * t * t, a.shape
+
+
+class TestMlp:
+    """``mlp``: two linear layers with an exact GELU between, as one node,
+    bitwise the composed ``linear``, GELU and ``linear``."""
+
+    @staticmethod
+    def operands(seed, x_shape, hidden=7, out=3):
+        rng = RngState(seed, "mlp")
+        n = x_shape[-1]
+        return [leaf(rng.split("x"), x_shape), leaf(rng.split("w1"), (n, hidden)),
+                leaf(rng.split("b1"), (hidden,)), leaf(rng.split("w2"), (hidden, out)),
+                leaf(rng.split("b2"), (out,))]
+
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_bitwise_equal_to_composed_ops(self, x_shape):
+        leaves = self.operands(60, x_shape)
+        x, w1, b1, w2, b2 = leaves
+        upstream = RngState(60, "g").normal(x_shape[:-1] + (3,))
+        assert_bitwise(grads_of(lambda: T.mlp(*leaves), leaves, upstream),
+                       grads_of(lambda: T.linear(composed_gelu(T.linear(x, w1, b1)), w2, b2),
+                                leaves, upstream))
+
+    def test_untracked_parent_gets_no_gradient(self):
+        x, w1, b1, w2, b2 = self.operands(61, (2, 3, 4))
+        out = T.mlp(Tensor(x.data), w1, b1, w2, b2)
+        gx, *gw = out._vjp(np.ones(out.shape))
+        assert gx is None and [g.shape for g in gw] == [(4, 7), (7,), (7, 3), (3,)]
+        for p in (w1, b1, w2):
+            p.requires_grad = False
+        out = T.mlp(Tensor(x.data), w1, b1, w2, b2)
+        assert out._parents[4] is b2
+        grads = out._vjp(np.ones(out.shape))
+        assert grads[:4] == (None,) * 4 and grads[4].shape == (3,)
+
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_finite_differences(self, x_shape):
+        for case in range(3):
+            leaves = self.operands(case, x_shape)
+            result = CheckResult("mlp")
+            check_leaves(lambda: T.sum_(T.tanh(T.mlp(*leaves))), leaves, result, RngState(case))
+            assert result.passed and result.checked == sum(v.size for v in leaves), result.line()
+
+    def test_no_grad_forward_is_the_tracked_forward(self):
+        leaves = self.operands(62, (2, 3, 4))
+        want = T.mlp(*leaves).data.tobytes()
+        with T.no_grad():
+            quiet = T.mlp(*leaves)
+        plain = T.mlp(*(Tensor(v.data) for v in leaves))
+        for out in (quiet, plain):
+            assert out._vjp is None and not out.requires_grad
+            assert out.data.tobytes() == want
+
+    def test_shape_errors(self):
+        x, w1, b1, w2, b2 = self.operands(63, (2, 3, 4))
+        with pytest.raises(ShapeError):
+            T.mlp(x, w1, b1, Tensor(np.ones((6, 3))), b2)
+        with pytest.raises(ShapeError):
+            T.mlp(x, w1, Tensor(np.ones(6)), w2, b2)
+        with pytest.raises(ShapeError):
+            T.mlp(Tensor(np.ones(4)), w1, b1, w2, b2)
 
 
 class TestSumSquares:
@@ -432,13 +564,77 @@ class TestTapeNodes:
         attn = nn.MultiHeadAttention(8, 2)
         attn.initialize(RngState(3))
         x = leaf(RngState(4), (2, 5, 8))
+        kv = leaf(RngState(5), (2, 6, 8))
+        weights = [attn.wq.weight, attn.wq.bias, attn.wk.weight, attn.wk.bias,
+                   attn.wv.weight, attn.wv.bias, attn.wo.weight, attn.wo.bias]
         mask = causal(5)[None, None] if with_mask else None
         record = {}
         out = attn(x, x, mask, record=record)
-        # Four projections, three head splits (reshape + transpose each) and
-        # one head merge around the single attention node.
-        assert tape_kinds(out) == Counter(linear=4, attention=1, reshape=4, transpose=4)
+        # The projections, head split, attention, head merge and ``wo``:
+        # one node, whose one input is the queries' and the keys' alike.
+        assert tape_kinds(out) == Counter(attention=1)
+        assert out._parents == (x, *weights)
+        _, p = T.attention(x, x, weights, 2, mask)
         assert record["weights"].shape == (2, 2, 5, 5)
+        assert record["weights"].tobytes() == p.tobytes()
+        out = attn(x, kv, record=record)
+        assert tape_kinds(out) == Counter(attention=1)
+        assert out._parents == (x, kv, *weights) and record["weights"].shape == (2, 2, 5, 6)
+
+    def test_mlp_call_is_one_mlp_node(self):
+        rng = RngState(6)
+        for module, x_shape in ((nn.Mlp(4, 2), (2, 3, 4)), (decoders.ClassifierHead(4, 3), None),
+                                (losses.Aggregator(4), (2, 4, 4))):
+            module.initialize(rng.split(type(module).__name__))
+            if x_shape is None:  # the head mean-pools its rows first
+                x = leaf(rng.split("x"), (2, 3, 4))
+                assert tape_kinds(module(x)) == Counter(mlp=1, mean=1)
+                continue
+            x = leaf(rng.split("x"), x_shape)
+            out = module(x)
+            if isinstance(module, nn.Mlp):
+                assert tape_kinds(out) == Counter(mlp=1)
+                assert out._parents == (x, module.fc1.weight, module.fc1.bias,
+                                        module.fc2.weight, module.fc2.bias)
+            else:
+                assert tape_kinds(out)["mlp"] == 1 and "gelu" not in tape_kinds(out)
+
+    def test_decoder_block_keeps_no_attention_or_mlp_interior(self, monkeypatch):
+        """A census of one ``DecoderBlock`` forward's VJP closures, with
+        query, key and hidden widths that tell the arrays apart.  Every
+        token-sized array the tape keeps is an input of the block, the
+        output of a layer norm, or a layer norm's own normalized rows:
+        never q, k, v or the attention context.  The MLP keeps one
+        hidden-sized array, its ``cdf``."""
+        b, t, tk, c, ratio = 2, 5, 7, 8, 3
+        block = nn.DecoderBlock(c, 2, ratio)
+        block.initialize(RngState(7))
+        x, kv = leaf(RngState(8), (b, t, c)), leaf(RngState(9), (b, tk, c))
+        made, track = [], T._track
+
+        def keep(data, parents, vjp):
+            made.append(track(data, parents, vjp))
+            return made[-1]
+
+        monkeypatch.setattr(T, "_track", keep)
+        out = block(x, kv, causal(t)[None, None])
+        monkeypatch.undo()
+        assert tape_kinds(out) == Counter(layer_norm=4, attention=2, mlp=1, add=3)
+        inputs = [x.data, kv.data] + [n.data for n in made
+                                      if n._vjp.__qualname__.startswith("layer_norm")]
+        token_sizes = {b * t * c, b * tk * c}
+        interior = Counter()
+        for node in tape_nodes(out):
+            kind = node._vjp.__qualname__.split(".")[0]
+            for a in closure_arrays(node._vjp):
+                if a.size in token_sizes and not any(np.shares_memory(a, i) for i in inputs):
+                    interior[kind, "tokens"] += 1
+                elif a.size == b * t * c * ratio:
+                    interior[kind, "hidden"] += 1
+        # Each layer norm keeps its normalized rows; nothing else is interior.
+        assert interior == Counter({("layer_norm", "tokens"): 4, ("mlp", "hidden"): 1})
+        T.sum_(out).backward()
+        assert x.grad.shape == x.shape and kv.grad.shape == kv.shape
 
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul])

@@ -153,6 +153,16 @@ class TestItc:
         want.backward()
         assert got == (want.data.tobytes(), v.grad.tobytes(), w.grad.tobytes())
 
+    def test_pays_for_no_label_check(self, monkeypatch):
+        """Guard: the pair labels ``arange(n)`` cannot be out of range, so
+        ``itc_loss`` shares ``cls_loss``'s cross-entropy but not its label
+        check and one-hot."""
+        def checked(*args, **kwargs):
+            raise AssertionError("itc_loss called cls_loss")
+        monkeypatch.setattr(losses, "cls_loss", checked)
+        v, w = Tensor(unit_rows(23, 4, 6)), Tensor(unit_rows(24, 4, 6))
+        assert np.isfinite(itc_loss(v, w, tau=0.3).item())
+
 
 class TestAggregator:
     def make(self, dim=6):

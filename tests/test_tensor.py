@@ -191,35 +191,50 @@ class TestTapeKeepsWhatVJPsRead:
         assert b._parents == (node, node) and c._parents[1] is node
         assert a._parents[1] is c._parents[0] and a._parents[1] is not const
 
-    def test_gelu_keeps_only_its_derivative(self):
+    def test_mlp_keeps_only_its_input_and_cdf(self):
         x = leaf(RngState(18), (3, 4))
         a = x * 2.0
-        out = T.gelu(a)
+        w1, b1 = leaf(RngState(21), (4, 6)), leaf(RngState(22), (6,))
+        w2, b2 = leaf(RngState(23), (6, 4)), leaf(RngState(24), (4,))
+        out = T.mlp(a, w1, b1, w2, b2)
         cells = [c.cell_contents for c in out._vjp.__closure__]
+        assert not any(isinstance(c, Tensor) for c in cells)
         arrays = [c for c in cells if isinstance(c, np.ndarray)]
-        assert len(arrays) == 1 and not any(isinstance(c, Tensor) for c in cells)
-        xd = a.data
-        cdf = 0.5 * (1.0 + T.erf(xd * T._INV_SQRT2))
-        assert not np.shares_memory(arrays[0], xd) and not np.array_equal(arrays[0], cdf)
-        # The gradient's bits are those of the derivative computed from x and cdf.
+        # The input and the weights, themselves, and one hidden-sized array:
+        # GELU's cdf, not the hidden rows or the derivative.
+        kept = [a.data, w1.data, b1.data, w2.data, b2.data]
+        assert all(any(arr is k for k in kept) for arr in arrays if arr.shape != (3, 6))
+        hidden = [arr for arr in arrays if arr.shape == (3, 6)]
+        pre = a.data @ w1.data + b1.data
+        cdf = 0.5 * (1.0 + T.erf(pre * T._INV_SQRT2))
+        assert len(hidden) == 1 and hidden[0].tobytes() == cdf.tobytes()
+        # The gradient's bits are those of the derivative computed from the
+        # pre-activation and cdf, as the GELU node computed it.
         g = RngState(19).normal((3, 4))
-        want = g * (cdf + xd * np.exp(-0.5 * xd * xd) * T._INV_SQRT2PI)
+        d = cdf + pre * np.exp(-0.5 * pre * pre) * T._INV_SQRT2PI
+        want = ((g @ w2.data.T) * d) @ w1.data.T
         assert out._vjp(g)[0].tobytes() == want.tobytes()
 
-    def test_gelu_untracked_computes_no_derivative(self, monkeypatch):
-        # Guard: no_grad forwards and untracked inputs do not pay for the exp.
-        tracked = leaf(RngState(20), (3, 4))
-        want = T.gelu(tracked).data
+    def test_mlp_forward_computes_no_derivative(self, monkeypatch):
+        # Guard: the forward, tracked or not, pays for no exp, and the
+        # backward pays for no second erf.
+        leaves = [leaf(RngState(20), (3, 4)), leaf(RngState(21), (4, 6)),
+                  leaf(RngState(22), (6,)), leaf(RngState(23), (6, 4)), leaf(RngState(24), (4,))]
         calls = []
-        exp = np.exp
-        monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+        exp, erf = np.exp, T.erf
+        monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append("exp") or exp(*a, **k))
+        monkeypatch.setattr(T, "erf", lambda *a, **k: calls.append("erf") or erf(*a, **k))
+        tracked = T.mlp(*leaves)
         with T.no_grad():
-            quiet = T.gelu(tracked)
-        plain = T.gelu(Tensor(tracked.data))
-        assert calls == []
+            quiet = T.mlp(*leaves)
+        plain = T.mlp(*(Tensor(v.data) for v in leaves))
+        assert calls == ["erf"] * 3
         for out in (quiet, plain):
             assert out._vjp is None and not out.requires_grad
-            assert out.data.tobytes() == want.tobytes()
+            assert out.data.tobytes() == tracked.data.tobytes()
+        calls.clear()
+        T.sum_(tracked).backward()
+        assert calls == ["exp"]
 
     def test_repeated_backward_accumulates_exactly(self):
         x = leaf(RngState(15), (4, 3))
@@ -324,9 +339,27 @@ def _op_scenarios(rng):
     sq = Tensor(rng.split("sqrt").uniform((n,), 0.5, 2.0), requires_grad=True)
     scen.append(("sqrt", [sq], lambda: T.sum_(T.sqrt(sq))))
 
-    for name, op in (("tanh", T.tanh), ("sigmoid", T.sigmoid), ("gelu", T.gelu)):
+    for name, op in (("tanh", T.tanh), ("sigmoid", T.sigmoid)):
         u = leaf(rng.split(name), (n, m))
         scen.append((name, [u], lambda u=u, op=op: T.sum_(T.sigmoid(op(u)))))
+
+    mlp = [leaf(rng.split("mlp/x"), (2, n, m)), leaf(rng.split("mlp/w1"), (m, k)),
+           leaf(rng.split("mlp/b1"), (k,)), leaf(rng.split("mlp/w2"), (k, m)),
+           leaf(rng.split("mlp/b2"), (m,))]
+    scen.append(("mlp", mlp, lambda: T.sum_(T.sigmoid(T.mlp(*mlp)))))
+
+    heads = int(gen.integers(1, 3))
+    width = 2 * heads
+    at_x = leaf(rng.split("attention/x"), (2, n, width))
+    at_kv = leaf(rng.split("attention/kv"), (2, k, width))
+    at_w = [leaf(rng.split(f"attention/{i}"), (width, width) if i % 2 == 0 else (width,))
+            for i in range(8)]
+    at_mask = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
+    at_g = Tensor(rng.split("attention/g").normal((2, n - 1, width)))
+    scen.append(("attention", [at_x, at_kv] + at_w, lambda: T.sum_(T.tanh(
+        T.attention(at_x, at_kv, at_w, heads)[0]))))
+    scen.append(("self_attention", [at_x] + at_w, lambda: T.sum_(
+        T.attention(at_x, at_x, at_w, heads, at_mask, rows=n - 1)[0] * at_g)))
 
     sm = leaf(rng.split("softmax"), (n, m))
     w = Tensor(rng.split("softmax/w").normal((n, m)))

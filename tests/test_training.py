@@ -313,8 +313,9 @@ class TestLastBlockRows:
 
     def test_last_blocks_keep_no_dropped_rows(self, corpus, monkeypatch):
         """A census of the VJP closures of the nodes each last block makes:
-        only ``ln1``, the key and value projections and attention's keys and
-        values (and, in the decoder, ``ln_kv``) keep an array with every row."""
+        only ``ln1`` and self-attention, whose key and value input it is
+        (and, in the decoder, ``ln_kv`` and cross-attention), keep an array
+        with every row."""
         made = {}
         for cls in self.BLOCKS:
             def recording(self, x, *args, _call=cls.__call__, rows=None, **kwargs):
@@ -338,9 +339,9 @@ class TestLastBlockRows:
 
         def full_row_keepers(block, t, nodes):
             """(op, owner) per kept array with ``t`` rows; the owner is the
-            block's module whose parameter the node reads, else the closure
-            variable holding the array."""
-            owners = {id(p): name.rsplit(".", 1)[0] for name, p in block.named_parameters()}
+            block's child module whose parameter the node reads, else the
+            closure variable holding the array."""
+            owners = {id(p): name.split(".")[0] for name, p in block.named_parameters()}
             found = set()
             for node in nodes:
                 op = node._vjp.__qualname__.split(".")[0]
@@ -352,13 +353,11 @@ class TestLastBlockRows:
                         found.add((op, owner or var))
             return found
 
-        kv_side = {("attention", "k"), ("attention", "v")}
-        assert full_row_keepers(*made["EncoderBlock"]) == kv_side | {
-            ("layer_norm", "ln1"), ("linear", "attn.wk"), ("linear", "attn.wv")}
-        assert full_row_keepers(*made["DecoderBlock"]) == kv_side | {
-            ("layer_norm", "ln1"), ("linear", "self_attn.wk"), ("linear", "self_attn.wv"),
-            ("layer_norm", "ln_kv"), ("linear", "cross_attn.wk"),
-            ("linear", "cross_attn.wv")}
+        assert full_row_keepers(*made["EncoderBlock"]) == {
+            ("layer_norm", "ln1"), ("attention", "attn")}
+        assert full_row_keepers(*made["DecoderBlock"]) == {
+            ("layer_norm", "ln1"), ("attention", "self_attn"),
+            ("layer_norm", "ln_kv"), ("attention", "cross_attn")}
 
 
 class TestTapeLifetime:
