@@ -761,7 +761,7 @@ def attention(x, kv, weights, heads: int, mask=None,
             pc, _, _ = _attention_weights(
                 q[c], k[c], scale, mask if mask is None or mask.shape[0] == 1 else mask[c],
                 row_max[c], row_sum[c])
-            np.matmul(pc, v[c], out=ctx_h[c])
+            ctx_h[c] = pc @ v[c]  # faster than a strided ``out=``
             np.matmul(np.swapaxes(pc, -1, -2), go[c], out=gv[c])
             gs = go[c] @ np.swapaxes(v[c], -1, -2)
             gs -= (gs * pc).sum(axis=-1, keepdims=True)
