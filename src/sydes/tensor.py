@@ -736,7 +736,7 @@ def attention(x, kv, weights, heads: int, mask=None,
     p, row_max, row_sum = _attention_weights(q, k, scale, mask)
     out = (p @ v).transpose(0, 2, 1, 3).reshape(B, Tq, C) @ wo
     out += bo
-    t = [w.requires_grad for w in (x, kv) + params]
+    t = [w.requires_grad for w in (x, kv) + params]  # x, kv, wq, bq, ..., wo, bo
     step = max(1, ATTENTION_CHUNK // (heads * Tq * Tk))
 
     def merged(gh: Array, inp: Array, w: Array, t_in: bool, t_w: bool, t_b: bool):
@@ -815,7 +815,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         g2 = g.reshape(-1, g.shape[-1])
         gw2 = (a * cdf).reshape(-1, a.shape[-1]).T @ g2 if tracked[3] else None
         gb2 = _unbroadcast(g, b2d.shape) if tracked[4] else None
-        d = np.exp(a * -0.5 * a)  # GELU's derivative, in place: the same bits
+        d = np.exp(a * -0.5 * a)  # GELU's derivative, in gelu's order of products
         d *= a
         del a
         d *= _INV_SQRT2PI

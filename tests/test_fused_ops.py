@@ -58,13 +58,15 @@ def tape_kinds(root) -> Counter:
 
 
 def closure_arrays(fn) -> list:
-    """The arrays a function's closure holds, also through the tuples and
-    lists and the closures of the Python functions it holds."""
+    """The arrays a function's closure holds, also through the tensors,
+    tuples and lists and the closures of the Python functions it holds."""
     arrays = []
 
     def walk(value):
         if isinstance(value, np.ndarray):
             arrays.append(value)
+        elif isinstance(value, Tensor):
+            arrays.append(value.data)
         elif isinstance(value, types.FunctionType):
             arrays.extend(closure_arrays(value))
         elif isinstance(value, (tuple, list)):
@@ -117,9 +119,9 @@ def fused_mha(x, kv, weights, heads, mask, rows, record=None):
 
 
 def composed_mha(x, kv, weights, heads, mask, rows, record=None):
-    """Multi-head attention from the composed ops, as ``nn`` built it
-    before it was one node: the q, k and v projections with their head
-    splits, scaled softmax attention, the head merge and ``wo``."""
+    """Multi-head attention from the composed ops, the reference for
+    ``attention``: the q, k and v projections with their head splits,
+    scaled softmax attention, the head merge and ``wo``."""
     wq, bq, wk, bk, wv, bv, wo, bo = weights
     b, _, c = x.shape
     d = c // heads
@@ -142,8 +144,8 @@ def composed_mha(x, kv, weights, heads, mask, rows, record=None):
 
 
 def composed_gelu(a):
-    """The exact GELU as its own node, as it was before it joined ``mlp``:
-    the node keeps the derivative."""
+    """The exact GELU as a node of its own that keeps its derivative, the
+    reference for ``mlp``'s middle."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
     d = cdf + x * np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
@@ -294,7 +296,7 @@ class TestAttention:
         assert gx.shape == x.shape and gkv.shape == kv.shape
         assert gw[2] is None and gw[3] is None
         assert all(g.shape == w.shape for g, w in zip(gw, weights) if w.requires_grad)
-        # Only the output projection tracked: nothing else is computed.
+        # Only the output projection tracked: nothing else gets a gradient.
         quiet = [Tensor(w.data) for w in weights[:6]] + weights[6:]
         out, _ = T.attention(Tensor(x.data), Tensor(kv.data), quiet, self.H)
         grads = out._vjp(np.ones(out.shape))
@@ -346,8 +348,9 @@ class TestAttentionRecompute:
     KINDS = TestAttention.KINDS
 
     def chunked(self, mask_kind, chunk_scores, monkeypatch):
-        """Bitwise agreement with the composed ops for every kind, with a
-        chunk of ``chunk_scores(tq, tk)`` score values; the calls of
+        """Bitwise agreement with the composed ops for every kind, with
+        chunks of ``chunk_scores(per_sample)`` score values, ``per_sample``
+        being one sample's H * Tq * Tk; returns the calls of
         ``_attention_weights`` per kind, by leading size."""
         shapes = TestAttention()
         calls = {}
@@ -583,21 +586,15 @@ class TestTapeNodes:
 
     def test_mlp_call_is_one_mlp_node(self):
         rng = RngState(6)
-        for module, x_shape in ((nn.Mlp(4, 2), (2, 3, 4)), (decoders.ClassifierHead(4, 3), None),
-                                (losses.Aggregator(4), (2, 4, 4))):
+        mlp, head, agg = nn.Mlp(4, 2), decoders.ClassifierHead(4, 3), losses.Aggregator(4)
+        for module in (mlp, head, agg):
             module.initialize(rng.split(type(module).__name__))
-            if x_shape is None:  # the head mean-pools its rows first
-                x = leaf(rng.split("x"), (2, 3, 4))
-                assert tape_kinds(module(x)) == Counter(mlp=1, mean=1)
-                continue
-            x = leaf(rng.split("x"), x_shape)
-            out = module(x)
-            if isinstance(module, nn.Mlp):
-                assert tape_kinds(out) == Counter(mlp=1)
-                assert out._parents == (x, module.fc1.weight, module.fc1.bias,
-                                        module.fc2.weight, module.fc2.bias)
-            else:
-                assert tape_kinds(out)["mlp"] == 1 and "gelu" not in tape_kinds(out)
+        x = leaf(rng.split("x"), (2, 3, 4))
+        out = mlp(x)
+        assert tape_kinds(out) == Counter(mlp=1)
+        assert out._parents == (x, mlp.fc1.weight, mlp.fc1.bias, mlp.fc2.weight, mlp.fc2.bias)
+        assert tape_kinds(head(x)) == Counter(mlp=1, mean=1)  # the head mean-pools first
+        assert tape_kinds(agg(leaf(rng.split("z"), (2, 4, 4))))["mlp"] == 1
 
     def test_decoder_block_keeps_no_attention_or_mlp_interior(self, monkeypatch):
         """A census of one ``DecoderBlock`` forward's VJP closures, with
