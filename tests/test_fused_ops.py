@@ -318,6 +318,21 @@ class TestAttention:
                          leaves, result, rng)
             assert result.passed and result.checked == sum(v.size for v in leaves), result.line()
 
+    def test_no_grad_forward_is_the_tracked_forward(self):
+        for kind in self.KINDS:
+            x, kv, weights, _, rows = self.inputs(26, kind)
+            mask = self.mask("causal", kind)
+            want, want_p = T.attention(x, kv, weights, self.H, mask, rows)
+            with T.no_grad():
+                quiet = T.attention(x, kv, weights, self.H, mask, rows)
+            plain_x = Tensor(x.data)
+            plain = T.attention(plain_x, plain_x if x is kv else Tensor(kv.data),
+                                [Tensor(w.data) for w in weights], self.H, mask, rows)
+            for out, p in (quiet, plain):
+                assert out._vjp is None and not out.requires_grad, kind
+                assert out.data.tobytes() == want.data.tobytes()
+                assert p.tobytes() == want_p.tobytes()
+
     def test_cross_attention_lengths(self):
         x, kv, weights, _, _ = self.inputs(24, "cross")
         out, p = T.attention(x, kv, weights, self.H)
