@@ -737,6 +737,7 @@ def attention(x, kv, weights, heads: int, mask=None,
     out = (p @ v).transpose(0, 2, 1, 3).reshape(B, Tq, C) @ wo
     out += bo
     t = [w.requires_grad for w in (x, kv) + params]  # x, kv, wq, bq, ..., wo, bo
+    Tx, same = x.data.shape[1], x is kv  # the VJP keeps these, not the tensors
     step = max(1, ATTENTION_CHUNK // (heads * Tq * Tk))
 
     def merged(gh: Array, inp: Array, w: Array, t_in: bool, t_w: bool, t_b: bool):
@@ -775,13 +776,13 @@ def attention(x, kv, weights, heads: int, mask=None,
         gk_in, gwk, gbk = merged(np.swapaxes(gkt, -1, -2), kvd, wk, t[1], t[4], t[5])
         gv_in, gwv, gbv = merged(gv, kvd, wv, t[1], t[6], t[7])
         if gx is not None and rows is not None:  # narrow's gradient: zeros past the rows
-            gx = np.pad(gx, ((0, 0), (0, x.data.shape[1] - rows), (0, 0)))
+            gx = np.pad(gx, ((0, 0), (0, Tx - rows), (0, 0)))
         grads = (gwq, gbq, gwk, gbk, gwv, gbv, gwo, _unbroadcast(g, (C,)) if t[9] else None)
-        if x is kv:
+        if same:
             return (None if gx is None else (gx + gk_in) + gv_in, *grads)
         return (gx, None if gk_in is None else gk_in + gv_in, *grads)
 
-    return _track(out, (kv,) + params if x is kv else (x, kv) + params, vjp), p
+    return _track(out, (kv,) + params if same else (x, kv) + params, vjp), p
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:

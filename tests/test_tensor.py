@@ -217,7 +217,8 @@ class TestTapeKeepsWhatVJPsRead:
 
     def test_mlp_forward_computes_no_derivative(self, monkeypatch):
         # Guard: the forward, tracked or not, pays for no exp, and the
-        # backward pays for no second erf.
+        # backward pays for no second erf.  (``TestMlp`` in test_fused_ops
+        # checks that the untracked forwards are bitwise the tracked one.)
         leaves = [leaf(RngState(20), (3, 4)), leaf(RngState(21), (4, 6)),
                   leaf(RngState(22), (6,)), leaf(RngState(23), (6, 4)), leaf(RngState(24), (4,))]
         calls = []
@@ -228,10 +229,7 @@ class TestTapeKeepsWhatVJPsRead:
         with T.no_grad():
             quiet = T.mlp(*leaves)
         plain = T.mlp(*(Tensor(v.data) for v in leaves))
-        assert calls == ["erf"] * 3
-        for out in (quiet, plain):
-            assert out._vjp is None and not out.requires_grad
-            assert out.data.tobytes() == tracked.data.tobytes()
+        assert calls == ["erf"] * 3 and quiet._vjp is None and plain._vjp is None
         calls.clear()
         T.sum_(tracked).backward()
         assert calls == ["exp"]
