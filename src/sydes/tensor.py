@@ -30,11 +30,10 @@ this module.  Design points:
   rebuilt, not kept (selective recomputation, Korthikanti et al., 2022).
   Each is one node whose forward and VJP repeat the composed ops' products
   and sums in the same order, so their values are bitwise theirs.
-* A product with a 2-D right operand [n, m], shared by every leading index
-  of ``x`` [..., n], is ``linear`` (``matmul`` hands it there).  Its VJP
-  computes each gradient as one GEMM over the flattened rows of ``x`` and
-  ``g``, not one small product per leading index (Goto & van de Geijn,
-  2008): packing and kernel set-up are paid once.
+* The four share one affine map ``x @ W + b``: ``_affine`` (the product,
+  its bias added in place), ``_affine_vjp`` (one GEMM per gradient over
+  the flattened rows) and ``_check_affine`` (one ``ShapeError`` naming the
+  op and its shapes).  ``matmul`` with a 2-D right operand is ``linear``.
 * A ``Parameter`` is a leaf ``Tensor`` with a name and an init rule, so
   modules hand their weights to ops directly; freezing is ``requires_grad``.
 * One-sided broadcasting only.  For elementwise binary ops the two shapes are
@@ -571,44 +570,60 @@ def embedding_lookup(table, ids: Array) -> Tensor:
     return _track(table.data[ids], (table,), vjp)
 
 
+def _check_affine(op: str, xs, ws, bs) -> None:
+    """Raise one ``ShapeError`` that names ``op`` and every layer's shapes
+    unless each layer i fits ``x @ w + b``: ``xs[i]`` [..., n] of ndim >= 2,
+    ``ws[i]`` [n, m] and ``bs[i]`` [m], or None for no bias."""
+    for x, w, b in zip(xs, ws, bs):
+        if len(x) < 2 or len(w) != 2 or x[-1] != w[0] or b not in (None, w[1:]):
+            got = ", ".join(f"{x} @ {w}" + ("" if b is None else f" + {b}")
+                            for x, w, b in zip(xs, ws, bs))
+            raise ShapeError(f"{op} needs [..., n] @ [n, m] + [m] with ndim >= 2, got {got}")
+
+
+def _affine(x: Array, w: Array, b: Array | None = None) -> Array:
+    """``x @ w + b``, the bias added into the product in place."""
+    y = x @ w
+    if b is not None:
+        y += b
+    return y
+
+
+def _affine_vjp(g: Array, x: Array | None, w: Array | None, x_shape: tuple[int, ...],
+                bias: tuple[int, ...] | None):
+    """The gradients of ``_affine(x, w, b)`` for ``g`` [..., m]: x's (shape
+    ``x_shape``) if ``w`` is given and w's if ``x`` is, each one GEMM over
+    the flattened rows, not one per leading index (Goto & van de Geijn,
+    2008); and b's, ``g`` summed to the shape ``bias``, if that is given."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (None if w is None else (g2 @ w.T).reshape(x_shape),
+            None if x is None else x.reshape(-1, x_shape[-1]).T @ g2,
+            None if bias is None else _unbroadcast(g, bias))
+
+
 def linear(x, weight, bias=None) -> Tensor:
     """``x @ weight + bias`` as one tape node, for ``x`` [..., n] (ndim >= 2),
-    ``weight`` [n, m] and an optional ``bias`` [m].
-
-    ``matmul`` with a 2-D right operand is this op without a bias.  The
-    bias is added in place, so the product before the bias is never kept.
-    The VJP computes the gradients of ``x`` and ``weight`` as one GEMM each
-    over ``x``'s flattened rows.  Forward and VJP repeat the products and
-    sums of ``matmul`` then ``add`` in the same order, so every value is
-    bitwise theirs.
+    ``weight`` [n, m] and an optional ``bias`` [m].  The node keeps ``x``
+    only when ``weight`` is tracked, and the reverse.  Forward and VJP
+    repeat the products and sums of ``matmul`` then ``add`` in the same
+    order, so every value is bitwise theirs.
     """
     x, weight = _coerce(x), _coerce(weight)
     xs, ws = x.data.shape, weight.data.shape
-    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0]:
-        raise ShapeError(f"linear needs [..., n] x [n, m] with ndim >= 2, "
-                         f"got {xs} x {ws}")
-    y = x.data @ weight.data
-    parents = (x, weight)
-    has_bias, bias_tracked = bias is not None, False
-    if has_bias:
+    parents, b, b_shape = (x, weight), None, None
+    if bias is not None:
         bias = _coerce(bias)
-        if bias.data.shape != ws[1:]:
-            raise ShapeError(f"linear bias {bias.data.shape} does not match weight {ws}")
-        y += bias.data
-        parents += (bias,)
-        bias_tracked = bias.requires_grad
+        parents, b = parents + (bias,), bias.data
+        b_shape = ws[1:] if bias.requires_grad else None
+    _check_affine("linear", (xs,), (ws,), (None if b is None else b.shape,))
     for_x = weight.data if x.requires_grad else None
     for_w = x.data if weight.requires_grad else None
+    n = len(parents)
 
     def vjp(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        gx = None if for_x is None else (g2 @ for_x.T).reshape(xs)
-        gw = None if for_w is None else for_w.reshape(-1, xs[-1]).T @ g2
-        if not has_bias:
-            return gx, gw
-        return gx, gw, _unbroadcast(g, ws[1:]) if bias_tracked else None
+        return _affine_vjp(g, for_w, for_x, xs, b_shape)[:n]
 
-    return _track(y, parents, vjp)
+    return _track(_affine(x.data, weight.data, b), parents, vjp)
 
 
 def linear_sq_error(x, weight, bias, target) -> Tensor:
@@ -629,16 +644,13 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     xd, wd, bd = x.data, weight.data, bias.data
     xs, ws = xd.shape, wd.shape
-    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or bd.shape != ws[1:]:
-        raise ShapeError(f"linear_sq_error needs [..., n] x [n, m] + [m] with ndim >= 2, "
-                         f"got {xs} x {ws} + {bd.shape}")
+    _check_affine("linear_sq_error", (xs,), (ws,), (bd.shape,))
     n, m = xs[0], ws[1]
     step = max(1, ATTENTION_CHUNK // (int(np.prod(xs[1:-1])) * m))
     tracked = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def residual(sums: Array | None = None) -> Array:
-        r = xd @ wd
-        r += bd
+        r = _affine(xd, wd, bd)
         for i in range(0, n, step):
             rc = r[i:i + step]
             t = target(slice(i, i + step))
@@ -659,10 +671,8 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
         gr = residual()
         gr *= np.asarray(g)[..., None]
         gr += gr
-        g2 = gr.reshape(-1, m)
-        return ((g2 @ wd.T).reshape(xs) if tracked[0] else None,
-                xd.reshape(-1, xs[-1]).T @ g2 if tracked[1] else None,
-                _unbroadcast(gr, ws[1:]) if tracked[2] else None)
+        return _affine_vjp(gr, xd if tracked[1] else None, wd if tracked[0] else None, xs,
+                           ws[1:] if tracked[2] else None)
 
     return _track(out, (x, weight, bias), vjp)
 
@@ -725,34 +735,28 @@ def attention(x, kv, weights, heads: int, mask=None,
         mask = mask.reshape((1,) * (4 - mask.ndim) + mask.shape)
 
     def heads_first(inp: Array, w: Array, b: Array) -> Array:
-        y = inp @ w
-        y += b
-        return y.reshape(B, -1, heads, D).transpose(0, 2, 1, 3)
+        return _affine(inp, w, b).reshape(B, -1, heads, D).transpose(0, 2, 1, 3)
 
     def qkv():
         return heads_first(xd, wq, bq), heads_first(kvd, wk, bk), heads_first(kvd, wv, bv)
 
     q, k, v = qkv()
     p, row_max, row_sum = _attention_weights(q, k, scale, mask)
-    out = (p @ v).transpose(0, 2, 1, 3).reshape(B, Tq, C) @ wo
-    out += bo
+    out = _affine((p @ v).transpose(0, 2, 1, 3).reshape(B, Tq, C), wo, bo)
     t = [w.requires_grad for w in (x, kv) + params]  # x, kv, wq, bq, ..., wo, bo
     Tx, same = x.data.shape[1], x is kv  # the VJP keeps these, not the tensors
     step = max(1, ATTENTION_CHUNK // (heads * Tq * Tk))
 
     def merged(gh: Array, inp: Array, w: Array, t_in: bool, t_w: bool, t_b: bool):
         """One projection's input, weight and bias gradients from its heads'."""
-        gm = gh.transpose(0, 2, 1, 3).reshape(inp.shape)
-        g2 = gm.reshape(-1, C)
-        return ((g2 @ w.T).reshape(inp.shape) if t_in else None,
-                inp.reshape(-1, C).T @ g2 if t_w else None,
-                _unbroadcast(gm, (C,)) if t_b else None)
+        return _affine_vjp(gh.transpose(0, 2, 1, 3).reshape(inp.shape), inp if t_w else None,
+                           w if t_in else None, inp.shape, (C,) if t_b else None)
 
     def vjp(g):
-        g2 = g.reshape(-1, C)
-        go = (g2 @ wo.T).reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
+        go = _affine_vjp(g, None, wo, g.shape, None)[0]
+        go = go.reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
         q, k, v = qkv()
-        ctx = np.empty((B, Tq, C))
+        ctx = np.empty(g.shape)
         ctx_h = ctx.reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
         # gk is the swapped view of a [B, H, D, Tk] buffer, the layout of the
         # composed ops' product, so later products round as theirs do.
@@ -771,13 +775,14 @@ def attention(x, kv, weights, heads: int, mask=None,
             np.matmul(gs, k[c], out=gq[c])
             np.matmul(np.swapaxes(q[c], -1, -2), gs, out=gkt[c])
         del q, k, v, go
-        gwo = ctx.reshape(-1, C).T @ g2 if t[8] else None
+        _, gwo, gbo = _affine_vjp(g, ctx if t[8] else None, None, g.shape,
+                                  (C,) if t[9] else None)
         gx, gwq, gbq = merged(gq, xd, wq, t[0], t[2], t[3])
         gk_in, gwk, gbk = merged(np.swapaxes(gkt, -1, -2), kvd, wk, t[1], t[4], t[5])
         gv_in, gwv, gbv = merged(gv, kvd, wv, t[1], t[6], t[7])
         if gx is not None and rows is not None:  # narrow's gradient: zeros past the rows
             gx = np.pad(gx, ((0, 0), (0, Tx - rows), (0, 0)))
-        grads = (gwq, gbq, gwk, gbk, gwv, gbv, gwo, _unbroadcast(g, (C,)) if t[9] else None)
+        grads = (gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo)
         if same:
             return (None if gx is None else (gx + gk_in) + gv_in, *grads)
         return (gx, None if gk_in is None else gk_in + gv_in, *grads)
@@ -796,37 +801,28 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     """
     params = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
     xd, w1d, b1d, w2d, b2d = (t.data for t in params)
-    xs, k, m = xd.shape, b1d.shape[-1:], b2d.shape[-1:]
-    if (len(xs) < 2 or len(k) != 1 or len(m) != 1
-            or (w1d.shape, b1d.shape, w2d.shape, b2d.shape) != (xs[-1:] + k, k, k + m, m)):
-        raise ShapeError(f"mlp needs [..., n] x [n, k] + [k] x [k, m] + [m] with ndim >= 2, "
-                         f"got {[t.data.shape for t in params]}")
-
-    a = xd @ w1d
-    a += b1d
+    xs = xd.shape  # the second layer's input, the hidden rows, is [..., k]
+    _check_affine("mlp", (xs, xs[:-1] + w1d.shape[1:]), (w1d.shape, w2d.shape),
+                  (b1d.shape, b2d.shape))
+    a = _affine(xd, w1d, b1d)
     cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
     a *= cdf
-    y = a @ w2d
-    y += b2d
+    y = _affine(a, w2d, b2d)
     tracked = [t.requires_grad for t in params]
 
     def vjp(g):
-        a = xd @ w1d  # the pre-activation, rebuilt
-        a += b1d
-        g2 = g.reshape(-1, g.shape[-1])
-        gw2 = (a * cdf).reshape(-1, a.shape[-1]).T @ g2 if tracked[3] else None
-        gb2 = _unbroadcast(g, b2d.shape) if tracked[4] else None
+        a = _affine(xd, w1d, b1d)  # the pre-activation, rebuilt
+        _, gw2, gb2 = _affine_vjp(g, a * cdf if tracked[3] else None, None, cdf.shape,
+                                  b2d.shape if tracked[4] else None)
         d = np.exp(a * -0.5 * a)  # GELU's derivative, in gelu's order of products
         d *= a
         del a
         d *= _INV_SQRT2PI
         d += cdf
-        ga = (g2 @ w2d.T).reshape(d.shape)
+        ga = _affine_vjp(g, None, w2d, cdf.shape, None)[0]
         ga *= d
-        ga2 = ga.reshape(-1, ga.shape[-1])
-        return ((ga2 @ w1d.T).reshape(xs) if tracked[0] else None,
-                xd.reshape(-1, xs[-1]).T @ ga2 if tracked[1] else None,
-                _unbroadcast(ga, b1d.shape) if tracked[2] else None, gw2, gb2)
+        return (*_affine_vjp(ga, xd if tracked[1] else None, w1d if tracked[0] else None, xs,
+                             b1d.shape if tracked[2] else None), gw2, gb2)
 
     return _track(y, params, vjp)
 

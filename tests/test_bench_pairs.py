@@ -75,6 +75,38 @@ class TestResolved:
         assert bench_pairs.resolved(self.PARENT, [p - 10.0 for p in self.PARENT], "lower")
 
 
+class TestRegression:
+    """The regression verdict, its bound (25% here) taken relative to the
+    parent's median of 100."""
+
+    PARENT = [100.0, 104.0, 98.0, 110.0, 102.0, 101.0, 99.0, 105.0, 103.0, 100.0]
+
+    def test_median_worse_by_more_than_the_bound(self):
+        slower = [p * 1.3 for p in self.PARENT]
+        assert bench_pairs.regression(self.PARENT, slower, "lower", 0.25) == "worse"
+        items = [1000.0 / p for p in self.PARENT]
+        assert bench_pairs.regression(items, [0.7 * v for v in items], "higher", 0.25) == "worse"
+
+    def test_median_worse_by_less_than_the_bound_is_within(self):
+        slower = [p * 1.2 for p in self.PARENT]
+        assert bench_pairs.regression(self.PARENT, slower, "lower", 0.25) == "within"
+        assert bench_pairs.regression(self.PARENT, self.PARENT, "lower", 0.25) == "within"
+        assert bench_pairs.regression(self.PARENT, slower, "higher", 0.25) == "within"
+
+    def test_parent_iqr_wider_than_the_bound_is_unresolved(self):
+        noisy = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0]
+        q1, q3 = bench_pairs.quartiles(noisy)
+        assert q3 - q1 > 25.0
+        assert bench_pairs.regression(noisy, [95.0] * 10, "lower", 0.25) == "unresolved"
+        assert bench_pairs.regression(noisy, [105.0] * 10, "higher", 0.25) == "unresolved"
+
+    def test_wide_parent_iqr_with_every_run_beaten_is_within(self):
+        noisy = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0]
+        assert bench_pairs.regression(noisy, [50.0] * 10, "lower", 0.25) == "within"
+        assert bench_pairs.regression(noisy, [150.0] * 10, "higher", 0.25) == "within"
+        assert bench_pairs.regression(noisy, [50.0] * 9 + [60.0], "lower", 0.25) == "unresolved"
+
+
 def test_quartiles_interpolate_linearly():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 4.0)
     assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 3.25)
@@ -92,6 +124,7 @@ def test_summary_per_metric():
     assert step["parent_iqr"] == 6.0
     assert step["ratio"] == pytest.approx(96.0 / 102.0)
     assert step["wins"] == 3 and step["resolved"] is False
+    assert step["regression"] == "within"
     items = summary["items_per_s"]
     assert items["better"] == "higher" and items["wins"] == 3
     assert items["change_median"] > items["parent_median"]
@@ -106,6 +139,7 @@ def test_summary_lines_print_failed_operations():
     lines = bench_pairs.summary_lines("gradcheck", summary, METRICS)
     assert len(lines) == len(METRICS) + 1
     assert lines[0].split()[:2] == ["gradcheck", "step_ms_p50"]
+    assert lines[0].split()[-2:] == ["regression", "within"]
     assert lines[-1].split() == ["gradcheck", "failed", "parent", "0/40", "change", "2/40"]
 
 
@@ -115,6 +149,16 @@ def test_summary_resolves_a_clear_gain():
     summary = bench_pairs.summarize(canned_runs(parent, change), METRICS)
     assert summary["step_ms_p50"]["wins"] == 10 and summary["step_ms_p50"]["resolved"]
     assert summary["items_per_s"]["wins"] == 10 and summary["items_per_s"]["resolved"]
+    assert summary["step_ms_p50"]["regression"] == summary["items_per_s"]["regression"] == "within"
+
+
+def test_summary_flags_a_regression():
+    parent = [100.0 + i % 3 for i in range(10)]
+    change = [130.0 + i % 3 for i in range(10)]
+    summary = bench_pairs.summarize(canned_runs(parent, change), METRICS)
+    assert summary["step_ms_p50"]["regression"] == "worse"
+    assert summary["items_per_s"]["regression"] == "within"  # 1000/p is 23% lower
+    assert "regression worse" in bench_pairs.summary_lines("gradcheck", summary, METRICS)[0]
 
 
 def test_digests_recorded_once_per_file(tmp_path, monkeypatch):

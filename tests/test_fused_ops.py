@@ -3,6 +3,7 @@ bitwise agreement with the composed ops they replace, skipped gradients for
 untracked parents, finite differences, one tape node per call, and what
 each node keeps."""
 
+import re
 import types
 from collections import Counter
 
@@ -76,6 +77,12 @@ def closure_arrays(fn) -> list:
     for cell in fn.__closure__ or ():
         walk(cell.cell_contents)
     return arrays
+
+
+def names(op, *shapes):
+    """A ``match=`` pattern for a ``ShapeError`` of ``op`` that names
+    ``shapes`` (strings, in order)."""
+    return f"^{op} " + "".join(".*" + re.escape(shape) for shape in shapes)
 
 
 def causal(t):
@@ -190,12 +197,26 @@ class TestLinear:
             check_leaves(lambda: T.sum_(T.tanh(T.linear(x, w, b))), [x, w, b], result, rng)
             assert result.passed, result.line()
 
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_no_grad_forward_is_the_tracked_forward(self, with_bias):
+        rng = RngState(13, "linear")
+        x = leaf(rng.split("x"), (2, 3, 4))
+        w, b = leaf(rng.split("w"), (4, 5)), leaf(rng.split("b"), (5,))
+        operands = [x, w] + ([b] if with_bias else [])
+        want = T.linear(*operands).data.tobytes()
+        with T.no_grad():
+            quiet = T.linear(*operands)
+        plain = T.linear(*(Tensor(v.data) for v in operands))
+        for out in (quiet, plain):
+            assert out._vjp is None and not out.requires_grad
+            assert out.data.tobytes() == want
+
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("linear", "(2, 3) @ (4, 5)")):
             T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("linear", "(4,) @ (4, 5)")):
             T.linear(Tensor(np.ones(4)), Tensor(np.ones((4, 5))))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("linear", "(2, 4) @ (4, 5) + (4,)")):
             T.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
 
 
@@ -342,15 +363,16 @@ class TestAttention:
 
     def test_shape_errors(self):
         x, kv, weights, _, _ = self.inputs(25, "cross")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("attention", "(2, 5, 6), (2, 7, 4)")):
             T.attention(x, Tensor(np.ones((2, 7, 4))), weights, self.H)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("attention", "(2, 5, 6), (3, 7, 6)")):
             T.attention(x, Tensor(np.ones((3, 7, 6))), weights, self.H)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("attention", "4 heads", "(2, 5, 6)")):
             T.attention(x, kv, weights, 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("attention", "(6, 6), (5,)]")):
             T.attention(x, kv, weights[:7] + [Tensor(np.ones(5))], self.H)
-        with pytest.raises(ShapeError, match="mask"):
+        with pytest.raises(ShapeError, match=names("attention mask", "(2, 2, 3, 5, 7)",
+                                                   "(2, 3, 5, 7)")):
             T.attention(x, kv, weights, self.H, np.zeros((2, 2, 3, 5, 7)))
 
 
@@ -471,11 +493,14 @@ class TestMlp:
 
     def test_shape_errors(self):
         x, w1, b1, w2, b2 = self.operands(63, (2, 3, 4))
-        with pytest.raises(ShapeError):
+        # The second layer: the hidden rows [2, 3, 7] against a [6, 3] weight.
+        with pytest.raises(ShapeError, match=names("mlp", "(2, 3, 7) @ (6, 3) + (3,)")):
             T.mlp(x, w1, b1, Tensor(np.ones((6, 3))), b2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("mlp", "(2, 3, 7) @ (7, 3) + (4,)")):
+            T.mlp(x, w1, b1, w2, Tensor(np.ones(4)))
+        with pytest.raises(ShapeError, match=names("mlp", "(2, 3, 4) @ (4, 7) + (6,)")):
             T.mlp(x, w1, Tensor(np.ones(6)), w2, b2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("mlp", "(4,) @ (4, 7) + (7,)")):
             T.mlp(Tensor(np.ones(4)), w1, b1, w2, b2)
 
 
@@ -563,11 +588,12 @@ class TestSumSquares:
 
     def test_shape_errors(self):
         x, w, b, t = self.operands(54, (2, 3, 4))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("linear_sq_error target", "(2, 2, 5)",
+                                                   "(2, 3, 5)")):
             T.linear_sq_error(x, w, b, lambda c: t[c, :2])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("linear_sq_error", "(2, 3, 4) @ (4, 5) + (4,)")):
             T.linear_sq_error(x, w, Tensor(np.ones(4)), t.__getitem__)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=names("linear_sq_error", "(4,) @ (4, 5) + (5,)")):
             T.linear_sq_error(Tensor(np.ones(4)), w, b, t.__getitem__)
 
 

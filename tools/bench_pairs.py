@@ -16,8 +16,9 @@ lines of ``tools/artifact_digest.py --root`` on each checkout (run once per
 file, before the first workload's pairs) and, per workload, every run's
 result line and ``env`` line and, per end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles, the change's wins per
-pair and the verdict of ``resolved``.  Each workload also records, and the
-printed summary shows, each side's failed and attempted operations.
+pair and the verdicts of ``resolved`` and ``regression``.  Each workload
+also records, and the printed summary shows, each side's failed and
+attempted operations.
 Running the tool again with the same label and commits adds or replaces
 that workload's entry, so one file can hold every workload of one change.
 """
@@ -66,10 +67,30 @@ def resolved(parent: list[float], change: list[float], better: str) -> bool:
             and gap > q3 - q1)
 
 
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Whether the change is worse, with ``bound`` taken relative to the
+    parent's median: "worse" when the change's median is worse than the
+    parent's by more than the bound; "unresolved" when the parent's
+    interquartile range is wider than the bound and not every change run
+    beats every parent run; "within" otherwise."""
+    limit = bound * abs(statistics.median(parent))
+    loss = statistics.median(change) - statistics.median(parent)
+    beats_all = max(change) < min(parent)
+    if better != "lower":
+        loss, beats_all = -loss, min(change) > max(parent)
+    if loss > limit:
+        return "worse"
+    q1, q3 = quartiles(parent)
+    if q3 - q1 > limit and not beats_all:
+        return "unresolved"
+    return "within"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric (``BENCHMARK.json`` entries with ``name``,
-    ``unit`` and ``better``): each side's median and quartiles over
-    ``runs``, the ratio of medians, the change's wins and the verdict.
+    ``unit``, ``better`` and ``bound``): each side's median and quartiles
+    over ``runs``, the ratio of medians, the change's wins and the verdicts
+    of ``resolved`` and ``regression``.
     Each run is ``{"pair", "side", "result"}`` with ``side`` "parent" or
     "change" and ``result`` the result line of ``perfbench/run.py``."""
     sides = {"parent": {}, "change": {}}
@@ -91,6 +112,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                           if entry["parent_median"] else None)
         entry["wins"] = wins(values["parent"], values["change"], better)
         entry["resolved"] = resolved(values["parent"], values["change"], better)
+        entry["regression"] = regression(values["parent"], values["change"], better,
+                                         metric["bound"])
         summary[name] = entry
     for side in sides:
         summary[f"{side}_failed"] = sum(sides[side][i]["failed"] for i in pairs)
@@ -106,7 +129,8 @@ def summary_lines(workload: str, summary: dict, metrics: list[dict]) -> list[str
         e = summary[metric["name"]]
         lines.append(f"{workload:<20} {metric['name']:<12} parent {e['parent_median']:.6g} "
                      f"(IQR {e['parent_iqr']:.3g}) change {e['change_median']:.6g} "
-                     f"wins {e['wins']}/{e['pairs']} resolved {e['resolved']}")
+                     f"wins {e['wins']}/{e['pairs']} resolved {e['resolved']} "
+                     f"regression {e['regression']}")
     lines.append(f"{workload:<20} failed       "
                  f"parent {summary['parent_failed']}/{summary['parent_attempted']} "
                  f"change {summary['change_failed']}/{summary['change_attempted']}")
