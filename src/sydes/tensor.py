@@ -570,15 +570,14 @@ def embedding_lookup(table, ids: Array) -> Tensor:
     return _track(table.data[ids], (table,), vjp)
 
 
-def _check_affine(op: str, xs, ws, bs) -> None:
-    """Raise one ``ShapeError`` that names ``op`` and every layer's shapes
-    unless each layer i fits ``x @ w + b``: ``xs[i]`` [..., n] of ndim >= 2,
-    ``ws[i]`` [n, m] and ``bs[i]`` [m], or None for no bias."""
-    for x, w, b in zip(xs, ws, bs):
-        if len(x) < 2 or len(w) != 2 or x[-1] != w[0] or b not in (None, w[1:]):
-            got = ", ".join(f"{x} @ {w}" + ("" if b is None else f" + {b}")
-                            for x, w, b in zip(xs, ws, bs))
-            raise ShapeError(f"{op} needs [..., n] @ [n, m] + [m] with ndim >= 2, got {got}")
+def _check_affine(op: str, xs: tuple[int, ...], ws: tuple[int, ...], bs) -> None:
+    """Raise a ``ShapeError`` naming ``op`` and the shapes unless they fit
+    ``x @ w + b``: ``xs`` [..., n] of ndim >= 2, ``ws`` [n, m] and ``bs``
+    [m], or None for no bias."""
+    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or (bs is not None and bs != ws[1:]):
+        bias = "" if bs is None else f" + {bs}"
+        raise ShapeError(f"{op} needs [..., n] @ [n, m] + [m] with ndim >= 2, "
+                         f"got {xs} @ {ws}{bias}")
 
 
 def _affine(x: Array, w: Array, b: Array | None = None) -> Array:
@@ -615,7 +614,7 @@ def linear(x, weight, bias=None) -> Tensor:
         bias = _coerce(bias)
         parents, b = parents + (bias,), bias.data
         b_shape = ws[1:] if bias.requires_grad else None
-    _check_affine("linear", (xs,), (ws,), (None if b is None else b.shape,))
+    _check_affine("linear", xs, ws, None if b is None else b.shape)
     for_x = weight.data if x.requires_grad else None
     for_w = x.data if weight.requires_grad else None
     n = len(parents)
@@ -644,7 +643,7 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     xd, wd, bd = x.data, weight.data, bias.data
     xs, ws = xd.shape, wd.shape
-    _check_affine("linear_sq_error", (xs,), (ws,), (bd.shape,))
+    _check_affine("linear_sq_error", xs, ws, bd.shape)
     n, m = xs[0], ws[1]
     step = max(1, ATTENTION_CHUNK // (int(np.prod(xs[1:-1])) * m))
     tracked = x.requires_grad, weight.requires_grad, bias.requires_grad
@@ -801,10 +800,10 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     """
     params = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
     xd, w1d, b1d, w2d, b2d = (t.data for t in params)
-    xs = xd.shape  # the second layer's input, the hidden rows, is [..., k]
-    _check_affine("mlp", (xs, xs[:-1] + w1d.shape[1:]), (w1d.shape, w2d.shape),
-                  (b1d.shape, b2d.shape))
+    xs = xd.shape
+    _check_affine("mlp", xs, w1d.shape, b1d.shape)
     a = _affine(xd, w1d, b1d)
+    _check_affine("mlp", a.shape, w2d.shape, b2d.shape)
     cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
     a *= cdf
     y = _affine(a, w2d, b2d)

@@ -80,6 +80,7 @@ class TestRegression:
     parent's median of 100."""
 
     PARENT = [100.0, 104.0, 98.0, 110.0, 102.0, 101.0, 99.0, 105.0, 103.0, 100.0]
+    NOISY = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0]
 
     def test_median_worse_by_more_than_the_bound(self):
         slower = [p * 1.3 for p in self.PARENT]
@@ -94,17 +95,16 @@ class TestRegression:
         assert bench_pairs.regression(self.PARENT, slower, "higher", 0.25) == "within"
 
     def test_parent_iqr_wider_than_the_bound_is_unresolved(self):
-        noisy = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0]
-        q1, q3 = bench_pairs.quartiles(noisy)
+        q1, q3 = bench_pairs.quartiles(self.NOISY)
         assert q3 - q1 > 25.0
-        assert bench_pairs.regression(noisy, [95.0] * 10, "lower", 0.25) == "unresolved"
-        assert bench_pairs.regression(noisy, [105.0] * 10, "higher", 0.25) == "unresolved"
+        assert bench_pairs.regression(self.NOISY, [95.0] * 10, "lower", 0.25) == "unresolved"
+        assert bench_pairs.regression(self.NOISY, [105.0] * 10, "higher", 0.25) == "unresolved"
 
     def test_wide_parent_iqr_with_every_run_beaten_is_within(self):
-        noisy = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0]
-        assert bench_pairs.regression(noisy, [50.0] * 10, "lower", 0.25) == "within"
-        assert bench_pairs.regression(noisy, [150.0] * 10, "higher", 0.25) == "within"
-        assert bench_pairs.regression(noisy, [50.0] * 9 + [60.0], "lower", 0.25) == "unresolved"
+        assert bench_pairs.regression(self.NOISY, [50.0] * 10, "lower", 0.25) == "within"
+        assert bench_pairs.regression(self.NOISY, [150.0] * 10, "higher", 0.25) == "within"
+        one_not_beating = [50.0] * 9 + [60.0]
+        assert bench_pairs.regression(self.NOISY, one_not_beating, "lower", 0.25) == "unresolved"
 
 
 def test_quartiles_interpolate_linearly():

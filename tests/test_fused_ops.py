@@ -591,7 +591,8 @@ class TestSumSquares:
         with pytest.raises(ShapeError, match=names("linear_sq_error target", "(2, 2, 5)",
                                                    "(2, 3, 5)")):
             T.linear_sq_error(x, w, b, lambda c: t[c, :2])
-        with pytest.raises(ShapeError, match=names("linear_sq_error", "(2, 3, 4) @ (4, 5) + (4,)")):
+        with pytest.raises(ShapeError,
+                           match=names("linear_sq_error", "(2, 3, 4) @ (4, 5) + (4,)")):
             T.linear_sq_error(x, w, Tensor(np.ones(4)), t.__getitem__)
         with pytest.raises(ShapeError, match=names("linear_sq_error", "(4,) @ (4, 5) + (5,)")):
             T.linear_sq_error(Tensor(np.ones(4)), w, b, t.__getitem__)
