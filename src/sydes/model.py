@@ -63,9 +63,14 @@ class SydesModel(nn.Module):
 
     def encode_subs(self, batch: "BatchArrays", kept: np.ndarray) -> Tensor:
         """Encode the visible patches ``kept`` (int [4B, rP], group-major) of
-        the batch's sub-images.  Returns [4B, rP+1, image_dim]."""
-        patches = gather_sub_patches(batch.subs, kept, batch.rows, batch.image_cfg)
-        return self.image_encoder(Tensor(patches), kept)
+        the batch's sub-images.  Returns [4B, rP+1, image_dim].  The float
+        patches carry their gather from the batch's array as their rebuild,
+        so the patch projection's VJP gathers them again (bitwise) and the
+        tape holds no float copy of them (``tensor._keep``)."""
+        gather = partial(gather_sub_patches, batch.subs, kept, batch.rows, batch.image_cfg)
+        patches = Tensor(gather())
+        patches._rebuild = gather
+        return self.image_encoder(patches, kept)
 
     def encode_text(self, ids: np.ndarray, real: np.ndarray) -> Tensor:
         return self.text_encoder(ids, real)

@@ -80,7 +80,7 @@ class Tensor:
     array, so the tape holds none of the output's values.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
@@ -90,6 +90,9 @@ class Tensor:
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        # A function returning ``data`` bitwise, set by a producer that can
+        # rebuild it from arrays the tape holds anyway (see ``_keep``).
+        self._rebuild = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -226,8 +229,9 @@ def _track(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """The op output ``data``, recorded on the tape when grad mode is on and
     a parent is tracked.  The output links each parent through
     ``_graph_node``, so it references no parent's array.  ``vjp`` captures
-    the shapes, flags and arrays it reads, and a ``Tensor`` only when it
-    reads that tensor's data (``layer_norm`` keeps ``gamma``)."""
+    the shapes, flags and arrays it reads, never a ``Tensor``; an input it
+    reads whole is held through ``_keep``.  A producer that can rebuild its
+    output sets ``_rebuild`` on it after this returns."""
     out = Tensor(data)
     if _grad_enabled:
         for p in parents:  # a loop: any() over a generator costs more per op
@@ -238,6 +242,18 @@ def _track(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
                 out._node = None  # a set slot reads faster than a missing one
                 break
     return out
+
+
+def _keep(t: Tensor):
+    """What a VJP holds to read ``t.data``: the rebuild ``t``'s producer left
+    on it, so ``t.data`` dies with the forward, else the array itself, as a
+    direct closure cell.  ``_kept`` turns either back into the array."""
+    return t.data if t._rebuild is None else t._rebuild
+
+
+def _kept(held):
+    """The array ``_keep`` held, rebuilt if it was held as its rebuild."""
+    return held() if callable(held) else held
 
 
 # -- broadcasting helpers ------------------------------------------------
@@ -455,7 +471,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def log(a) -> Tensor:
     a = _coerce(a)
-    return _track(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _track(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a) -> Tensor:
@@ -513,7 +530,12 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply the
     learned affine.  A constant input normalizes to zeros (epsilon guards the
-    zero-variance case)."""
+    zero-variance case).  The node keeps the normalized rows ``xhat``, each
+    row's inverse deviation and ``gamma``'s array.  A recorded output
+    carries a rebuild, ``xhat * gamma + beta`` from those same arrays, so a
+    consumer that keeps it (``_keep``) holds no copy of its own: the output
+    is on the tape once, as ``xhat`` (the idea of In-Place Activated
+    BatchNorm, Rota Bulò et al., 2018)."""
     x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
     xs, gs, bs = x.data.shape, gamma.data.shape, beta.data.shape
     if gs != xs[-1:] or bs != xs[-1:]:
@@ -524,9 +546,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
+    gd, bd = gamma.data, beta.data
+
+    def affine() -> Array:
+        return xhat * gd + bd
 
     def vjp(g):
-        gxhat = g * gamma.data
+        gxhat = g * gd
         gx = inv * (gxhat
                     - gxhat.sum(axis=-1, keepdims=True) / n
                     - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) / n))
@@ -535,7 +561,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         gbeta = g.sum(axis=reduce_axes)
         return gx, ggamma, gbeta
 
-    return _track(xhat * gamma.data + beta.data, (x, gamma, beta), vjp)
+    out = _track(affine(), (x, gamma, beta), vjp)
+    if out._vjp is not None:
+        out._rebuild = affine
+    return out
 
 
 def l2_normalize(x, axis: int = -1) -> Tensor:
@@ -603,9 +632,9 @@ def _affine_vjp(g: Array, x: Array | None, w: Array | None, x_shape: tuple[int, 
 def linear(x, weight, bias=None) -> Tensor:
     """``x @ weight + bias`` as one tape node, for ``x`` [..., n] (ndim >= 2),
     ``weight`` [n, m] and an optional ``bias`` [m].  The node keeps ``x``
-    only when ``weight`` is tracked, and the reverse.  Forward and VJP
-    repeat the products and sums of ``matmul`` then ``add`` in the same
-    order, so every value is bitwise theirs.
+    (through ``_keep``) only when ``weight`` is tracked, and the reverse.
+    Forward and VJP repeat the products and sums of ``matmul`` then ``add``
+    in the same order, so every value is bitwise theirs.
     """
     x, weight = _coerce(x), _coerce(weight)
     xs, ws = x.data.shape, weight.data.shape
@@ -616,11 +645,11 @@ def linear(x, weight, bias=None) -> Tensor:
         b_shape = ws[1:] if bias.requires_grad else None
     _check_affine("linear", xs, ws, None if b is None else b.shape)
     for_x = weight.data if x.requires_grad else None
-    for_w = x.data if weight.requires_grad else None
+    for_w = _keep(x) if weight.requires_grad else None
     n = len(parents)
 
     def vjp(g):
-        return _affine_vjp(g, for_w, for_x, xs, b_shape)[:n]
+        return _affine_vjp(g, _kept(for_w), for_x, xs, b_shape)[:n]
 
     return _track(_affine(x.data, weight.data, b), parents, vjp)
 
@@ -635,20 +664,20 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
     residual ``y - t`` in one buffer (``linear``'s product and in-place
     bias add), subtracts the target a chunk of the first axis at a time (at
     most ``ATTENTION_CHUNK`` values, at least one index) and sums each
-    chunk's squared rows.  The node keeps ``x``, ``weight``, ``bias`` and
-    ``target``, and no residual: its VJP rebuilds it once, as ``attention``
-    rebuilds its weights.  Every value is bitwise that of ``linear``, then
+    chunk's squared rows.  The node keeps ``x`` (through ``_keep``),
+    ``weight``, ``bias`` and ``target``, and no residual: its VJP rebuilds
+    it once, as ``attention`` rebuilds its weights.  Every value is bitwise that of ``linear``, then
     ``sub``, then ``sum_(d * d, axis=-1)``.
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
-    xd, wd, bd = x.data, weight.data, bias.data
-    xs, ws = xd.shape, wd.shape
+    wd, bd = weight.data, bias.data
+    xs, ws = x.data.shape, wd.shape
     _check_affine("linear_sq_error", xs, ws, bd.shape)
     n, m = xs[0], ws[1]
     step = max(1, ATTENTION_CHUNK // (int(np.prod(xs[1:-1])) * m))
     tracked = x.requires_grad, weight.requires_grad, bias.requires_grad
 
-    def residual(sums: Array | None = None) -> Array:
+    def residual(xd: Array, sums: Array | None = None) -> Array:
         r = _affine(xd, wd, bd)
         for i in range(0, n, step):
             rc = r[i:i + step]
@@ -662,12 +691,14 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
         return r
 
     out = np.empty(xs[:-1])
-    residual(out)
+    residual(x.data, out)
+    held = _keep(x)
 
     def vjp(g):
         # The squares' gradient (the residual times g, doubled), which sub
         # passes on unchanged, then linear's, in the composed ops' order.
-        gr = residual()
+        xd = _kept(held)
+        gr = residual(xd)
         gr *= np.asarray(g)[..., None]
         gr += gr
         return _affine_vjp(gr, xd if tracked[1] else None, wd if tracked[0] else None, xs,
@@ -705,8 +736,9 @@ def attention(x, kv, weights, heads: int, mask=None,
     allowed per row).  With ``rows`` set, the queries are the first
     ``rows`` rows of ``x`` and of the mask.  Returns the output [B, Tq, C]
     and the attention weights, which the caller owns.  The node keeps the
-    inputs, the weights and each score row's max and exp-sum; its VJP
-    rebuilds q, k and v, then the weights and the context a chunk of
+    inputs (through ``_keep``, once when ``x is kv``), the weights and each
+    score row's max and exp-sum; its VJP rebuilds the inputs' ``rows``
+    prefix, q, k and v, then the weights and the context a chunk of
     samples (at most ``ATTENTION_CHUNK`` scores) at a time.  Every value is
     bitwise that of the composed ``linear``, head split, ``softmax``, head
     merge and ``narrow`` ops (with ``x is kv``, its input's gradient is
@@ -715,14 +747,16 @@ def attention(x, kv, weights, heads: int, mask=None,
     x, kv = _coerce(x), _coerce(kv)
     params = tuple(_coerce(w) for w in weights)
     wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in params)
-    xd, kvd = x.data if rows is None else x.data[:, :rows], kv.data
-    C = xd.shape[-1]
+    xd, kvd = x.data, kv.data
+    C = xd.shape[-1] if xd.ndim == 3 else 0  # the check comes before ``rows`` slices x
     if (xd.ndim != 3 or kvd.ndim != 3 or kvd.shape[::2] != xd.shape[::2] or C % heads
             or any(w.shape != (C, C) for w in (wq, wk, wv, wo))
             or any(b.shape != (C,) for b in (bq, bk, bv, bo))):
         raise ShapeError(f"attention needs x [B, T, C], kv [B, Tk, C], {heads} heads "
                          f"dividing C and [C, C] + [C] projections, got {xd.shape}, "
                          f"{kvd.shape} and {[p.data.shape for p in params]}")
+    if rows is not None:
+        xd = xd[:, :rows]
     (B, Tq, _), Tk, D = xd.shape, kvd.shape[1], C // heads
     scale, scores_shape = 1.0 / np.sqrt(D), (B, heads, Tq, Tk)
     if mask is not None:
@@ -736,14 +770,15 @@ def attention(x, kv, weights, heads: int, mask=None,
     def heads_first(inp: Array, w: Array, b: Array) -> Array:
         return _affine(inp, w, b).reshape(B, -1, heads, D).transpose(0, 2, 1, 3)
 
-    def qkv():
+    def qkv(xd: Array, kvd: Array):
         return heads_first(xd, wq, bq), heads_first(kvd, wk, bk), heads_first(kvd, wv, bv)
 
-    q, k, v = qkv()
+    q, k, v = qkv(xd, kvd)
     p, row_max, row_sum = _attention_weights(q, k, scale, mask)
     out = _affine((p @ v).transpose(0, 2, 1, 3).reshape(B, Tq, C), wo, bo)
     t = [w.requires_grad for w in (x, kv) + params]  # x, kv, wq, bq, ..., wo, bo
     Tx, same = x.data.shape[1], x is kv  # the VJP keeps these, not the tensors
+    held_x, held_kv = None if same else _keep(x), _keep(kv)
     step = max(1, ATTENTION_CHUNK // (heads * Tq * Tk))
 
     def merged(gh: Array, inp: Array, w: Array, t_in: bool, t_w: bool, t_b: bool):
@@ -754,7 +789,11 @@ def attention(x, kv, weights, heads: int, mask=None,
     def vjp(g):
         go = _affine_vjp(g, None, wo, g.shape, None)[0]
         go = go.reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
-        q, k, v = qkv()
+        kvd = _kept(held_kv)
+        xd = kvd if same else _kept(held_x)
+        if rows is not None:
+            xd = xd[:, :rows]
+        q, k, v = qkv(xd, kvd)
         ctx = np.empty(g.shape)
         ctx_h = ctx.reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
         # gk is the swapped view of a [B, H, D, Tk] buffer, the layout of the
@@ -792,10 +831,10 @@ def attention(x, kv, weights, heads: int, mask=None,
 def mlp(x, w1, b1, w2, b2) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` with the exact (erf-based)
     GELU, as one tape node, for ``x`` [..., n] (ndim >= 2), ``w1`` [n, k]
-    and ``w2`` [k, m].  The node keeps ``x``, the weights and GELU's
-    ``cdf``, and no hidden rows: its VJP rebuilds the pre-activation ``a``
-    with the first GEMM, then ``a * cdf`` and GELU's derivative, so ``erf``
-    runs once per call.  Every value is bitwise that of ``linear``, GELU's
+    and ``w2`` [k, m].  The node keeps ``x`` (through ``_keep``), the
+    weights and GELU's ``cdf``, and no hidden rows: its VJP rebuilds the
+    pre-activation ``a`` with the first GEMM, then ``a * cdf`` and GELU's
+    derivative, so ``erf`` runs once per call.  Every value is bitwise that of ``linear``, GELU's
     ``a * cdf`` and ``linear``.
     """
     params = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
@@ -808,8 +847,10 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     a *= cdf
     y = _affine(a, w2d, b2d)
     tracked = [t.requires_grad for t in params]
+    held = _keep(params[0])
 
     def vjp(g):
+        xd = _kept(held)
         a = _affine(xd, w1d, b1d)  # the pre-activation, rebuilt
         _, gw2, gb2 = _affine_vjp(g, a * cdf if tracked[3] else None, None, cdf.shape,
                                   b2d.shape if tracked[4] else None)

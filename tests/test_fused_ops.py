@@ -4,11 +4,11 @@ untracked parents, finite differences, one tape node per call, and what
 each node keeps."""
 
 import re
-import types
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import closure_arrays, tape_census
 from scipy.special import erf
 
 from sydes import decoders, losses, nn
@@ -56,27 +56,6 @@ def tape_kinds(root) -> Counter:
     """Op nodes reachable from ``root``, counted by the function that built
     their VJP."""
     return Counter(node._vjp.__qualname__.split(".")[0] for node in tape_nodes(root))
-
-
-def closure_arrays(fn) -> list:
-    """The arrays a function's closure holds, also through the tensors,
-    tuples and lists and the closures of the Python functions it holds."""
-    arrays = []
-
-    def walk(value):
-        if isinstance(value, np.ndarray):
-            arrays.append(value)
-        elif isinstance(value, Tensor):
-            arrays.append(value.data)
-        elif isinstance(value, types.FunctionType):
-            arrays.extend(closure_arrays(value))
-        elif isinstance(value, (tuple, list)):
-            for item in value:
-                walk(item)
-
-    for cell in fn.__closure__ or ():
-        walk(cell.cell_contents)
-    return arrays
 
 
 def names(op, *shapes):
@@ -361,6 +340,14 @@ class TestAttention:
         assert p.shape == (self.B, self.H, self.T_, self.TK)
         assert np.allclose(p.sum(-1), 1.0, atol=1e-12)
 
+    def test_rank_is_checked_before_rows(self):
+        # ``rows=`` slices x only after the shape check, so a token array of
+        # the wrong rank names the op and the shapes, not a numpy index error.
+        _, kv, weights, _, _ = self.inputs(27, "cross")
+        for bad in (np.ones(6), np.ones(()), np.ones((5, 6))):
+            with pytest.raises(ShapeError, match=names("attention", f"{bad.shape}, (2, 7, 6)")):
+                T.attention(Tensor(bad), kv, weights, self.H, rows=2)
+
     def test_shape_errors(self):
         x, kv, weights, _, _ = self.inputs(25, "cross")
         with pytest.raises(ShapeError, match=names("attention", "(2, 5, 6), (2, 7, 4)")):
@@ -551,9 +538,7 @@ class TestSumSquares:
         assert tape_kinds(loss) == Counter(linear_sq_error=1, sum_=1, mul=2, narrow=1)
         node = next(n for n in tape_nodes(loss) if n._vjp.__qualname__.startswith("linear_sq"))
         assert node._parents == (rows._node, head.weight, head.bias)
-        arrays = []
-        for n in tape_nodes(loss):
-            arrays += closure_arrays(n._vjp)
+        arrays = [a for _, held in tape_census(loss) for a in held]
         assert any(a is rows.data for a in arrays)
         for a in arrays:
             assert a.size < t.size and not np.shares_memory(a, t), a.shape
@@ -642,39 +627,30 @@ class TestTapeNodes:
         assert tape_kinds(head(x)) == Counter(mlp=1, mean=1)  # the head mean-pools first
         assert tape_kinds(agg(leaf(rng.split("z"), (2, 4, 4))))["mlp"] == 1
 
-    def test_decoder_block_keeps_no_attention_or_mlp_interior(self, monkeypatch):
-        """A census of one ``DecoderBlock`` forward's VJP closures, with
-        query, key and hidden widths that tell the arrays apart.  Every
-        token-sized array the tape keeps is an input of the block, the
-        output of a layer norm, or a layer norm's own normalized rows:
-        never q, k, v or the attention context.  The MLP keeps one
-        hidden-sized array, its ``cdf``."""
+    def test_decoder_block_keeps_no_attention_or_mlp_interior(self):
+        """A census of one ``DecoderBlock`` forward's VJP closures
+        (``tape_census``, which counts an array a consumer reaches through
+        its producer's rebuild under the producer), with query, key and
+        hidden widths that tell the arrays apart.  The only token-sized
+        arrays on the tape are the layer norms' normalized rows.  No
+        consumer holds one of its own: not q, k, v or the attention context,
+        and not the layer-norm output it reads, which it rebuilds from
+        ``xhat``.  The MLP keeps one hidden-sized array, its ``cdf``."""
         b, t, tk, c, ratio = 2, 5, 7, 8, 3
         block = nn.DecoderBlock(c, 2, ratio)
         block.initialize(RngState(7))
         x, kv = leaf(RngState(8), (b, t, c)), leaf(RngState(9), (b, tk, c))
-        made, track = [], T._track
-
-        def keep(data, parents, vjp):
-            made.append(track(data, parents, vjp))
-            return made[-1]
-
-        monkeypatch.setattr(T, "_track", keep)
         out = block(x, kv, causal(t)[None, None])
-        monkeypatch.undo()
         assert tape_kinds(out) == Counter(layer_norm=4, attention=2, mlp=1, add=3)
-        inputs = [x.data, kv.data] + [n.data for n in made
-                                      if n._vjp.__qualname__.startswith("layer_norm")]
         token_sizes = {b * t * c, b * tk * c}
         interior = Counter()
-        for node in tape_nodes(out):
+        for node, arrays in tape_census(out):
             kind = node._vjp.__qualname__.split(".")[0]
-            for a in closure_arrays(node._vjp):
-                if a.size in token_sizes and not any(np.shares_memory(a, i) for i in inputs):
+            for a in arrays:
+                if a.size in token_sizes:
                     interior[kind, "tokens"] += 1
                 elif a.size == b * t * c * ratio:
                     interior[kind, "hidden"] += 1
-        # Each layer norm keeps its normalized rows; nothing else is interior.
         assert interior == Counter({("layer_norm", "tokens"): 4, ("mlp", "hidden"): 1})
         T.sum_(out).backward()
         assert x.grad.shape == x.shape and kv.grad.shape == kv.shape

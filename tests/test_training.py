@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import closure_arrays, closure_values, tape_census
 
 from sydes import losses, nn
 from sydes import tensor as T
@@ -312,11 +313,11 @@ class TestLastBlockRows:
             assert np.abs(g - ref).max() <= 1e-12 * scale, name
 
     def test_last_blocks_keep_no_dropped_rows(self, corpus, monkeypatch):
-        """A census of the VJP closures of the nodes each last block makes:
-        only ``ln1`` and self-attention, whose key and value input it is
-        (and, in the decoder, ``ln_kv`` and cross-attention), keep an array
-        with every row."""
-        made = {}
+        """A census (``tape_census``) of the nodes each last block makes:
+        only ``ln1`` (and, in the decoder, ``ln_kv``) keeps an array with
+        every row, its normalized rows.  The attention nodes that read
+        those norms' outputs as keys and values rebuild them."""
+        found = {}
         for cls in self.BLOCKS:
             def recording(self, x, *args, _call=cls.__call__, rows=None, **kwargs):
                 if rows is None:
@@ -332,32 +333,95 @@ class TestLastBlockRows:
                 finally:
                     monkeypatch.setattr(T, "_track", track)
                 assert out.shape[1] == rows < x.shape[1]
-                made[type(self).__name__] = (self, x.shape[1], nodes)
+                found[type(self).__name__] = full_row_keepers(self, x.shape[1], nodes, out)
                 return out
             monkeypatch.setattr(cls, "__call__", recording)
-        self.forward_and_backward(corpus)
 
-        def full_row_keepers(block, t, nodes):
-            """(op, owner) per kept array with ``t`` rows; the owner is the
-            block's child module whose parameter the node reads, else the
-            closure variable holding the array."""
+        def full_row_keepers(block, t, nodes, out):
+            """(op, owner) per array with ``t`` rows that a node of
+            ``nodes`` keeps of its own; the owner is the block's child
+            module whose parameter the node reads."""
             owners = {id(p): name.split(".")[0] for name, p in block.named_parameters()}
-            found = set()
-            for node in nodes:
+            made = {id(node._vjp) for node in nodes}
+            keepers = set()
+            for node, arrays in tape_census(out):
+                if id(node._vjp) not in made:
+                    continue
                 op = node._vjp.__qualname__.split(".")[0]
                 owner = next((owners[id(p)] for p in node._parents if id(p) in owners), None)
-                for var, cell in zip(node._vjp.__code__.co_freevars, node._vjp.__closure__):
-                    value = cell.cell_contents
-                    arr = value.data if isinstance(value, Tensor) else value
-                    if isinstance(arr, np.ndarray) and arr.ndim >= 2 and arr.shape[-2] == t:
-                        found.add((op, owner or var))
-            return found
+                if any(a.ndim >= 2 and a.shape[-2] == t for a in arrays):
+                    keepers.add((op, owner))
+            return keepers
 
-        assert full_row_keepers(*made["EncoderBlock"]) == {
-            ("layer_norm", "ln1"), ("attention", "attn")}
-        assert full_row_keepers(*made["DecoderBlock"]) == {
-            ("layer_norm", "ln1"), ("attention", "self_attn"),
-            ("layer_norm", "ln_kv"), ("attention", "cross_attn")}
+        self.forward_and_backward(corpus)
+        assert found["EncoderBlock"] == {("layer_norm", "ln1")}
+        assert found["DecoderBlock"] == {("layer_norm", "ln1"), ("layer_norm", "ln_kv")}
+
+
+class TestRebuiltInputs:
+    """A layer-norm output and the sub-image patches are kept on the tape
+    as their producer's rebuild (``tensor._keep``): the losses and
+    gradients are bitwise those of keeping the arrays, and no VJP closure
+    holds a ``Tensor``."""
+
+    STAGES = ("pretrain", "finetune")
+
+    def loss(self, corpus, stage):
+        """The model and the loss of one desk step of ``stage`` on 8 samples."""
+        cfg, vocab, data = corpus
+        model = fresh_model(cfg, vocab)
+        batch = data.batch(np.arange(8))
+        if stage == "pretrain":
+            apply_freeze(model, cfg.pretrain.frozen)
+            kept, masked = training.batch_masks(model, batch.sample_ids, 0,
+                                                cfg.pretrain.mask_ratio, RngState(3))
+            parts = model.pretrain_forward(batch, kept, masked, cfg.tau)
+            return model, losses.pretrain_loss(parts, cfg.pretrain.weights)
+        apply_freeze(model, cfg.finetune.frozen)
+        logits, parts = model.finetune_forward(batch, "emotion", cfg.tau)
+        parts["cls"] = losses.cls_loss(logits, batch.labels["emotion"])
+        return model, losses.finetune_loss(parts, cfg.finetune.weights)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_rebuilds_are_bitwise_the_kept_arrays(self, corpus, stage, monkeypatch):
+        def step():
+            rebuilt = []
+            monkeypatch.setattr(T, "_kept", lambda held, _kept=T._kept: (
+                rebuilt.append(callable(held)) or _kept(held)))
+            model, loss = self.loss(corpus, stage)
+            loss.backward()
+            grads = [b"none" if p.grad is None else p.grad.tobytes()
+                     for p in model.parameters()]
+            return any(rebuilt), loss.data.tobytes(), grads
+
+        used, loss, grads = step()
+        monkeypatch.setattr(T, "_keep", lambda t: t.data)  # every node keeps the array
+        used_none, loss_kept, grads_kept = step()
+        assert used and not used_none
+        assert loss == loss_kept and grads == grads_kept
+        assert sum(g != b"none" for g in grads) > 10
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_no_vjp_closure_holds_a_tensor(self, corpus, stage):
+        _, loss = self.loss(corpus, stage)
+        census = tape_census(loss)
+        assert len(census) > 50
+        for node, _ in census:
+            held = [v for v in closure_values(node._vjp) if isinstance(v, Tensor)]
+            assert not held, node._vjp.__qualname__
+
+    def test_patch_projection_keeps_no_float_patches(self, corpus):
+        # Guard: the sub-image patches are gathered again from the dataset's
+        # bytes in the VJP; only the low-resolution patches stay as floats.
+        data = corpus[2]
+        model, loss = self.loss(corpus, "pretrain")
+        proj = model.image_encoder.patch_proj.weight
+        held = [closure_arrays(node._vjp) for node, _ in tape_census(loss)
+                if proj in node._parents]
+        assert len(held) == 2  # the low-resolution image and the sub-images
+        floats = [a for arrays in held for a in arrays if a.dtype == np.float64]
+        assert all(a.shape[0] == 8 for a in floats if a.ndim == 3)
+        assert any(a is data.arrays.subs for arrays in held for a in arrays)
 
 
 class TestTapeLifetime:
