@@ -10,7 +10,13 @@ this module.  Design points:
   parent is linked as itself only when it is a tracked leaf (a parameter or
   a tracked input), else through a data-less stand-in.  So an op's output
   array dies with the output unless a later VJP reads it, as PyTorch's saved
-  tensors do (Paszke et al., 2019).  ``Tensor.backward()`` walks the tape
+  tensors do (Paszke et al., 2019).  A closure holds arrays, never a
+  ``Tensor``.  An op that reads an input whole holds it through ``_keep``:
+  as the rebuild the input's producer left on it, if any, else as the
+  array.  ``layer_norm`` leaves one (``xhat * gamma + beta``, from arrays
+  its own node keeps), so each layer-norm output is on the tape once, as
+  ``xhat``.  The model's sub-image patches carry one too, a gather from
+  the dataset's bytes.  ``Tensor.backward()`` walks the tape
   in reverse topological order and keeps ``grad`` only on leaves (tensors
   with no VJP, such as parameters); an interior node's gradient is passed
   on to its parents and dropped.  Repeated ``backward()`` calls accumulate into the
