@@ -205,7 +205,7 @@ class DatasetArrays:
             if image.shape[:2] != (cfg.high_res, cfg.high_res):
                 raise DataError(f"{s.image_path}: expected a {cfg.high_res}x{cfg.high_res} image, "
                                 f"got {image.shape[1]}x{image.shape[0]} (width x height)")
-            bundle = mixed_scale_split(cfg.normalize(image / 255.0), cfg, source_id=s.id)
+            bundle = mixed_scale_split(cfg.normalize(image / 255.0), cfg)
             low[i] = patchify(bundle.low, cfg)
             subs[i] = [patchify(sub, cfg) for sub in quadrants(image)]
             seq = tokenize(s.text, vocab, seq_len)

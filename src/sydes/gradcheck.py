@@ -22,23 +22,24 @@ from .tensor import RngState, Tensor
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 ABS_TOL = 1e-6
+COMPOSITE_COORDS = 4
 
 
-def fd_coordinate(f, array: np.ndarray, flat_index: int, h: float = FD_STEP) -> float:
-    """Central difference of scalar-valued ``f`` w.r.t. one coordinate of a
-    (mutated in place, then restored) array."""
+def fd_coordinate(f, array: np.ndarray, flat_index: int) -> float:
+    """Central difference, of step ``FD_STEP``, of scalar-valued ``f``
+    w.r.t. one coordinate of a (mutated in place, then restored) array."""
     flat = array.reshape(-1)
     orig = flat[flat_index]
-    flat[flat_index] = orig + h
+    flat[flat_index] = orig + FD_STEP
     fp = f()
-    flat[flat_index] = orig - h
+    flat[flat_index] = orig - FD_STEP
     fm = f()
     flat[flat_index] = orig
-    return (fp - fm) / (2.0 * h)
+    return (fp - fm) / (2.0 * FD_STEP)
 
 
-def agree(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_)
+def agree(a: float, b: float) -> bool:
+    return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
 
 
 @dataclass
@@ -219,7 +220,7 @@ def tiny_setup(rng: RngState):
     return model, batch, image_cfg
 
 
-def _scenario_pretrain(rng: RngState, result: CheckResult, coords: int) -> None:
+def _scenario_pretrain(rng: RngState, result: CheckResult) -> None:
     model, batch, image_cfg = tiny_setup(rng.split("setup"))
     p = image_cfg.patches_per_image
     specs = [[sample_mask(p, 0.5, rng.split(f"mask/{i}/{n}")) for n in range(4)]
@@ -238,10 +239,10 @@ def _scenario_pretrain(rng: RngState, result: CheckResult, coords: int) -> None:
                                        dc_reference=reference)
         return losses.pretrain_loss(parts, weights)
 
-    _check_sampled_params(build, model.parameters(), result, rng.split("pick"), coords)
+    _check_sampled_params(build, model.parameters(), result, rng.split("pick"))
 
 
-def _scenario_finetune(rng: RngState, result: CheckResult, coords: int) -> None:
+def _scenario_finetune(rng: RngState, result: CheckResult) -> None:
     model, batch, _ = tiny_setup(rng.split("setup"))
     weights = losses.LossWeights.finetune_defaults()
 
@@ -250,15 +251,14 @@ def _scenario_finetune(rng: RngState, result: CheckResult, coords: int) -> None:
         parts["cls"] = losses.cls_loss(logits, batch.labels["desire"])
         return losses.finetune_loss(parts, weights)
 
-    _check_sampled_params(build, model.parameters(), result, rng.split("pick"), coords)
+    _check_sampled_params(build, model.parameters(), result, rng.split("pick"))
 
 
-def _check_sampled_params(build, leaves: list[Tensor], result: CheckResult,
-                          rng: RngState, coords: int) -> None:
-    """FD-check ``coords`` coordinates sampled across all parameters."""
+def _check_sampled_params(build, leaves: list[Tensor], result: CheckResult, rng: RngState) -> None:
+    """FD-check ``COMPOSITE_COORDS`` coordinates sampled across all parameters."""
     sizes = np.array([leaf.size for leaf in leaves])
     total = int(sizes.sum())
-    flats = rng.generator().choice(total, size=min(coords, total), replace=False)
+    flats = rng.generator().choice(total, size=min(COMPOSITE_COORDS, total), replace=False)
     ends = np.cumsum(sizes)
     owners = np.searchsorted(ends, flats, side="right")
     starts = ends - sizes
@@ -275,26 +275,23 @@ SCENARIOS = {
 }
 
 
-def run_suite(seed: int = 0, cases: int = 100, composite_cases: int | None = None,
-              composite_coords: int = 4) -> list[CheckResult]:
+def run_suite(seed: int = 0, cases: int = 100,
+              composite_cases: int | None = None) -> list[CheckResult]:
     """Run the full verification suite; returns one result per loss.
 
     ``cases`` seeded trials per simple loss (all coordinates each);
     composites run ``composite_cases`` trials (default cases // 10, min 3)
-    sampling ``composite_coords`` parameter coordinates per trial.
+    sampling ``COMPOSITE_COORDS`` (4) parameter coordinates per trial.
     """
     root = RngState(seed, "gradcheck")
-    results = []
-    for name, scenario in SCENARIOS.items():
-        result = CheckResult(name)
-        for case in range(cases):
-            scenario(root.split(f"{name}/{case}"), result)
-        results.append(result)
     n_comp = composite_cases if composite_cases is not None else max(3, cases // 10)
-    for name, scenario in (("pretrain_total", _scenario_pretrain),
-                           ("finetune_total", _scenario_finetune)):
+    trials = [(name, scenario, cases) for name, scenario in SCENARIOS.items()]
+    trials += [("pretrain_total", _scenario_pretrain, n_comp),
+               ("finetune_total", _scenario_finetune, n_comp)]
+    results = []
+    for name, scenario, n in trials:
         result = CheckResult(name)
-        for case in range(n_comp):
-            scenario(root.split(f"{name}/{case}"), result, composite_coords)
+        for case in range(n):
+            scenario(root.split(f"{name}/{case}"), result)
         results.append(result)
     return results

@@ -85,7 +85,6 @@ class MixedScaleBundle:
 
     low: np.ndarray
     subs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    source_id: str = ""
 
     def reassemble(self) -> np.ndarray:
         """Tile the four subs back into the high-res source (bit-exact)."""
@@ -104,17 +103,16 @@ def tile_quadrants(subs) -> np.ndarray:
 class MaskSpec:
     """Masked/kept patch indices for one sub-image.
 
-    ``kept`` has round-half-up((1-ratio) * patch_count) sorted indices;
-    ``masked`` is the sorted complement.  ratio == 1 is rejected: at least
-    one patch must stay visible.
+    ``kept`` has round-half-up((1-ratio) * patch_count) sorted indices for
+    the mask ratio it was drawn at; ``masked`` is the sorted complement.
+    ratio == 1 is rejected: at least one patch must stay visible.
     """
 
-    ratio: float
     kept: np.ndarray
     masked: np.ndarray
 
 
-def mixed_scale_split(image: np.ndarray, cfg: ImageConfig, source_id: str = "") -> MixedScaleBundle:
+def mixed_scale_split(image: np.ndarray, cfg: ImageConfig) -> MixedScaleBundle:
     """Split a high-res image into its downsampled version plus four
     quadrant crops.
 
@@ -127,7 +125,7 @@ def mixed_scale_split(image: np.ndarray, cfg: ImageConfig, source_id: str = "") 
         raise ShapeError(f"expected image of shape {(hr, hr, cfg.channels)}, got {image.shape}")
     lr = cfg.low_res
     low = image.reshape(lr, 2, lr, 2, cfg.channels).mean(axis=(1, 3))
-    return MixedScaleBundle(low=low, subs=quadrants(image), source_id=source_id)
+    return MixedScaleBundle(low=low, subs=quadrants(image))
 
 
 def quadrants(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -191,7 +189,7 @@ def sample_mask(patch_count: int, ratio: float, rng: RngState) -> MaskSpec:
     order = rng.permutation(patch_count)
     kept = np.sort(order[:n_keep])
     masked = np.sort(order[n_keep:])
-    return MaskSpec(ratio=ratio, kept=kept, masked=masked)
+    return MaskSpec(kept=kept, masked=masked)
 
 
 def select_unmasked(patch_matrix: np.ndarray, spec: MaskSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -103,7 +103,7 @@ class Aggregator(nn.Module):
         dim = self.u.shape[0]
         t = T.tanh(T.linear(z, self.w_z, self.b))
         e = T.reshape(T.matmul(t, T.reshape(self.u, (dim, 1))), z.shape[:2])
-        return T.softmax(e, axis=-1)
+        return T.softmax(e)
 
     def __call__(self, z: Tensor) -> Tensor:
         """Aggregate [B, n_subs, dim] into [B, dim]."""
@@ -125,7 +125,7 @@ def si_loss(global_feats: Tensor, aggregated: Tensor) -> Tensor:
 def similarity_distribution(anchor: Tensor, text_feats: Tensor, tau: float) -> Tensor:
     """Row-stochastic [N, N]: row i is softmax_j(<anchor_i, text_j> / tau)."""
     logits = T.matmul(anchor, T.transpose(text_feats, (1, 0))) * (1.0 / tau)
-    return T.softmax(logits, axis=-1)
+    return T.softmax(logits)
 
 
 def dc_loss(aggregated: Tensor, global_feats: Tensor, text_feats: Tensor,
@@ -170,7 +170,7 @@ def cls_loss(logits: Tensor, labels: np.ndarray, sample_ids=None) -> Tensor:
 
 def _cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy of [N, K] logits against one-hot rows."""
-    return -T.sum_(T.log_softmax(logits, axis=-1) * Tensor(onehot)) * (1.0 / onehot.shape[0])
+    return -T.sum_(T.log_softmax(logits) * Tensor(onehot)) * (1.0 / onehot.shape[0])
 
 
 def pretrain_loss(parts: dict[str, Tensor], weights: LossWeights) -> Tensor:

@@ -155,7 +155,7 @@ class SydesModel(nn.Module):
         W = self.encode_text(batch.ids, batch.real)
         v_itc, w_itc = self.itc_features(V1, W)
 
-        visual = [V1] + T.split(Vsub, [b] * N_SUBS, axis=0)
+        visual = [V1] + T.split(Vsub, [b] * N_SUBS)
         fused = self.text_decoder(W, batch.real, visual, record=capture)
         logits = self.head(task)(fused)
         return logits, {"itc": losses.itc_loss(v_itc, w_itc, tau)}

@@ -39,9 +39,9 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def assign_names(self, prefix: str = "") -> None:
+    def assign_names(self) -> None:
         seen: set[str] = set()
-        for name, p in self.named_parameters(prefix):
+        for name, p in self.named_parameters():
             if name in seen:
                 raise ContractError(f"duplicate parameter name {name!r}")
             seen.add(name)
@@ -70,13 +70,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = Parameter((dim,), init="ones")
         self.beta = Parameter((dim,), init="zeros")
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class MultiHeadAttention(Module):

@@ -184,9 +184,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -433,44 +430,41 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _track(a.data[idx], (a,), vjp)
 
 
-def split(a, sizes, axis: int = 0) -> list[Tensor]:
+def split(a, sizes) -> list[Tensor]:
+    """``narrow`` pieces of ``a`` along axis 0, of ``sizes`` that sum to it."""
     a = _coerce(a)
     shape = a.data.shape
-    if sum(sizes) != shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis {axis} of {shape}")
+    if sum(sizes) != shape[0]:
+        raise ShapeError(f"split sizes {sizes} do not cover axis 0 of {shape}")
     out, start = [], 0
     for s in sizes:
-        out.append(narrow(a, axis, start, s))
+        out.append(narrow(a, 0, start, s))
         start += s
     return out
 
 
 # -- reductions -------------------------------------------------------------
 
-def _expand_reduced(g: Array, shape: tuple[int, ...], axis, keepdims: bool) -> Array:
-    g = np.asarray(g)
-    if axis is not None and not keepdims:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        ax = tuple(a % len(shape) for a in ax)
-        g = np.expand_dims(g, ax)
+def _expand_reduced(g: Array, shape: tuple[int, ...], axis) -> Array:
+    if axis is not None:
+        g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape).copy()
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = _coerce(a)
     shape = a.data.shape
-    return _track(a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                  lambda g: (_expand_reduced(g, shape, axis, keepdims),))
+    return _track(a.data.sum(axis=axis), (a,), lambda g: (_expand_reduced(g, shape, axis),))
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = _coerce(a)
     shape = a.data.shape
     count = a.data.size if axis is None else np.prod(
         [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
     # sum then divide is what ``ndarray.mean`` does, without its Python wrapper.
-    return _track(a.data.sum(axis=axis, keepdims=keepdims) / count, (a,),
-                  lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
+    return _track(a.data.sum(axis=axis) / count, (a,),
+                  lambda g: (_expand_reduced(g, shape, axis) / count,))
 
 
 # -- elementwise unary ops ----------------------------------------------------
@@ -506,37 +500,37 @@ def sigmoid(a) -> Tensor:
 
 # -- fused neural-net primitives ----------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; the axis max is subtracted before
+def softmax(a) -> Tensor:
+    """Softmax along the last axis; the row max is subtracted before
     exponentiation so huge logits stay finite.  -inf logits yield exact
-    zeros, provided at least one entry per slice is finite."""
+    zeros, provided at least one entry per row is finite."""
     a = _coerce(a)
-    xm = a.data - a.data.max(axis=axis, keepdims=True)
+    xm = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(xm)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
     return _track(p, (a,), vjp)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a) -> Tensor:
     a = _coerce(a)
-    xm = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(xm).sum(axis=axis, keepdims=True))
+    xm = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(xm).sum(axis=-1, keepdims=True))
     out_data = xm - lse
 
     def vjp(g):
-        return (g - np.exp(out_data) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out_data) * g.sum(axis=-1, keepdims=True),)
 
     return _track(out_data, (a,), vjp)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply the
-    learned affine.  A constant input normalizes to zeros (epsilon guards the
-    zero-variance case).  The node keeps the normalized rows ``xhat``, each
+    learned affine.  A constant input normalizes to zeros (1e-5 is added to
+    each row's variance).  The node keeps the normalized rows ``xhat``, each
     row's inverse deviation and ``gamma``'s array.  A recorded output
     carries a rebuild, ``xhat * gamma + beta`` from those same arrays, so a
     consumer that keeps it (``_keep``) holds no copy of its own: the output
@@ -550,7 +544,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     mu = x.data.sum(axis=-1, keepdims=True) / n
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     gd, bd = gamma.data, beta.data
 
@@ -573,17 +567,17 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return out
 
 
-def l2_normalize(x, axis: int = -1) -> Tensor:
-    """Scale slices along ``axis`` to unit L2 norm.  Zero-norm input is a
-    degenerate-input error rather than a silent NaN."""
+def l2_normalize(x) -> Tensor:
+    """Scale each row (along the last axis) to unit L2 norm.  Zero-norm
+    input is a degenerate-input error rather than a silent NaN."""
     x = _coerce(x)
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
+    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     if (norm < 1e-12).any():
         raise DegenerateInputError("l2_normalize received a zero-norm slice")
     y = x.data / norm
 
     def vjp(g):
-        return ((g - y * (g * y).sum(axis=axis, keepdims=True)) / norm,)
+        return ((g - y * (g * y).sum(axis=-1, keepdims=True)) / norm,)
 
     return _track(y, (x,), vjp)
 
@@ -679,6 +673,9 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
     wd, bd = weight.data, bias.data
     xs, ws = x.data.shape, wd.shape
     _check_affine("linear_sq_error", xs, ws, bd.shape)
+    if 0 in xs[1:-1] + ws[1:]:  # a chunk's size is a count of whole rows of these axes
+        raise ShapeError(f"linear_sq_error needs non-empty inner axes, "
+                         f"got {xs} @ {ws} + {bd.shape}")
     n, m = xs[0], ws[1]
     step = max(1, ATTENTION_CHUNK // (int(np.prod(xs[1:-1])) * m))
     tracked = x.requires_grad, weight.requires_grad, bias.requires_grad
@@ -755,12 +752,16 @@ def attention(x, kv, weights, heads: int, mask=None,
     wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in params)
     xd, kvd = x.data, kv.data
     C = xd.shape[-1] if xd.ndim == 3 else 0  # the check comes before ``rows`` slices x
-    if (xd.ndim != 3 or kvd.ndim != 3 or kvd.shape[::2] != xd.shape[::2] or C % heads
+    if (xd.ndim != 3 or kvd.ndim != 3 or kvd.shape[::2] != xd.shape[::2]
+            or 0 in xd.shape or 0 in kvd.shape or heads < 1 or C % heads
+            or rows is not None and not (isinstance(rows, (int, np.integer))
+                                         and 1 <= rows <= xd.shape[1])
             or any(w.shape != (C, C) for w in (wq, wk, wv, wo))
             or any(b.shape != (C,) for b in (bq, bk, bv, bo))):
-        raise ShapeError(f"attention needs x [B, T, C], kv [B, Tk, C], {heads} heads "
-                         f"dividing C and [C, C] + [C] projections, got {xd.shape}, "
-                         f"{kvd.shape} and {[p.data.shape for p in params]}")
+        raise ShapeError(f"attention needs non-empty x [B, T, C] and kv [B, Tk, C], {heads} "
+                         f"heads (>= 1) dividing C, rows={rows} (None or in [1, T]) and "
+                         f"[C, C] + [C] projections, got {xd.shape}, {kvd.shape} and "
+                         f"{[p.data.shape for p in params]}")
     if rows is not None:
         xd = xd[:, :rows]
     (B, Tq, _), Tk, D = xd.shape, kvd.shape[1], C // heads
@@ -942,8 +943,6 @@ class RngState:
 
     seed: int
     stream: str = ""
-
-    algorithm = "philox4x64/blake2b-128(seed,stream)"
 
     def split(self, name: str) -> "RngState":
         path = f"{self.stream}/{name}" if self.stream else name

@@ -140,12 +140,11 @@ class AdamW:
     Moments exist only for the parameters handed in (the unfrozen set).
     """
 
-    def __init__(self, groups: list[tuple[str, list[Parameter], float]],
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    betas = (0.9, 0.999)
+    eps = 1e-8
+
+    def __init__(self, groups: list[tuple[str, list[Parameter], float]], weight_decay: float = 0.01):
         self.groups = groups
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m: dict[str, np.ndarray] = {}

@@ -90,7 +90,7 @@ def test_criterion_1_gradient_oracle():
     (step 1e-5) within max(1e-4 rel, 1e-6 abs), 100 seeded cases per loss,
     in under two minutes."""
     t0 = time.time()
-    results = run_suite(seed=0, cases=100, composite_cases=100, composite_coords=4)
+    results = run_suite(seed=0, cases=100, composite_cases=100)
     elapsed = time.time() - t0
     lines = "; ".join(r.line() for r in results)
     ok = all(r.passed for r in results) and elapsed < 120.0
@@ -234,7 +234,7 @@ def test_criterion_5_guidance_liveness():
     full_kept = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * batch.size, p))
     Vsub = model.encode_subs(batch, full_kept)
     W = model.encode_text(batch.ids, batch.real)
-    visual = [V1] + T.split(Vsub, [batch.size] * 4, axis=0)
+    visual = [V1] + T.split(Vsub, [batch.size] * 4)
     fused = model.text_decoder(W, batch.real, visual)
     zeroed = model.text_decoder(W, batch.real,
                                 [Tensor(np.zeros(v.shape)) for v in visual])

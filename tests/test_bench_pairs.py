@@ -195,6 +195,20 @@ def test_digests_recorded_once_per_file(tmp_path, monkeypatch):
     assert report["digests"] == {"parent": ["1a  ALL", "1b  FULLSCALE"],
                                  "change": ["2a  ALL", "2b  FULLSCALE"]}
     assert sorted(report["workloads"]) == ["desk-pretrain", "gradcheck"]
+    assert sorted(report["src_lines"]) == ["change", "parent"]
+
+
+def test_src_lines_counts_newlines_of_the_package_modules(tmp_path):
+    """``wc -l src/sydes/*.py``: every newline of each module, a last line
+    without one not counted, and nothing outside the package's top level."""
+    pkg = tmp_path / "src" / "sydes"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nno_newline = 4")
+    (pkg / "notes.txt").write_text("1\n2\n")
+    (pkg / "sub" / "c.py").write_text("1\n")
+    (tmp_path / "src" / "setup.py").write_text("1\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 4
 
 
 def test_failed_digest_names_the_command(monkeypatch):

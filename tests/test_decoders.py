@@ -181,7 +181,7 @@ class TestDecodeText:
         kept = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * batch.size, p))
         Vsub = model.encode_subs(batch, kept)
         W = model.encode_text(batch.ids, batch.real)
-        visual = [V1] + T.split(Vsub, [batch.size] * 4, axis=0)
+        visual = [V1] + T.split(Vsub, [batch.size] * 4)
         fused = model.text_decoder(W, batch.real, visual)
         zeroed = [Tensor(np.zeros(v.shape)) for v in visual]
         fused_zero = model.text_decoder(W, batch.real, zeroed)
@@ -219,5 +219,5 @@ class TestClassifierHead:
         for p in head.parameters():
             p.data = np.zeros(p.shape)
         fused = Tensor(RngState(12).normal((2, 4, 6)))
-        probs = T.softmax(head(fused), axis=-1)
+        probs = T.softmax(head(fused))
         assert np.allclose(probs.data, 1.0 / 7, atol=1e-12)

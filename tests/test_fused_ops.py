@@ -122,7 +122,7 @@ def composed_mha(x, kv, weights, heads, mask, rows, record=None):
     scores = T.matmul(q, swap_last2(k)) * (1.0 / np.sqrt(d))
     if mask is not None:
         scores = scores + Tensor(mask)
-    p = T.softmax(scores, axis=-1)
+    p = T.softmax(scores)
     if record is not None:
         record["p"] = p.data
     out = T.transpose(T.matmul(p, v), (0, 2, 1, 3))
@@ -361,6 +361,20 @@ class TestAttention:
         with pytest.raises(ShapeError, match=names("attention mask", "(2, 2, 3, 5, 7)",
                                                    "(2, 3, 5, 7)")):
             T.attention(x, kv, weights, self.H, np.zeros((2, 2, 3, 5, 7)))
+        # Each of these once ran on (a ZeroDivisionError, a numpy error in
+        # the forward or the backward, or rows silently clamped to T).
+        for heads in (0, -2):
+            with pytest.raises(ShapeError, match=names("attention", f"{heads} heads",
+                                                       "(2, 5, 6), (2, 7, 6)")):
+                T.attention(x, kv, weights, heads)
+        for rows in (6, -1, 0):
+            with pytest.raises(ShapeError, match=names("attention", f"rows={rows}",
+                                                       "(2, 5, 6), (2, 7, 6)")):
+                T.attention(x, kv, weights, self.H, rows=rows)
+        for xs, kvs in (((2, 0, 6), (2, 7, 6)), ((2, 5, 6), (2, 0, 6)), ((0, 5, 6), (0, 7, 6))):
+            with pytest.raises(ShapeError, match=names("attention", f"{xs}, {kvs}")):
+                T.attention(Tensor(np.ones(xs), requires_grad=True), Tensor(np.ones(kvs)),
+                            weights, self.H)
 
 
 class TestAttentionRecompute:
@@ -581,6 +595,13 @@ class TestSumSquares:
             T.linear_sq_error(x, w, Tensor(np.ones(4)), t.__getitem__)
         with pytest.raises(ShapeError, match=names("linear_sq_error", "(4,) @ (4, 5) + (5,)")):
             T.linear_sq_error(Tensor(np.ones(4)), w, b, t.__getitem__)
+        # Zero-size inner axes once raised a ZeroDivisionError.
+        with pytest.raises(ShapeError,
+                           match=names("linear_sq_error", "(2, 0, 4) @ (4, 5) + (5,)")):
+            T.linear_sq_error(Tensor(np.ones((2, 0, 4))), w, b, t.__getitem__)
+        with pytest.raises(ShapeError,
+                           match=names("linear_sq_error", "(2, 3, 4) @ (4, 0) + (0,)")):
+            T.linear_sq_error(x, Tensor(np.ones((4, 0))), Tensor(np.ones(0)), t.__getitem__)
 
 
 class TestTapeNodes:

@@ -162,13 +162,13 @@ class TestSelectUnmasked:
 
     def test_single_row(self):
         mat = RngState(1).normal((4, 5))
-        spec = MaskSpec(ratio=0.75, kept=np.array([0]), masked=np.array([1, 2, 3]))
+        spec = MaskSpec(kept=np.array([0]), masked=np.array([1, 2, 3]))
         rows, _ = select_unmasked(mat, spec)
         assert np.array_equal(rows, mat[:1])
 
     def test_out_of_range_rejected(self):
         mat = np.zeros((4, 5))
-        spec = MaskSpec(ratio=0.0, kept=np.array([7]), masked=np.array([]))
+        spec = MaskSpec(kept=np.array([7]), masked=np.array([]))
         with pytest.raises(ContractError):
             select_unmasked(mat, spec)
 

@@ -147,8 +147,8 @@ class TestItc:
         w.zero_grad()
         logits = T.matmul(v, T.transpose(w, (1, 0))) * (1.0 / 0.3)
         eye = Tensor(np.eye(5))
-        i2t = -T.sum_(T.log_softmax(logits, axis=-1) * eye) * (1.0 / 5)
-        t2i = -T.sum_(T.log_softmax(T.transpose(logits, (1, 0)), axis=-1) * eye) * (1.0 / 5)
+        i2t = -T.sum_(T.log_softmax(logits) * eye) * (1.0 / 5)
+        t2i = -T.sum_(T.log_softmax(T.transpose(logits, (1, 0))) * eye) * (1.0 / 5)
         want = 0.5 * (i2t + t2i)
         want.backward()
         assert got == (want.data.tobytes(), v.grad.tobytes(), w.grad.tobytes())
@@ -185,7 +185,7 @@ class TestAggregator:
 
     def test_dominated_score(self):
         e = Tensor(np.array([[10.0, 0.0, 0.0, 0.0]]))
-        alpha = T.softmax(e, axis=-1).data
+        alpha = T.softmax(e).data
         expect = np.exp(10.0) / (np.exp(10.0) + 3.0)  # 0.999864...
         assert alpha[0, 0] == pytest.approx(expect, abs=1e-12)
         assert alpha[0, 0] > 0.999

@@ -54,7 +54,7 @@ class TestForwardExamples:
     def test_softmax_sums_to_one(self):
         rng = RngState(3, "sm")
         for i in range(10):
-            out = T.softmax(Tensor(rng.split(str(i)).normal((4, 6))), axis=-1)
+            out = T.softmax(Tensor(rng.split(str(i)).normal((4, 6))))
             assert np.all(np.abs(out.data.sum(-1) - 1.0) < 1e-9)
 
     def test_l2_normalize_345(self):
@@ -319,7 +319,7 @@ def _op_scenarios(rng):
 
     sp = leaf(rng.split("split"), (4, m))
     scen.append(("split", [sp],
-                 lambda: T.sum_(T.tanh(T.split(sp, [1, 3], axis=0)[1]))))
+                 lambda: T.sum_(T.tanh(T.split(sp, [1, 3])[1]))))
 
     me = leaf(rng.split("mean"), (n, m))
     scen.append(("mean", [me], lambda: T.sum_(T.tanh(T.mean(me, axis=0)))))
@@ -361,11 +361,11 @@ def _op_scenarios(rng):
 
     sm = leaf(rng.split("softmax"), (n, m))
     w = Tensor(rng.split("softmax/w").normal((n, m)))
-    scen.append(("softmax", [sm], lambda: T.sum_(T.softmax(sm, axis=-1) * w)))
+    scen.append(("softmax", [sm], lambda: T.sum_(T.softmax(sm) * w)))
 
     ls = leaf(rng.split("logsoftmax"), (n, m))
     scen.append(("log_softmax", [ls],
-                 lambda: T.sum_(T.log_softmax(ls, axis=-1) * w)))
+                 lambda: T.sum_(T.log_softmax(ls) * w)))
 
     x = leaf(rng.split("ln/x"), (n, m))
     gamma = leaf(rng.split("ln/g"), (m,))
@@ -375,7 +375,7 @@ def _op_scenarios(rng):
 
     l2 = leaf(rng.split("l2"), (n, m))
     scen.append(("l2_normalize", [l2],
-                 lambda: T.sum_(T.l2_normalize(l2, axis=-1) * w)))
+                 lambda: T.sum_(T.l2_normalize(l2) * w)))
 
     table = leaf(rng.split("emb"), (6, m))
     ids = rng.split("emb/ids").integers(0, 6, size=(n, 3))

@@ -12,13 +12,15 @@ host's speed falls on both sides alike.  The worktrees are removed when the tool
 after an error.
 
 ``BENCH_<label>.json`` in this checkout holds the two commits, the output
-lines of ``tools/artifact_digest.py --root`` on each checkout (run once per
-file, before the first workload's pairs) and, per workload, every run's
+lines of ``tools/artifact_digest.py --root`` and the ``src/`` line count
+(``src_lines``) of each checkout (both taken once per file, before the first
+workload's pairs) and, per workload, every run's
 result line and ``env`` line and, per end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles, the change's wins per
 pair and the verdicts of ``resolved`` and ``regression``.  Each workload
 also records, and the printed summary shows, each side's failed and
-attempted operations.
+attempted operations.  The printed summary ends with both sides' ``src/``
+line counts and their difference.
 Running the tool again with the same label and commits adds or replaces
 that workload's entry, so one file can hold every workload of one change.
 """
@@ -26,6 +28,7 @@ that workload's entry, so one file can hold every workload of one change.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -144,6 +147,16 @@ def git(*args: str) -> str:
     return proc.stdout.strip()
 
 
+def src_lines(checkout: str) -> int:
+    """The line count ``wc -l src/sydes/*.py`` gives in ``checkout``: the
+    newlines of every module of the package."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "sydes", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run in ``checkout``: its ``env``
     line and its result line, parsed."""
@@ -211,6 +224,9 @@ def main(argv=None) -> int:
         if "digests" not in report:
             report["digests"] = {side: digest_lines(checkouts[side])
                                  for side in ("parent", "change")}
+        if "src_lines" not in report:
+            report["src_lines"] = {side: src_lines(checkouts[side])
+                                   for side in ("parent", "change")}
         runs = []
         for i in range(args.pairs):
             seed = SEED_BASE + i
@@ -239,6 +255,9 @@ def main(argv=None) -> int:
     os.replace(out_path + ".tmp", out_path)
     for line in summary_lines(args.workload, summary, metrics):
         print(line)
+    lines = report["src_lines"]
+    print(f"src lines parent {lines['parent']} change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     print(f"wrote {out_path}")
     return 0
 
