@@ -673,7 +673,7 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
     wd, bd = weight.data, bias.data
     xs, ws = x.data.shape, wd.shape
     _check_affine("linear_sq_error", xs, ws, bd.shape)
-    if 0 in xs[1:-1] + ws[1:]:  # a chunk's size is a count of whole rows of these axes
+    if 0 in xs[1:-1] + ws[1:]:  # ``step`` below divides by their product
         raise ShapeError(f"linear_sq_error needs non-empty inner axes, "
                          f"got {xs} @ {ws} + {bd.shape}")
     n, m = xs[0], ws[1]
@@ -734,18 +734,19 @@ def attention(x, kv, weights, heads: int, mask=None,
     """Multi-head attention of the tokens ``x`` [B, T, C] over ``kv`` [B,
     Tk, C] as one tape node: the ``linear`` projections ``weights`` = (wq,
     bq, wk, bk, wv, bv, wo, bo) around ``softmax(q @ k^T / sqrt(D) + mask)
-    @ v`` on ``heads`` heads of D = C / heads.  ``mask`` broadcasts onto
-    the [B, H, Tq, Tk] scores (0 allowed, -inf blocked, at least one
-    allowed per row).  With ``rows`` set, the queries are the first
-    ``rows`` rows of ``x`` and of the mask.  Returns the output [B, Tq, C]
-    and the attention weights, which the caller owns.  The node keeps the
-    inputs (through ``_keep``, once when ``x is kv``), the weights and each
-    score row's max and exp-sum; its VJP rebuilds the inputs' ``rows``
-    prefix, q, k and v, then the weights and the context a chunk of
-    samples (at most ``ATTENTION_CHUNK`` scores) at a time.  Every value is
-    bitwise that of the composed ``linear``, head split, ``softmax``, head
-    merge and ``narrow`` ops (with ``x is kv``, its input's gradient is
-    q's, k's and v's summed in that order).
+    @ v`` on ``heads`` (>= 1) heads of D = C / heads.  No axis may be
+    empty.  ``mask`` broadcasts onto the [B, H, Tq, Tk] scores (0 allowed,
+    -inf blocked, at least one allowed per row).  With ``rows`` set (an
+    integer in [1, T]), the queries are the first ``rows`` rows of ``x``
+    and of the mask.  Returns the output [B, Tq, C] and the attention
+    weights, which the caller owns.  The node keeps the inputs (through
+    ``_keep``, once when ``x is kv``), the weights and each score row's max
+    and exp-sum; its VJP rebuilds the inputs' ``rows`` prefix, q, k and v,
+    then the weights and the context a chunk of samples (at most
+    ``ATTENTION_CHUNK`` scores) at a time.  Every value is bitwise that of
+    the composed ``linear``, head split, ``softmax``, head merge and
+    ``narrow`` ops (with ``x is kv``, its input's gradient is q's, k's and
+    v's summed in that order).
     """
     x, kv = _coerce(x), _coerce(kv)
     params = tuple(_coerce(w) for w in weights)
@@ -754,8 +755,8 @@ def attention(x, kv, weights, heads: int, mask=None,
     C = xd.shape[-1] if xd.ndim == 3 else 0  # the check comes before ``rows`` slices x
     if (xd.ndim != 3 or kvd.ndim != 3 or kvd.shape[::2] != xd.shape[::2]
             or 0 in xd.shape or 0 in kvd.shape or heads < 1 or C % heads
-            or rows is not None and not (isinstance(rows, (int, np.integer))
-                                         and 1 <= rows <= xd.shape[1])
+            or (rows is not None and not (isinstance(rows, (int, np.integer))
+                                          and 1 <= rows <= xd.shape[1]))
             or any(w.shape != (C, C) for w in (wq, wk, wv, wo))
             or any(b.shape != (C,) for b in (bq, bk, bv, bo))):
         raise ShapeError(f"attention needs non-empty x [B, T, C] and kv [B, Tk, C], {heads} "

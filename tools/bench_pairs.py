@@ -13,14 +13,14 @@ after an error.
 
 ``BENCH_<label>.json`` in this checkout holds the two commits, the output
 lines of ``tools/artifact_digest.py --root`` and the ``src/`` line count
-(``src_lines``) of each checkout (both taken once per file, before the first
-workload's pairs) and, per workload, every run's
-result line and ``env`` line and, per end-to-end metric of
-``BENCHMARK.json``, both sides' medians and quartiles, the change's wins per
-pair and the verdicts of ``resolved`` and ``regression``.  Each workload
-also records, and the printed summary shows, each side's failed and
-attempted operations.  The printed summary ends with both sides' ``src/``
-line counts and their difference.
+(``src_lines``) of each checkout (both taken once per file, before the
+first workload's pairs) and, per workload, every run's result line and
+``env`` line and, per end-to-end metric of ``BENCHMARK.json``, both sides'
+medians and quartiles, the change's wins per pair and the verdicts of
+``resolved`` and ``regression``.  Each workload also records, and the
+printed summary shows, each side's failed and attempted operations.  The
+printed summary ends with both sides' ``src/`` line counts and their
+difference.
 Running the tool again with the same label and commits adds or replaces
 that workload's entry, so one file can hold every workload of one change.
 """
