@@ -84,8 +84,8 @@ class MultiHeadAttention(Module):
 
     ``mask`` is an optional additive array broadcast onto the score tensor
     [B, H, Tq, Tk]; use 0 for allowed and -inf for blocked entries.  With
-    ``rows`` set, only the first ``rows`` query tokens attend.  Set
-    ``record`` to a dict to capture the post-softmax attention weights.
+    ``rows`` set, only the first ``rows`` query tokens attend.  The whole
+    post-softmax attention weights are built only into a ``record`` dict.
     """
 
     def __init__(self, dim: int, heads: int):
@@ -102,10 +102,7 @@ class MultiHeadAttention(Module):
                  record: dict | None = None, rows: int | None = None) -> Tensor:
         weights = [t for lin in (self.wq, self.wk, self.wv, self.wo)
                    for t in (lin.weight, lin.bias)]
-        out, p = T.attention(q_tokens, kv_tokens, weights, self.heads, mask, rows)
-        if record is not None:
-            record["weights"] = p
-        return out
+        return T.attention(q_tokens, kv_tokens, weights, self.heads, mask, rows, record)
 
 
 class Mlp(Module):

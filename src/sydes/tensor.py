@@ -28,8 +28,8 @@ this module.  Design points:
   ``requires_grad=False`` instead of computing a gradient nobody reads.
 * Four fused ops keep on the tape only what their VJP reads: ``linear``
   (``x @ W + b``); multi-head ``attention`` with its projections, which
-  keeps its inputs, weights and each score row's max and exp-sum, and
-  whose VJP rebuilds q, k, v, the weights and the context; ``mlp``
+  keeps its inputs and weights, no row statistics, and whose forward and
+  VJP build the weights and the context in one chunked loop; ``mlp``
   (``fc2(gelu(fc1(x)))``, which keeps ``x``, the weights and GELU's
   ``cdf``); and ``linear_sq_error`` (the per-row ``sum_((x @ W + b -
   target)**2)``, which keeps ``x``, ``W`` and ``b``).  Cheap interiors are
@@ -71,7 +71,7 @@ Array = np.ndarray
 _FLOAT64 = np.dtype(np.float64)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# Most float64 values one chunk of the attention VJP, or of the target and
+# Most float64 values one chunk of the attention weights, or of the target and
 # the squares in ``linear_sq_error``, holds (2^17, 1 MB).
 ATTENTION_CHUNK = 1 << 17
 
@@ -415,9 +415,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along ``axis``."""
+    """Contiguous slice [start, start+length) along ``axis``, which must lie
+    within the axis (an empty one is allowed)."""
     a = _coerce(a)
     shape = a.data.shape
+    if not (-len(shape) <= axis < len(shape) and 0 <= start and 0 <= length
+            and start + length <= shape[axis]):
+        raise ShapeError(f"narrow of {shape} needs axis in [-ndim, ndim) and [start, start + "
+                         f"length) within it, got axis={axis}, start={start}, length={length}")
     idx = [slice(None)] * len(shape)
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
@@ -710,27 +715,30 @@ def linear_sq_error(x, weight, bias, target) -> Tensor:
     return _track(out, (x, weight, bias), vjp)
 
 
-def _attention_weights(q: Array, k: Array, scale: float, mask: Array | None,
-                       row_max: Array | None = None, row_sum: Array | None = None):
-    """``softmax(q @ k^T * scale + mask)`` with its rows' max and exp-sum.
-    Given ``row_max`` and ``row_sum`` from an earlier call, it reuses them,
-    so a recomputed slice is bitwise the same slice of the first result."""
-    p = q @ np.swapaxes(k, -1, -2)
-    p *= scale
-    if mask is not None:
-        p += mask
-    if row_max is None:
-        row_max = p.max(axis=-1, keepdims=True)
-    p -= row_max
-    np.exp(p, out=p)
-    if row_sum is None:
-        row_sum = p.sum(axis=-1, keepdims=True)
-    p /= row_sum
-    return p, row_max, row_sum
+def _attend(q: Array, k: Array, v: Array, scale: float, mask: Array | None, step: int,
+            ctx: Array):
+    """For each chunk of ``step`` samples of the heads-first ``q``, ``k``
+    and ``v``: ``p = softmax(q @ k^T * scale + mask)``, ``p @ v`` written
+    into the chunk's rows of ``ctx`` [B, Tq, C], then the chunk's slice and
+    ``p`` yielded.  A row's max and exp-sum read only that row, so every
+    ``step`` gives bitwise the same weights."""
+    B, H, Tq, D = q.shape
+    ctx_h = ctx.reshape(B, Tq, H, D).transpose(0, 2, 1, 3)
+    for i in range(0, B, step):
+        c = slice(i, i + step)
+        p = q[c] @ np.swapaxes(k[c], -1, -2)
+        p *= scale
+        if mask is not None:
+            p += mask if mask.shape[0] == 1 else mask[c]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        ctx_h[c] = p @ v[c]  # faster than a strided ``out=``
+        yield c, p
 
 
-def attention(x, kv, weights, heads: int, mask=None,
-              rows: int | None = None) -> tuple[Tensor, Array]:
+def attention(x, kv, weights, heads: int, mask=None, rows: int | None = None,
+              record: dict | None = None) -> Tensor:
     """Multi-head attention of the tokens ``x`` [B, T, C] over ``kv`` [B,
     Tk, C] as one tape node: the ``linear`` projections ``weights`` = (wq,
     bq, wk, bk, wv, bv, wo, bo) around ``softmax(q @ k^T / sqrt(D) + mask)
@@ -738,15 +746,15 @@ def attention(x, kv, weights, heads: int, mask=None,
     empty.  ``mask`` broadcasts onto the [B, H, Tq, Tk] scores (0 allowed,
     -inf blocked, at least one allowed per row).  With ``rows`` set (an
     integer in [1, T]), the queries are the first ``rows`` rows of ``x``
-    and of the mask.  Returns the output [B, Tq, C] and the attention
-    weights, which the caller owns.  The node keeps the inputs (through
-    ``_keep``, once when ``x is kv``), the weights and each score row's max
-    and exp-sum; its VJP rebuilds the inputs' ``rows`` prefix, q, k and v,
-    then the weights and the context a chunk of samples (at most
-    ``ATTENTION_CHUNK`` scores) at a time.  Every value is bitwise that of
-    the composed ``linear``, head split, ``softmax``, head merge and
-    ``narrow`` ops (with ``x is kv``, its input's gradient is q's, k's and
-    v's summed in that order).
+    and of the mask.  Returns the output [B, Tq, C]; only given ``record``
+    does it build the whole weights, as ``record["weights"]``.  Forward and
+    VJP run one loop, ``_attend``, over chunks of samples (at most
+    ``ATTENTION_CHUNK`` scores).  The node keeps the inputs (through
+    ``_keep``, once when ``x is kv``) and the weights, no row statistics;
+    its VJP first rebuilds the inputs' ``rows`` prefix, q, k and v.  Every
+    value is bitwise that of the composed ``linear``, head split,
+    ``softmax``, head merge and ``narrow`` ops (with ``x is kv``, its
+    input's gradient is q's, k's and v's summed in that order).
     """
     x, kv = _coerce(x), _coerce(kv)
     params = tuple(_coerce(w) for w in weights)
@@ -781,13 +789,17 @@ def attention(x, kv, weights, heads: int, mask=None,
     def qkv(xd: Array, kvd: Array):
         return heads_first(xd, wq, bq), heads_first(kvd, wk, bk), heads_first(kvd, wv, bv)
 
-    q, k, v = qkv(xd, kvd)
-    p, row_max, row_sum = _attention_weights(q, k, scale, mask)
-    out = _affine((p @ v).transpose(0, 2, 1, 3).reshape(B, Tq, C), wo, bo)
+    step = max(1, ATTENTION_CHUNK // (heads * Tq * Tk))
+    ctx = np.empty((B, Tq, C))
+    if record is not None:
+        record["weights"] = np.empty(scores_shape)
+    for c, p in _attend(*qkv(xd, kvd), scale, mask, step, ctx):
+        if record is not None:
+            record["weights"][c] = p
+    out = _affine(ctx, wo, bo)
     t = [w.requires_grad for w in (x, kv) + params]  # x, kv, wq, bq, ..., wo, bo
     Tx, same = x.data.shape[1], x is kv  # the VJP keeps these, not the tensors
     held_x, held_kv = None if same else _keep(x), _keep(kv)
-    step = max(1, ATTENTION_CHUNK // (heads * Tq * Tk))
 
     def merged(gh: Array, inp: Array, w: Array, t_in: bool, t_w: bool, t_b: bool):
         """One projection's input, weight and bias gradients from its heads'."""
@@ -803,16 +815,10 @@ def attention(x, kv, weights, heads: int, mask=None,
             xd = xd[:, :rows]
         q, k, v = qkv(xd, kvd)
         ctx = np.empty(g.shape)
-        ctx_h = ctx.reshape(B, Tq, heads, D).transpose(0, 2, 1, 3)
         # gk is the swapped view of a [B, H, D, Tk] buffer, the layout of the
         # composed ops' product, so later products round as theirs do.
         gq, gkt, gv = np.empty(q.shape), np.empty((B, heads, D, Tk)), np.empty(v.shape)
-        for i in range(0, B, step):
-            c = slice(i, i + step)
-            pc, _, _ = _attention_weights(
-                q[c], k[c], scale, mask if mask is None or mask.shape[0] == 1 else mask[c],
-                row_max[c], row_sum[c])
-            ctx_h[c] = pc @ v[c]  # faster than a strided ``out=``
+        for c, pc in _attend(q, k, v, scale, mask, step, ctx):
             np.matmul(np.swapaxes(pc, -1, -2), go[c], out=gv[c])
             gs = go[c] @ np.swapaxes(v[c], -1, -2)
             gs -= (gs * pc).sum(axis=-1, keepdims=True)
@@ -833,7 +839,7 @@ def attention(x, kv, weights, heads: int, mask=None,
             return (None if gx is None else (gx + gk_in) + gv_in, *grads)
         return (gx, None if gk_in is None else gk_in + gv_in, *grads)
 
-    return _track(out, (kv,) + params if same else (x, kv) + params, vjp), p
+    return _track(out, (kv,) + params if same else (x, kv) + params, vjp)
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:

@@ -4,6 +4,7 @@ untracked parents, finite differences, one tape node per call, and what
 each node keeps."""
 
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -97,13 +98,6 @@ def attention_leaves(x, kv, weights):
     return ([x] if x is kv else [x, kv]) + weights
 
 
-def fused_mha(x, kv, weights, heads, mask, rows, record=None):
-    out, p = T.attention(x, kv, weights, heads, mask, rows)
-    if record is not None:
-        record["p"] = p
-    return out
-
-
 def composed_mha(x, kv, weights, heads, mask, rows, record=None):
     """Multi-head attention from the composed ops, the reference for
     ``attention``: the q, k and v projections with their head splits,
@@ -124,7 +118,7 @@ def composed_mha(x, kv, weights, heads, mask, rows, record=None):
         scores = scores + Tensor(mask)
     p = T.softmax(scores)
     if record is not None:
-        record["p"] = p.data
+        record["weights"] = p.data
     out = T.transpose(T.matmul(p, v), (0, 2, 1, 3))
     return T.linear(T.reshape(out, (b, x.shape[1], c)), wo, bo)
 
@@ -278,27 +272,27 @@ class TestAttention:
             leaves = attention_leaves(x, kv, weights)
             got, want = {}, {}
             assert_bitwise(
-                grads_of(lambda: fused_mha(x, kv, weights, self.H, mask, rows, got),
+                grads_of(lambda: T.attention(x, kv, weights, self.H, mask, rows, got),
                          leaves, upstream),
                 grads_of(lambda: composed_mha(x, kv, weights, self.H, mask, rows, want),
                          leaves, upstream))
-            assert got["p"].tobytes() == want["p"].tobytes(), kind
+            assert got["weights"].tobytes() == want["weights"].tobytes(), kind
             if mask_kind == "causal" and kind != "cross":
                 above = np.triu_indices(rows or self.T_, 1, self.T_)
-                assert np.all(got["p"][..., above[0], above[1]] == 0.0)
+                assert np.all(got["weights"][..., above[0], above[1]] == 0.0)
 
     def test_untracked_parents_get_no_gradient(self):
         x, kv, weights, _, _ = self.inputs(23, "cross")
         for w in weights[2:4]:  # a frozen key projection
             w.requires_grad = False
-        out, _ = T.attention(x, kv, weights, self.H)
+        out = T.attention(x, kv, weights, self.H)
         gx, gkv, *gw = out._vjp(np.ones(out.shape))
         assert gx.shape == x.shape and gkv.shape == kv.shape
         assert gw[2] is None and gw[3] is None
         assert all(g.shape == w.shape for g, w in zip(gw, weights) if w.requires_grad)
         # Only the output projection tracked: nothing else gets a gradient.
         quiet = [Tensor(w.data) for w in weights[:6]] + weights[6:]
-        out, _ = T.attention(Tensor(x.data), Tensor(kv.data), quiet, self.H)
+        out = T.attention(Tensor(x.data), Tensor(kv.data), quiet, self.H)
         grads = out._vjp(np.ones(out.shape))
         assert all(g is None for g in grads[:8])
         assert grads[8].shape == (self.C, self.C) and grads[9].shape == (self.C,)
@@ -314,7 +308,7 @@ class TestAttention:
                 mask = causal(4)[None, None] if kind != "cross" else np.array([0.0, 0.0, -np.inf])
             leaves = attention_leaves(x, kv, weights)
             result = CheckResult("attention")
-            check_leaves(lambda: T.sum_(T.attention(x, kv, weights, 2, mask, rows)[0] * w),
+            check_leaves(lambda: T.sum_(T.attention(x, kv, weights, 2, mask, rows) * w),
                          leaves, result, rng)
             assert result.passed and result.checked == sum(v.size for v in leaves), result.line()
 
@@ -322,20 +316,24 @@ class TestAttention:
         for kind in self.KINDS:
             x, kv, weights, _, rows = self.inputs(26, kind)
             mask = self.mask("causal", kind)
-            want, want_p = T.attention(x, kv, weights, self.H, mask, rows)
+            records = want_p, quiet_p, plain_p = {}, {}, {}
+            want = T.attention(x, kv, weights, self.H, mask, rows, want_p)
             with T.no_grad():
-                quiet = T.attention(x, kv, weights, self.H, mask, rows)
+                quiet = T.attention(x, kv, weights, self.H, mask, rows, quiet_p)
             plain_x = Tensor(x.data)
             plain = T.attention(plain_x, plain_x if x is kv else Tensor(kv.data),
-                                [Tensor(w.data) for w in weights], self.H, mask, rows)
-            for out, p in (quiet, plain):
+                                [Tensor(w.data) for w in weights], self.H, mask, rows, plain_p)
+            for out in (quiet, plain):
                 assert out._vjp is None and not out.requires_grad, kind
                 assert out.data.tobytes() == want.data.tobytes()
-                assert p.tobytes() == want_p.tobytes()
+            for record in records[1:]:
+                assert record["weights"].tobytes() == want_p["weights"].tobytes()
 
     def test_cross_attention_lengths(self):
         x, kv, weights, _, _ = self.inputs(24, "cross")
-        out, p = T.attention(x, kv, weights, self.H)
+        record = {}
+        out = T.attention(x, kv, weights, self.H, record=record)
+        p = record["weights"]
         assert out.shape == (self.B, self.T_, self.C)
         assert p.shape == (self.B, self.H, self.T_, self.TK)
         assert np.allclose(p.sum(-1), 1.0, atol=1e-12)
@@ -378,8 +376,9 @@ class TestAttention:
 
 
 class TestAttentionRecompute:
-    """The VJP rebuilds q, k, v, the weights and the context chunk by chunk
-    from the inputs and the row statistics the node keeps; nothing of size
+    """The forward and the VJP build the weights chunk by chunk in one loop,
+    ``_attend``; the VJP rebuilds q, k, v, the weights and the context from
+    the inputs alone.  The node keeps no row statistics, and nothing of size
     Tq*Tk stays on the tape."""
 
     B = 5
@@ -388,8 +387,8 @@ class TestAttentionRecompute:
     def chunked(self, mask_kind, chunk_scores, monkeypatch):
         """Bitwise agreement with the composed ops for every kind, with
         chunks of ``chunk_scores(per_sample)`` score values, ``per_sample``
-        being one sample's H * Tq * Tk; returns the calls of
-        ``_attention_weights`` per kind, by leading size."""
+        being one sample's H * Tq * Tk; returns the chunks of ``_attend``
+        per kind, forward then VJP, by leading size."""
         shapes = TestAttention()
         calls = {}
         for kind in self.KINDS:
@@ -399,13 +398,14 @@ class TestAttentionRecompute:
             monkeypatch.setattr(T, "ATTENTION_CHUNK", chunk_scores(shapes.H * tq * tk))
             calls[kind] = []
 
-            def counting(*args, _weights=T._attention_weights, _calls=calls[kind]):
-                _calls.append(args[0].shape[0])
-                return _weights(*args)
+            def counting(*args, _attend=T._attend, _calls=calls[kind]):
+                for c, p in _attend(*args):
+                    _calls.append(p.shape[0])
+                    yield c, p
 
-            monkeypatch.setattr(T, "_attention_weights", counting)
+            monkeypatch.setattr(T, "_attend", counting)
             leaves = attention_leaves(x, kv, weights)
-            got = grads_of(lambda: fused_mha(x, kv, weights, shapes.H, mask, rows),
+            got = grads_of(lambda: T.attention(x, kv, weights, shapes.H, mask, rows),
                            leaves, upstream)
             monkeypatch.undo()
             assert_bitwise(got, grads_of(
@@ -414,13 +414,31 @@ class TestAttentionRecompute:
 
     @pytest.mark.parametrize("mask_kind", ["none", "causal", "finite"])
     def test_chunked_vjp_bitwise_equal_to_composed_ops(self, mask_kind, monkeypatch):
-        # Two samples' scores per chunk: chunks of 2, 2 and 1 samples.
+        # Two samples' scores per chunk: chunks of 2, 2 and 1 samples, in
+        # the forward and again in the VJP.
         calls = self.chunked(mask_kind, lambda per_sample: 2 * per_sample, monkeypatch)
-        assert calls == {kind: [self.B, 2, 2, 1] for kind in self.KINDS}
+        assert calls == {kind: [2, 2, 1] * 2 for kind in self.KINDS}
 
     def test_chunk_holds_at_least_one_sample(self, monkeypatch):
         calls = self.chunked("finite", lambda per_sample: 1, monkeypatch)
-        assert calls == {kind: [self.B] + [1] * self.B for kind in self.KINDS}
+        assert calls == {kind: [1] * self.B * 2 for kind in self.KINDS}
+
+    def test_forward_builds_no_whole_weight_array(self, monkeypatch):
+        """Without ``record``, the forward builds one sample's weights at a
+        time, so its peak stays below the whole [B, H, T, T] weight array."""
+        b, h, t, c = 8, 2, 64, 8
+        x, kv, weights, _, _ = attention_inputs(RngState(43, "attention-peak"),
+                                                "self", b, t, t, c, t)
+        mask = causal(t)[None, None]
+        monkeypatch.setattr(T, "ATTENTION_CHUNK", h * t * t)
+        tracemalloc.start()
+        try:
+            out = T.attention(x, kv, weights, h, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * h * t * t * 8, peak
+        assert out.shape == (b, t, c)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_node_keeps_no_score_sized_array(self, masked):
@@ -428,7 +446,9 @@ class TestAttentionRecompute:
         x, kv, weights, _, _ = attention_inputs(RngState(42, "attention-closure"),
                                                 "self", b, t, t, c, t)
         mask = causal(t)[None, None] if masked else None
-        out, p = T.attention(x, kv, weights, h, mask)
+        record = {}
+        out = T.attention(x, kv, weights, h, mask, record=record)
+        p = record["weights"]
         assert not any(isinstance(cell.cell_contents, Tensor) for cell in out._vjp.__closure__)
         arrays = closure_arrays(out._vjp)
         inputs = [x.data] + [w.data for w in weights]
@@ -629,9 +649,10 @@ class TestTapeNodes:
         # one node, whose one input is the queries' and the keys' alike.
         assert tape_kinds(out) == Counter(attention=1)
         assert out._parents == (x, *weights)
-        _, p = T.attention(x, x, weights, 2, mask)
+        direct = {}
+        T.attention(x, x, weights, 2, mask, record=direct)
         assert record["weights"].shape == (2, 2, 5, 5)
-        assert record["weights"].tobytes() == p.tobytes()
+        assert record["weights"].tobytes() == direct["weights"].tobytes()
         out = attn(x, kv, record=record)
         assert tape_kinds(out) == Counter(attention=1)
         assert out._parents == (x, kv, *weights) and record["weights"].shape == (2, 2, 5, 6)

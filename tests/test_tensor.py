@@ -1,6 +1,7 @@
 """Tensor-core contracts: op semantics, the one-sided broadcast rule,
 reverse-mode gradients against finite differences, and rng determinism."""
 
+import re
 import weakref
 
 import numpy as np
@@ -74,6 +75,19 @@ class TestForwardExamples:
     def test_concat_shape_algebra(self):
         out = T.concat([Tensor(np.ones((4, 2))), Tensor(np.ones((4, 3)))], axis=1)
         assert out.shape == (4, 5)
+
+    def test_narrow_and_split_check_their_bounds(self):
+        # Each of these once returned a clamped or empty slice, or raised
+        # numpy's IndexError.
+        a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        for axis, start, length in ((0, 2, 5), (0, -1, 1), (0, 3, -2), (2, 0, 1), (-3, 0, 1)):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"narrow of (4, 2) ") + f".*axis={axis}, start={start}, length={length}"):
+                T.narrow(a, axis, start, length)
+        with pytest.raises(ShapeError, match=r"^narrow of \(4, 2\) .*start=0, length=5"):
+            T.split(a, [5, -1])
+        assert T.narrow(a, -1, 2, 0).shape == (4, 0)  # an empty slice stays legal
+        assert [p.shape for p in T.split(a, [0, 4, 0])] == [(0, 2), (4, 2), (0, 2)]
 
 
 class TestBackwardContracts:
@@ -355,9 +369,9 @@ def _op_scenarios(rng):
     at_mask = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
     at_g = Tensor(rng.split("attention/g").normal((2, n - 1, width)))
     scen.append(("attention", [at_x, at_kv] + at_w, lambda: T.sum_(T.tanh(
-        T.attention(at_x, at_kv, at_w, heads)[0]))))
+        T.attention(at_x, at_kv, at_w, heads)))))
     scen.append(("self_attention", [at_x] + at_w, lambda: T.sum_(
-        T.attention(at_x, at_x, at_w, heads, at_mask, rows=n - 1)[0] * at_g)))
+        T.attention(at_x, at_x, at_w, heads, at_mask, rows=n - 1) * at_g)))
 
     sm = leaf(rng.split("softmax"), (n, m))
     w = Tensor(rng.split("softmax/w").normal((n, m)))

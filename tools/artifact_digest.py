@@ -16,7 +16,9 @@ That covers the shapes the desk run does not reach: 197-token attention and
 the 768-wide patch projection.  It takes about 5 s more.  After it comes
 "FULLSCALE_PEAK_MB", the ``tracemalloc`` peak in MB of that forward and
 backward: the arrays the tape and the gradients hold, counted exactly, so a
-memory change can be checked without timing noise.  It is not part of "ALL".
+memory change can be checked without timing noise.  Last comes
+"FULLSCALE_FORWARD_PEAK_MB", the peak of the same count read after the loss
+and before the backward: the forward's share.  Neither is part of "ALL".
 
 A change that is not meant to alter numerics must print the same output
 before and after.  ``SYDES_THREADS`` is set to 1, so that the BLAS thread
@@ -89,10 +91,11 @@ def pipeline(cli, work: str) -> list[str]:
     return sorted(paths)
 
 
-def fullscale_gradients(work: str) -> tuple[str, float]:
+def fullscale_gradients(work: str) -> tuple[str, float, float]:
     """sha256 of the loss and the parameter gradients of one seeded
     full-scale pretraining step (forward and backward, no update), and the
-    ``tracemalloc`` peak in MB of that forward and backward."""
+    ``tracemalloc`` peaks in MB of that forward and backward and of the
+    forward alone."""
     from sydes import config, data, losses, model, text, training
     from sydes.tensor import RngState
 
@@ -112,6 +115,7 @@ def fullscale_gradients(work: str) -> tuple[str, float]:
     try:
         parts = net.pretrain_forward(batch, kept, masked, cfg.tau)
         loss = losses.pretrain_loss(parts, cfg.pretrain.weights)
+        forward_mb = tracemalloc.get_traced_memory()[1] / 1e6
         loss.backward()
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
@@ -120,7 +124,7 @@ def fullscale_gradients(work: str) -> tuple[str, float]:
     for name, p in net.named_parameters():
         grad = b"none" if p.grad is None else p.grad.tobytes()
         digest.update(name.encode() + b"\0" + grad)
-    return digest.hexdigest(), peak_mb
+    return digest.hexdigest(), peak_mb, forward_mb
 
 
 def main() -> int:
@@ -147,9 +151,10 @@ def main() -> int:
         print(f"  {exact}")
     print(f"{total.hexdigest()}  ALL")
     with tempfile.TemporaryDirectory(prefix="sydes-fullscale-") as work:
-        digest, peak_mb = fullscale_gradients(work)
+        digest, peak_mb, forward_mb = fullscale_gradients(work)
     print(f"{digest}  FULLSCALE")
     print(f"{peak_mb:.3f}  FULLSCALE_PEAK_MB")
+    print(f"{forward_mb:.3f}  FULLSCALE_FORWARD_PEAK_MB")
     return 0
 
 
