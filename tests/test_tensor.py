@@ -1,7 +1,6 @@
 """Tensor-core contracts: op semantics, the one-sided broadcast rule,
 reverse-mode gradients against finite differences, and rng determinism."""
 
-import re
 import weakref
 
 import numpy as np
@@ -81,8 +80,8 @@ class TestForwardExamples:
         # numpy's IndexError.
         a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
         for axis, start, length in ((0, 2, 5), (0, -1, 1), (0, 3, -2), (2, 0, 1), (-3, 0, 1)):
-            with pytest.raises(ShapeError, match=re.escape(
-                    f"narrow of (4, 2) ") + f".*axis={axis}, start={start}, length={length}"):
+            with pytest.raises(ShapeError, match=rf"^narrow of \(4, 2\) .*axis={axis}, "
+                                                 rf"start={start}, length={length}"):
                 T.narrow(a, axis, start, length)
         with pytest.raises(ShapeError, match=r"^narrow of \(4, 2\) .*start=0, length=5"):
             T.split(a, [5, -1])
