@@ -8,8 +8,10 @@ config, then the ``--config`` JSON file, then the flags.  Exit codes:
 before the command has printed all of its lines: the command stops at the
 write that fails, with no traceback.
 
-Set SYDES_THREADS to cap the numeric kernels' thread pools; it must take
-effect before numpy loads, so it is applied at import time here.
+The numeric kernels' thread pools run SYDES_THREADS threads, 1 when it is
+unset, whatever the BLAS variables say: a GEMM's bytes depend on its thread
+count, so this keeps equal seeds on equal bytes.  It must take effect
+before numpy loads, so it is applied at import time here.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from dataclasses import replace
 
 
 def _cap_threads() -> None:
-    value = os.environ.get("SYDES_THREADS")
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, value)
+    value = os.environ.get("SYDES_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = value
 
 
 _cap_threads()
@@ -42,10 +43,11 @@ from .gradcheck import run_suite  # noqa: E402
 from .imaging import keep_count  # noqa: E402
 from .metrics import compute_metrics  # noqa: E402
 from .model import TASK_CLASSES, TASKS, SydesModel  # noqa: E402
+from .ppm import write_ppm  # noqa: E402
 from .tensor import RngState, no_grad  # noqa: E402
 from .text import Vocab  # noqa: E402
 from .training import batch_masks, predict, run_stage  # noqa: E402
-from .viz import export_attention, export_triptych  # noqa: E402
+from .viz import export_attention, reconstruction_triptych  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,10 +133,7 @@ def _given(flags: dict) -> dict:
 
 
 def _load_split(cfg: RunConfig, split: str, vocab: Vocab) -> DatasetArrays:
-    manifest = os.path.join(cfg.data_dir, f"{split}.jsonl")
-    if not os.path.isfile(manifest):
-        raise DataError(f"manifest not found: {manifest}")
-    samples, _ = ingest_manifest(manifest, cfg.data_dir)
+    samples, _ = ingest_manifest(os.path.join(cfg.data_dir, f"{split}.jsonl"), cfg.data_dir)
     return DatasetArrays(samples, cfg.image, vocab, cfg.encoder.seq_len)
 
 
@@ -277,9 +276,8 @@ def cmd_reconstruct(args) -> int:
     sub_patches = batch.sub_patches()
     for i in range(n):
         sid = batch.sample_ids[i]
-        path = os.path.join(out, f"triptych-{sid}.ppm")
-        export_triptych(path, sub_patches, aux["pixels"], kept, masked,
-                        i, n, cfg.image)
+        write_ppm(os.path.join(out, f"triptych-{sid}.ppm"), reconstruction_triptych(
+            sub_patches, aux["pixels"], kept, masked, i, n, cfg.image))
         export_attention(out, sid, capture["weights"], i)
     print(f"wrote {n} triptychs and attention grids under {out}")
     return 0

@@ -50,23 +50,11 @@ class RunConfig:
                               f"decoders' width (encoder.text_dim {self.encoder.text_dim})")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["pretrain"]["frozen"] = list(d["pretrain"]["frozen"])
-        d["finetune"]["frozen"] = list(d["finetune"]["frozen"])
-        return d
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         return merge(cls(), d)
-
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        return merge_json(cls(), path)
 
 
 def full_scale_profile() -> RunConfig:

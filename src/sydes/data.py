@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .imaging import ImageConfig, mixed_scale_split, patchify, quadrants
+from .imaging import ImageConfig, downsample, patchify, quadrants
 from .model import N_SUBS, TASKS
 from .ppm import read_ppm_bytes, write_ppm
 from .tensor import RngState
@@ -75,6 +75,9 @@ def ingest_manifest(path: str, image_root: str) -> tuple[list[Sample], dict[str,
                 if not isinstance(rec[key], str):
                     raise DataError(f"{path}:{line_no}: {key} must be a string, got {rec[key]!r}")
             sid = rec["id"]
+            if any(c in sid for c in "/\\\0"):
+                raise DataError(f"{path}:{line_no}: id {sid!r} names output files, so it "
+                                f"must not contain '/', '\\' or NUL")
             if sid in seen_ids:
                 raise DataError(f"{path}:{line_no}: duplicate id {sid!r}")
             seen_ids.add(sid)
@@ -123,14 +126,10 @@ def _synthetic_image(cfg: ImageConfig, s_idx: int, e_idx: int, d_idx: int,
     emotion, blue stripe period follows desire; small noise on top.  Pixels
     are quantized to 8-bit steps so PPM files round-trip exactly."""
     h = cfg.high_res
-    half = h // 2
     img = np.zeros((h, h, 3))
     img[:, :, 0] = 0.2 + 0.3 * s_idx
-    quads = _EMOTION_QUADS[e_idx]
-    img[:half, :half, 1] = quads[0]
-    img[:half, half:, 1] = quads[1]
-    img[half:, :half, 1] = quads[2]
-    img[half:, half:, 1] = quads[3]
+    for quad, level in zip(quadrants(img), _EMOTION_QUADS[e_idx]):
+        quad[:, :, 1] = level
     period = d_idx + 2
     bands = (np.arange(h) // period) % 2
     img[:, :, 2] = np.where(bands, 0.8, 0.2)[:, None]
@@ -205,8 +204,7 @@ class DatasetArrays:
             if image.shape[:2] != (cfg.high_res, cfg.high_res):
                 raise DataError(f"{s.image_path}: expected a {cfg.high_res}x{cfg.high_res} image, "
                                 f"got {image.shape[1]}x{image.shape[0]} (width x height)")
-            bundle = mixed_scale_split(cfg.normalize(image / 255.0), cfg)
-            low[i] = patchify(bundle.low, cfg)
+            low[i] = patchify(downsample(cfg.normalize(image / 255.0), cfg), cfg)
             subs[i] = [patchify(sub, cfg) for sub in quadrants(image)]
             seq = tokenize(s.text, vocab, seq_len)
             ids[i] = seq.ids

@@ -50,8 +50,8 @@ class ImageDecoder(nn.Module):
                  layers: int = 2, heads: int = 4, mlp_ratio: int = 4):
         self.patch_count = patch_count
         self.proj = nn.Linear(image_dim, dim)
-        self.mask_token = Parameter((1, dim), init="normal", scale=0.02)
-        self.pos = Parameter((patch_count + 1, dim), init="normal", scale=0.02)
+        self.mask_token = Parameter((1, dim), init="normal")
+        self.pos = Parameter((patch_count + 1, dim), init="normal")
         self.fusion = GatedFusion(dim)
         self.blocks = [nn.DecoderBlock(dim, heads, mlp_ratio) for _ in range(layers)]
         self.ln_f = nn.LayerNorm(dim)
@@ -136,7 +136,6 @@ class ClassifierHead(nn.Module):
     """Mean-pool fused text rows, then a 2-layer MLP to K logits."""
 
     def __init__(self, dim: int, n_classes: int):
-        self.n_classes = n_classes
         self.fc1 = nn.Linear(dim, dim)
         self.fc2 = nn.Linear(dim, n_classes)
 

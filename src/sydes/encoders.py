@@ -56,8 +56,8 @@ class ImageEncoder(nn.Module):
         dim = cfg.image_dim
         self.patch_count = patch_count
         self.patch_proj = nn.Linear(patch_dim, dim)
-        self.cls_token = Parameter((1, dim), init="normal", scale=0.02)
-        self.pos = Parameter((patch_count + 1, dim), init="normal", scale=0.02)
+        self.cls_token = Parameter((1, dim), init="normal")
+        self.pos = Parameter((patch_count + 1, dim), init="normal")
         self.blocks = [nn.EncoderBlock(dim, cfg.image_heads, cfg.mlp_ratio)
                        for _ in range(cfg.image_layers)]
         self.ln_f = nn.LayerNorm(dim)
@@ -99,8 +99,8 @@ class TextEncoder(nn.Module):
     def __init__(self, cfg: EncoderConfig, vocab_size: int):
         dim = cfg.text_dim
         self.seq_len = cfg.seq_len
-        self.tok_emb = Parameter((vocab_size, dim), init="normal", scale=0.02)
-        self.pos = Parameter((cfg.seq_len, dim), init="normal", scale=0.02)
+        self.tok_emb = Parameter((vocab_size, dim), init="normal")
+        self.pos = Parameter((cfg.seq_len, dim), init="normal")
         self.blocks = [nn.EncoderBlock(dim, cfg.text_heads, cfg.mlp_ratio)
                        for _ in range(cfg.text_layers)]
         self.ln_f = nn.LayerNorm(dim)

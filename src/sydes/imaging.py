@@ -77,20 +77,6 @@ class ImageConfig:
         return self.patch_size * self.patch_size * self.channels
 
 
-@dataclass(frozen=True)
-class MixedScaleBundle:
-    """One downsampled image plus the four quadrant sub-images, all at
-    low_res x low_res x 3.  Quadrant order: top-left, top-right,
-    bottom-left, bottom-right."""
-
-    low: np.ndarray
-    subs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    def reassemble(self) -> np.ndarray:
-        """Tile the four subs back into the high-res source (bit-exact)."""
-        return tile_quadrants(self.subs)
-
-
 def tile_quadrants(subs) -> np.ndarray:
     """Tile four equal images, in top-left, top-right, bottom-left,
     bottom-right order, into one image of twice their side."""
@@ -112,20 +98,15 @@ class MaskSpec:
     masked: np.ndarray
 
 
-def mixed_scale_split(image: np.ndarray, cfg: ImageConfig) -> MixedScaleBundle:
-    """Split a high-res image into its downsampled version plus four
-    quadrant crops.
-
-    Downsampling is bilinear with aligned corners disabled; at the fixed 2x
-    factor every output pixel samples the source at fractional offset 0.5 in
-    both axes, which reduces to the exact mean of each 2x2 block.
-    """
+def downsample(image: np.ndarray, cfg: ImageConfig) -> np.ndarray:
+    """The low-res view of a high-res image (its sub-images are its
+    :func:`quadrants`): bilinear downsampling with aligned corners disabled,
+    which at the fixed 2x factor is the exact mean of each 2x2 block."""
     hr = cfg.high_res
     if image.shape != (hr, hr, cfg.channels):
         raise ShapeError(f"expected image of shape {(hr, hr, cfg.channels)}, got {image.shape}")
     lr = cfg.low_res
-    low = image.reshape(lr, 2, lr, 2, cfg.channels).mean(axis=(1, 3))
-    return MixedScaleBundle(low=low, subs=quadrants(image))
+    return image.reshape(lr, 2, lr, 2, cfg.channels).mean(axis=(1, 3))
 
 
 def quadrants(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

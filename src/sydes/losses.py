@@ -93,7 +93,7 @@ class Aggregator(nn.Module):
 
     def __init__(self, dim: int):
         self.w_z = Parameter((dim, dim), init="fan_in")
-        self.u = Parameter((dim,), init="normal", scale=0.02)
+        self.u = Parameter((dim,), init="normal")
         self.b = Parameter((dim,), init="zeros")
         self.fc1 = nn.Linear(dim, dim)
         self.fc2 = nn.Linear(dim, dim)

@@ -120,7 +120,6 @@ class SydesModel(nn.Module):
         if aux is not None:
             with T.no_grad():
                 aux["pixels"] = pixel_head(mask_rows).data
-            aux["z"] = z.data.copy()
             aux["dc_reference"] = losses.similarity_distribution(
                 v_itc, w_itc, tau).data.copy()
 

@@ -895,13 +895,12 @@ class Parameter(Tensor):
     array of the parameter's shape.
     """
 
-    __slots__ = ("name", "init_kind", "init_scale")
+    __slots__ = ("name", "init_kind")
 
-    def __init__(self, shape, init: str = "normal", scale: float | None = None):
+    def __init__(self, shape, init: str = "normal"):
         super().__init__(np.zeros(shape), requires_grad=True)
         self.name = ""
         self.init_kind = init
-        self.init_scale = scale
 
     @property
     def frozen(self) -> bool:
@@ -919,8 +918,7 @@ class Parameter(Tensor):
     def initialize(self, rng: "RngState") -> None:
         shape = self.shape
         if self.init_kind == "normal":
-            scale = self.init_scale if self.init_scale is not None else 0.02
-            self.data = rng.normal(shape, scale)
+            self.data = rng.normal(shape, 0.02)
         elif self.init_kind == "fan_in":
             fan = shape[0] if len(shape) >= 1 else 1
             self.data = rng.normal(shape, 1.0 / np.sqrt(fan))

@@ -115,23 +115,23 @@ class StageConfig:
         return replace(self, weights=replace(self.weights, **kwargs))
 
 
-def cosine_lr(step: int, total_steps: int, base: float, warmup_frac: float,
+def cosine_lr(step: int, total_steps: int, warmup_frac: float,
               floor_frac: float = 0.01) -> float:
-    """Linear warmup to ``base``, then half-cosine decay to the floor.
+    """The learning-rate factor: linear warmup to 1, then half-cosine decay
+    to ``floor_frac``.
 
-    lr(0) = base / warmup_steps; the peak sits at the end of warmup; the
+    lr(0) = 1 / warmup_steps; the peak sits at the end of warmup; the
     last step lands exactly on the floor.
     """
     if step < 0:
         raise ContractError(f"negative step {step}")
     warmup_steps = max(1, round(warmup_frac * total_steps))
     if step < warmup_steps:
-        return base * (step + 1) / warmup_steps
-    floor = base * floor_frac
+        return (step + 1) / warmup_steps
     if total_steps <= warmup_steps:
-        return base
+        return 1.0
     progress = min((step - warmup_steps) / (total_steps - warmup_steps), 1.0)
-    return floor + (base - floor) * 0.5 * (1.0 + np.cos(np.pi * progress))
+    return floor_frac + (1.0 - floor_frac) * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
 class AdamW:
@@ -382,8 +382,7 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
         lr_factor = 0.0
         for b in range(n_batches):
             index = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            lr_factor = cosine_lr(step, total_steps, 1.0, cfg.warmup_frac,
-                                  cfg.lr_floor_frac)
+            lr_factor = cosine_lr(step, total_steps, cfg.warmup_frac, cfg.lr_floor_frac)
             loss, parts = train_step(index, epoch, step, lr_factor)
             step += 1
             sums["loss"] += loss * len(index)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .imaging import ImageConfig, tile_quadrants, unpatchify
 from .model import N_SUBS
-from .ppm import write_ppm
 
 MASK_GRAY = 0.5
 
@@ -42,10 +41,6 @@ def reconstruction_triptych(sub_patches: np.ndarray, pixels: np.ndarray,
         recons.append(unpatchify(recon, cfg))
     panels = [tile_quadrants(q) for q in (originals, masked_views, recons)]
     return np.clip(cfg.denormalize(np.concatenate(panels, axis=1)), 0.0, 1.0)
-
-
-def export_triptych(path: str, *args, **kwargs) -> None:
-    write_ppm(path, reconstruction_triptych(*args, **kwargs))
 
 
 def export_attention(out_dir: str, sample_id: str, weights: np.ndarray,

@@ -15,7 +15,7 @@ from sydes.checkpoint import MAGIC, load_checkpoint, read_checkpoint, save_check
 from sydes import cli
 from sydes import tensor as T
 from sydes.cli import main
-from sydes.config import RunConfig, full_scale_profile
+from sydes.config import RunConfig, full_scale_profile, merge_json
 from sydes.model import SydesModel
 from sydes.ppm import write_ppm
 
@@ -376,6 +376,26 @@ class TestConfigSources:
         err = capsys.readouterr().err
         assert f"train.jsonl:2: {key} must be a string" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("sid", ["sub/dir", "../x", "a\\b", "a\0b"],
+                             ids=["slash", "parent", "backslash", "nul"])
+    def test_manifest_id_with_path_separator_is_data_error(self, workspace, tmp_path, capsys,
+                                                           sid):
+        """Ids name the files ``reconstruct`` writes, so one that could
+        leave ``--out`` is rejected where the manifest is read."""
+        with open(os.path.join(workspace["data"], "train.jsonl")) as f:
+            rows = [json.loads(line) for line in f]
+        for row in rows:
+            row["image"] = os.path.join(workspace["data"], row["image"])
+        rows[1]["id"] = sid
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        rc = main(["reconstruct", "--checkpoint", workspace["ckpt"], "--data", str(data),
+                   "--out", str(tmp_path / "o"), "--n", "12"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "train.jsonl:2: id" in err and "Traceback" not in err
+
     def test_to_dict_unchanged(self):
         """Merging keeps every serialized config byte for byte."""
         pinned = {
@@ -566,7 +586,7 @@ class TestUsage:
     def test_range_edges_load(self, tmp_path, config):
         path = tmp_path / "edge.json"
         path.write_text(json.dumps(config))
-        assert isinstance(RunConfig.from_json(str(path)), RunConfig)
+        assert isinstance(merge_json(RunConfig(), str(path)), RunConfig)
 
     def test_missing_config_file_names_it(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -629,3 +649,28 @@ def test_threads_env_caps_kernel_pools():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout.split() == ["1", "1"]
+
+
+def test_checkpoint_bytes_ignore_inherited_blas_threads(tmp_path):
+    """With SYDES_THREADS unset the CLI runs one BLAS thread, whatever
+    OPENBLAS_NUM_THREADS it inherits: a GEMM's bytes depend on its thread
+    count, and a fine-tuning checkpoint shows it."""
+    import subprocess
+    import sys
+
+    data, pre = str(tmp_path / "data"), str(tmp_path / "pre")
+    assert main(["gen-data", "--out", data, "--n", "16"]) == 0
+    assert main(["pretrain", "--data", data, "--out", pre, "--epochs", "1"]) == 0
+    env = {k: v for k, v in os.environ.items()
+           if k != "SYDES_THREADS" and not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    blobs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        subprocess.run([sys.executable, "-m", "sydes.cli", "finetune", "--task", "desire",
+                        "--epochs", "1", "--checkpoint", os.path.join(pre, "pretrain-epoch1.ckpt"),
+                        "--data", data, "--out", out],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True)
+        blobs.append(read_bytes(os.path.join(out, "desire", "finetune-epoch1.ckpt")))
+    assert blobs[0] == blobs[1]

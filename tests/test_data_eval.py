@@ -11,7 +11,8 @@ import pytest
 from sydes.data import (LABELS, DatasetArrays, Sample, generate_synthetic,
                         ingest_manifest, label_counts, write_manifest)
 from sydes.errors import DataError
-from sydes.imaging import ImageConfig, mixed_scale_split, patch_pixels, patchify, sample_mask
+from sydes.imaging import (ImageConfig, downsample, patch_pixels, patchify, quadrants,
+                           sample_mask)
 from sydes.metrics import compute_metrics
 from sydes.model import gather_sub_patches, group_major_masks
 from sydes.ppm import read_ppm, write_ppm
@@ -230,10 +231,9 @@ class TestBatchArrays:
         samples = generate_synthetic(5, cfg, RngState(12, "data"), str(tmp_path))
         data = DatasetArrays(samples, cfg, Vocab.build(s.text for s in samples), 16)
         assert data.arrays.subs.dtype == np.uint8
-        bundles = [mixed_scale_split(cfg.normalize(read_ppm(s.image_path)), cfg)
-                   for s in samples]
-        subs = np.array([[patchify(sub, cfg) for sub in b.subs] for b in bundles])
-        low = np.array([patchify(b.low, cfg) for b in bundles])
+        images = [cfg.normalize(read_ppm(s.image_path)) for s in samples]
+        subs = np.array([[patchify(sub, cfg) for sub in quadrants(img)] for img in images])
+        low = np.array([patchify(downsample(img, cfg), cfg) for img in images])
         assert data.arrays.low_patches.tobytes() == low.tobytes()
         rows = np.array([4, 0, 2])
         batch = data.batch(rows)

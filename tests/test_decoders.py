@@ -122,7 +122,10 @@ class TestDecodeImage:
         model.pretrain_forward(batch, kept, masked, tau=0.5, aux=aux)
         n_masked = masked.shape[1]
         assert aux["pixels"].shape == (4 * batch.size, n_masked, image_cfg.patch_dim)
-        assert aux["z"].shape == (4 * batch.size, model.enc_cfg.text_dim)
+        W = model.encode_text(batch.ids, batch.real)
+        _, z = model.image_decoder(model.encode_subs(batch, kept), kept, masked,
+                                   T.concat([W] * 4, axis=0), np.tile(batch.real, (4, 1)))
+        assert z.shape == (4 * batch.size, model.enc_cfg.text_dim)
 
     def test_scatter_back_completes_grid(self, setup):
         """Predicted rows land at the original masked indices; together with

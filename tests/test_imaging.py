@@ -1,11 +1,11 @@
-"""Mixed-scale split, patch round-trips, mask sampling, and the PPM codec."""
+"""Mixed-scale views (downsample and quadrants), patch round-trips, mask sampling, and the PPM codec."""
 
 import numpy as np
 import pytest
 
 from sydes.errors import ContractError, DataError, ShapeError
-from sydes.imaging import (ImageConfig, MaskSpec, keep_count, mixed_scale_split,
-                           patchify, sample_mask, select_unmasked, unpatchify)
+from sydes.imaging import (ImageConfig, MaskSpec, downsample, keep_count, patchify, quadrants,
+                           sample_mask, select_unmasked, tile_quadrants, unpatchify)
 from sydes.ppm import read_ppm, write_ppm
 from sydes.tensor import RngState
 
@@ -36,17 +36,17 @@ class TestImageConfig:
 
 class TestMixedScaleSplit:
     def test_constant_image(self):
-        bundle = mixed_scale_split(np.full((64, 64, 3), 0.5), DESK)
-        assert np.all(bundle.low == 0.5)
-        for sub in bundle.subs:
+        img = np.full((64, 64, 3), 0.5)
+        assert np.all(downsample(img, DESK) == 0.5)
+        for sub in quadrants(img):
             assert sub.shape == (32, 32, 3)
             assert np.all(sub == 0.5)
 
     def test_paper_resolution_five_224_outputs(self):
         cfg = ImageConfig(high_res=448, low_res=224, patch_size=16)
-        bundle = mixed_scale_split(np.zeros((448, 448, 3)), cfg)
-        assert bundle.low.shape == (224, 224, 3)
-        assert all(s.shape == (224, 224, 3) for s in bundle.subs)
+        img = np.zeros((448, 448, 3))
+        assert downsample(img, cfg).shape == (224, 224, 3)
+        assert all(s.shape == (224, 224, 3) for s in quadrants(img))
 
     def test_quadrant_labeled_image(self):
         img = np.zeros((64, 64, 3))
@@ -55,26 +55,23 @@ class TestMixedScaleSplit:
         img[:32, 32:] = values[1]
         img[32:, :32] = values[2]
         img[32:, 32:] = values[3]
-        bundle = mixed_scale_split(img, DESK)
-        for sub, v in zip(bundle.subs, values):
+        for sub, v in zip(quadrants(img), values):
             assert np.all(sub == v)
 
     def test_wrong_resolution_rejected(self):
         with pytest.raises(ShapeError):
-            mixed_scale_split(np.zeros((32, 32, 3)), DESK)
+            downsample(np.zeros((32, 32, 3)), DESK)
 
     def test_tiling_bit_exact_property(self):
         for seed in range(20):
             img = random_image(seed, 64)
-            bundle = mixed_scale_split(img, DESK)
-            assert bundle.reassemble().tobytes() == img.tobytes()
+            assert tile_quadrants(quadrants(img)).tobytes() == img.tobytes()
 
     def test_downsample_locality(self):
         """A 2x2-block-constant image downsamples to the block constants."""
         blocks = RngState(4, "blocks").uniform((32, 32, 3))
         img = np.repeat(np.repeat(blocks, 2, axis=0), 2, axis=1)
-        bundle = mixed_scale_split(img, DESK)
-        assert np.array_equal(bundle.low, blocks)
+        assert np.array_equal(downsample(img, DESK), blocks)
 
 
 class TestPatchify:

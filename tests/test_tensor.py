@@ -453,7 +453,7 @@ class TestRng:
         from sydes.training import AdamW
 
         def run():
-            p = Parameter((4, 3), init="normal", scale=0.1)
+            p = Parameter((4, 3), init="normal")
             p.name = "w"
             p.initialize(RngState(5).split("init/w"))
             opt = AdamW([("g", [p], 1e-2)])

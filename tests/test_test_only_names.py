@@ -1,0 +1,46 @@
+"""``tools/test_only_names.py`` on a small tree: which definitions it lists
+as named by nothing but their own definition and the tests."""
+
+import importlib.util
+import os
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "test_only_names.py")
+spec = importlib.util.spec_from_file_location("test_only_names_tool", TOOL)
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+
+
+def write(root, rel, text):
+    path = os.path.join(root, rel)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def test_lists_definitions_named_only_by_themselves_or_tests(tmp_path):
+    root = str(tmp_path)
+    write(root, "src/sydes/mod.py",
+          "def used():\n"
+          "    return 1\n"
+          "\n"
+          "\n"
+          "def recursive(n):\n"
+          "    return recursive(n - 1) if n else 0\n"
+          "\n"
+          "\n"
+          "class Box:\n"
+          "    def __init__(self):\n"
+          "        self.lonely_too = 0\n"
+          "\n"
+          "    def shared(self):\n"
+          "        return used()\n"
+          "\n"
+          "    def lonely(self):\n"
+          "        return 2\n")
+    write(root, "src/sydes/other.py", "from .mod import Box\n")
+    write(root, "tools/run.py", "print(box.shared())\n")
+    write(root, "perfbench/hook.py", "# wraps recursive_helper only\n")
+    write(root, "src/sydes/notes.txt", "lonely recursive\n")
+    write(root, "tests/test_mod.py", "from sydes.mod import lonely, recursive\n")
+    assert tool.scan(root) == ["src/sydes/mod.py:5 recursive", "src/sydes/mod.py:16 lonely"]

@@ -101,24 +101,24 @@ class TestCosineLr:
 
     def test_step_zero_is_base_over_warmup_steps(self):
         warmup_steps = round(self.WARM * self.TOTAL)
-        assert cosine_lr(0, self.TOTAL, 1.0, self.WARM) == pytest.approx(1.0 / warmup_steps)
+        assert cosine_lr(0, self.TOTAL, self.WARM) == pytest.approx(1.0 / warmup_steps)
 
     def test_peak_at_warmup_end(self):
         warmup_steps = round(self.WARM * self.TOTAL)
-        assert cosine_lr(warmup_steps, self.TOTAL, 2.0, self.WARM) == pytest.approx(2.0)
+        assert cosine_lr(warmup_steps, self.TOTAL, self.WARM) == pytest.approx(1.0)
 
     def test_floor_at_total_steps(self):
-        assert cosine_lr(self.TOTAL, self.TOTAL, 1.0, self.WARM) == pytest.approx(0.01)
+        assert cosine_lr(self.TOTAL, self.TOTAL, self.WARM) == pytest.approx(0.01)
 
     def test_decay_midpoint(self):
         total, warm = 120, 0.15  # decay span 102 steps, so the midpoint is exact
         warmup_steps = round(warm * total)
         mid = warmup_steps + (total - warmup_steps) // 2
-        assert cosine_lr(mid, total, 1.0, warm) == pytest.approx((1.0 + 0.01) / 2)
+        assert cosine_lr(mid, total, warm) == pytest.approx((1.0 + 0.01) / 2)
 
     def test_monotone_decay_after_peak(self):
         warmup_steps = round(self.WARM * self.TOTAL)
-        values = [cosine_lr(s, self.TOTAL, 1.0, self.WARM)
+        values = [cosine_lr(s, self.TOTAL, self.WARM)
                   for s in range(warmup_steps, self.TOTAL + 1)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 

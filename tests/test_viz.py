@@ -1,6 +1,7 @@
 """Export plumbing: triptych assembly, attention CSV grids, and optional
 pixel normalization."""
 
+import json
 import os
 
 import numpy as np
@@ -86,10 +87,11 @@ class TestNormalization:
                         normalize_std=(0.5, 0.0, 0.5))
 
     def test_config_json_round_trip(self, tmp_path):
-        from sydes.config import RunConfig
+        from sydes.config import RunConfig, merge_json
         cfg = RunConfig.from_dict({"image": {"normalize_mean": [0.5, 0.4, 0.3],
                                              "normalize_std": [0.2, 0.2, 0.2]}})
         assert cfg.image.normalize_mean == (0.5, 0.4, 0.3)
         path = str(tmp_path / "c.json")
-        cfg.to_json(path)
-        assert RunConfig.from_json(path) == cfg
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(cfg.to_dict(), f)
+        assert merge_json(RunConfig(), path) == cfg
