@@ -182,12 +182,12 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     manifest = os.path.join(cfg.data_dir, "train.jsonl")
     samples, _ = ingest_manifest(manifest, cfg.data_dir)
     vocab = Vocab.build(s.text for s in samples)
-    vocab.save(os.path.join(out, "vocab.txt"))
     data = DatasetArrays(samples, cfg.image, vocab, cfg.encoder.seq_len)
+    os.makedirs(out, exist_ok=True)
+    vocab.save(os.path.join(out, "vocab.txt"))
 
     rng = RngState(cfg.seed)
     model = SydesModel(cfg.image, cfg.encoder, vocab.size,
@@ -211,7 +211,6 @@ def cmd_finetune(args) -> int:
     cfg, vocab, model, _ = _rebuild_from_checkpoint(args)
     task = cfg.task
     out = os.path.join(cfg.out_dir, task)
-    os.makedirs(out, exist_ok=True)
     data = _load_split(cfg, "train", vocab)
     val_path = os.path.join(cfg.data_dir, "val.jsonl")
     val_data = _load_split(cfg, "val", vocab) if os.path.isfile(val_path) else None
@@ -260,24 +259,24 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg, vocab, model, _ = _rebuild_from_checkpoint(args)
-    out = args.out or os.path.join(cfg.out_dir, "reconstructions")
-    os.makedirs(out, exist_ok=True)
     data = _load_split(cfg, args.split, vocab)
     n = min(args.n, len(data))
     batch = data.batch(np.arange(n))
     rng = RngState(cfg.seed)
     kept, masked = batch_masks(model, batch.sample_ids, 0, args.mask_ratio,
                                rng.split("reconstruct"))
-    aux: dict = {}
     capture: dict = {}
     with no_grad():
-        model.pretrain_forward(batch, kept, masked, cfg.tau, aux=aux)
+        mask_rows = model.pretrain_embeddings(batch, kept, masked)[0]
+        pixels = model.image_decoder.pixel_head(mask_rows).data
         model.finetune_forward(batch, cfg.task, cfg.tau, capture=capture)
     sub_patches = batch.sub_patches()
+    out = args.out or os.path.join(cfg.out_dir, "reconstructions")
+    os.makedirs(out, exist_ok=True)
     for i in range(n):
         sid = batch.sample_ids[i]
         write_ppm(os.path.join(out, f"triptych-{sid}.ppm"), reconstruction_triptych(
-            sub_patches, aux["pixels"], kept, masked, i, n, cfg.image))
+            sub_patches, pixels, kept, masked, i, n, cfg.image))
         export_attention(out, sid, capture["weights"], i)
     print(f"wrote {n} triptychs and attention grids under {out}")
     return 0

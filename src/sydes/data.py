@@ -15,17 +15,10 @@ import numpy as np
 
 from .errors import DataError
 from .imaging import ImageConfig, downsample, patchify, quadrants
-from .model import N_SUBS, TASKS
+from .model import LABELS, N_SUBS, TASKS, BatchArrays
 from .ppm import read_ppm_bytes, write_ppm
 from .tensor import RngState
 from .text import Vocab, tokenize
-
-LABELS: dict[str, tuple[str, ...]] = {
-    "sentiment": ("positive", "neutral", "negative"),
-    "emotion": ("happiness", "sad", "neutral", "disgust", "anger", "fear"),
-    "desire": ("vengeance", "curiosity", "social-contact", "family",
-               "tranquility", "romance", "none"),
-}
 
 MANIFEST_FIELDS = ("id", "image", "text", "sentiment", "emotion", "desire")
 
@@ -189,8 +182,6 @@ class DatasetArrays:
 
     def __init__(self, samples: list[Sample], cfg: ImageConfig, vocab: Vocab,
                  seq_len: int):
-        from .model import BatchArrays  # local import to avoid a cycle
-
         self.samples = samples
         self.cfg = cfg
         n = len(samples)

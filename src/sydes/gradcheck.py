@@ -16,7 +16,7 @@ from . import losses, nn
 from . import tensor as T
 from .encoders import EncoderConfig
 from .imaging import ImageConfig, sample_mask
-from .model import BatchArrays, SydesModel, group_major_masks
+from .model import TASK_CLASSES, BatchArrays, SydesModel, group_major_masks
 from .tensor import RngState, Tensor
 
 FD_STEP = 1e-5
@@ -213,8 +213,7 @@ def tiny_setup(rng: RngState):
         ids[i, s - 1] = 1
         real[i, :spans[i]] = True
         real[i, s - 1] = True
-    labels = {task: gen.integers(0, k, size=b)
-              for task, k in (("sentiment", 3), ("emotion", 6), ("desire", 7))}
+    labels = {task: gen.integers(0, k, size=b) for task, k in TASK_CLASSES.items()}
     batch = BatchArrays(low, subs, ids, real, labels,
                         [f"s{i}" for i in range(b)])
     return model, batch, image_cfg
@@ -230,9 +229,9 @@ def _scenario_pretrain(rng: RngState, result: CheckResult) -> None:
 
     # Pin the consistency-loss reference at its unperturbed value so the
     # oracle sees the same stop-gradient objective the tape differentiates.
-    aux: dict = {}
-    model.pretrain_forward(batch, kept, masked, tau=0.5, aux=aux)
-    reference = aux["dc_reference"]
+    with T.no_grad():
+        _, v, w, _ = model.pretrain_embeddings(batch, kept, masked)
+        reference = losses.similarity_distribution(v, w, 0.5).data
 
     def build():
         parts = model.pretrain_forward(batch, kept, masked, tau=0.5,

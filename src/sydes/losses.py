@@ -143,11 +143,10 @@ def dc_loss(aggregated: Tensor, global_feats: Tensor, text_feats: Tensor,
     """
     s_agg = similarity_distribution(aggregated, text_feats, tau)
     if reference is None:
-        s_ref = similarity_distribution(global_feats, text_feats, tau).detach()
-    else:
-        s_ref = reference.detach()
+        with T.no_grad():
+            reference = similarity_distribution(global_feats, text_feats, tau)
     log_agg = T.log(s_agg + LOG_EPS)
-    log_ref = T.log(s_ref + LOG_EPS)
+    log_ref = T.log(reference.detach() + LOG_EPS)
     kl = T.mean(T.sum_(s_agg * (log_agg - log_ref), axis=-1))
     entropy = T.mean(-T.sum_(s_agg * log_agg, axis=-1))
     return kl + entropy_sign * entropy

@@ -25,7 +25,13 @@ from .imaging import ImageConfig, patch_pixels
 from .tensor import Tensor
 
 TASKS = ("sentiment", "emotion", "desire")
-TASK_CLASSES = {"sentiment": 3, "emotion": 6, "desire": 7}
+LABELS: dict[str, tuple[str, ...]] = {
+    "sentiment": ("positive", "neutral", "negative"),
+    "emotion": ("happiness", "sad", "neutral", "disgust", "anger", "fear"),
+    "desire": ("vengeance", "curiosity", "social-contact", "family",
+               "tranquility", "romance", "none"),
+}
+TASK_CLASSES = {t: len(LABELS[t]) for t in TASKS}
 N_SUBS = 4
 
 
@@ -87,17 +93,14 @@ class SydesModel(nn.Module):
 
     # -- stage forwards ----------------------------------------------------
 
-    def pretrain_forward(self, batch: "BatchArrays", kept: np.ndarray, masked: np.ndarray,
-                         tau: float, rec_squared: bool = True,
-                         entropy_sign: float = 1.0,
-                         aux: dict | None = None,
-                         dc_reference: np.ndarray | None = None) -> dict[str, Tensor]:
-        """Masked-reconstruction wiring; returns the four pretraining loss
-        parts.  ``kept``/``masked`` are group-major int arrays [4B, rP] and
-        [4B, mP].  Pass ``aux`` to receive the pixel predictions, computed
-        off the tape, and the detached consistency reference;
-        ``dc_reference`` pins that reference (used by the finite-difference
-        oracle, which must respect the stop-gradient)."""
+    def pretrain_embeddings(self, batch: "BatchArrays", kept: np.ndarray,
+                            masked: np.ndarray) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """The per-sample part of pretraining: the three encodes, the
+        text-guided image decoder and the aggregator.  ``kept``/``masked``
+        are group-major int arrays [4B, rP] and [4B, mP].  Returns the
+        decoder's mask rows [4B, mP, dim] and the normalized [B, d]
+        features ``v_itc``, ``w_itc`` and ``p_agg`` that the batch losses
+        compare pairwise."""
         b = batch.size
         V1 = self.encode_low(batch.low_patches, rows=1)  # the losses read only CLS
         Vsub = self.encode_subs(batch, kept)
@@ -107,24 +110,24 @@ class SydesModel(nn.Module):
         W4 = T.concat([W] * N_SUBS, axis=0)
         real4 = np.tile(batch.real, (N_SUBS, 1))
         mask_rows, z = self.image_decoder(Vsub, kept, masked, W4, real4)
-        pixel_head = self.image_decoder.pixel_head
-
         z_stack = T.transpose(T.reshape(z, (N_SUBS, b, z.shape[1])), (1, 0, 2))
-        p_agg = T.l2_normalize(self.aggregator(z_stack))
+        return mask_rows, v_itc, w_itc, T.l2_normalize(self.aggregator(z_stack))
 
+    def pretrain_forward(self, batch: "BatchArrays", kept: np.ndarray, masked: np.ndarray,
+                         tau: float, rec_squared: bool = True,
+                         entropy_sign: float = 1.0,
+                         dc_reference: np.ndarray | None = None) -> dict[str, Tensor]:
+        """Masked-reconstruction wiring; returns the four pretraining loss
+        parts from ``pretrain_embeddings``.  ``dc_reference`` pins the
+        detached consistency reference (used by the finite-difference
+        oracle, which must respect the stop-gradient)."""
+        mask_rows, v_itc, w_itc, p_agg = self.pretrain_embeddings(batch, kept, masked)
         # The loss gathers its targets a few groups at a time, in its
         # forward and again in its VJP.
         targets = partial(gather_sub_patches, batch.subs, masked, batch.rows, batch.image_cfg)
-
         reference = None if dc_reference is None else Tensor(dc_reference)
-        if aux is not None:
-            with T.no_grad():
-                aux["pixels"] = pixel_head(mask_rows).data
-            aux["dc_reference"] = losses.similarity_distribution(
-                v_itc, w_itc, tau).data.copy()
-
         return {
-            "rec": losses.reconstruction_loss(mask_rows, pixel_head, targets,
+            "rec": losses.reconstruction_loss(mask_rows, self.image_decoder.pixel_head, targets,
                                               squared=rec_squared),
             "itc": losses.itc_loss(v_itc, w_itc, tau),
             "si": losses.si_loss(v_itc, p_agg),

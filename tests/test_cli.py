@@ -473,6 +473,18 @@ def test_mask_ratio_masking_no_patch_exit_1(workspace, tmp_path, capsys, command
     assert f"mask ratio {float(ratio)}" in err and "P=16" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "reconstruct"])
+def test_missing_manifest_leaves_no_output_dir(workspace, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    args = ["--data", str(tmp_path / "empty"), "--out", str(out)]
+    if command == "pretrain":
+        args += ["--config", workspace["config"]]
+    else:
+        args += ["--checkpoint", workspace["ckpt"]]
+    assert main([command, *args]) == 2
+    assert "train.jsonl" in capsys.readouterr().err and not out.exists()
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_lines(self, capsys):
         rc = main(["gradcheck", "--cases", "3", "--seed", "2"])

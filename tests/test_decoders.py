@@ -27,6 +27,13 @@ def masks_for(batch, image_cfg, ratio, seed=30):
     return group_major_masks(specs)
 
 
+def predicted_pixels(model, batch, kept, masked):
+    """The pixel head over the decoder's mask rows, off the tape: [4B, mP, patch_dim]."""
+    with T.no_grad():
+        mask_rows = model.pretrain_embeddings(batch, kept, masked)[0]
+        return model.image_decoder.pixel_head(mask_rows).data
+
+
 class TestBuildInput:
     def test_row_counts_m075_p16(self):
         """m=0.75, P=16: rows = 12 mask tokens + 4 visible + CLS = 17."""
@@ -118,10 +125,9 @@ class TestDecodeImage:
     def test_output_counts_and_z_shape(self, setup):
         model, batch, image_cfg = setup
         kept, masked = masks_for(batch, image_cfg, 0.5)
-        aux = {}
-        model.pretrain_forward(batch, kept, masked, tau=0.5, aux=aux)
+        pixels = predicted_pixels(model, batch, kept, masked)
         n_masked = masked.shape[1]
-        assert aux["pixels"].shape == (4 * batch.size, n_masked, image_cfg.patch_dim)
+        assert pixels.shape == (4 * batch.size, n_masked, image_cfg.patch_dim)
         W = model.encode_text(batch.ids, batch.real)
         _, z = model.image_decoder(model.encode_subs(batch, kept), kept, masked,
                                    T.concat([W] * 4, axis=0), np.tile(batch.real, (4, 1)))
@@ -132,8 +138,7 @@ class TestDecodeImage:
         the kept originals they tile a full patch grid."""
         model, batch, image_cfg = setup
         kept, masked = masks_for(batch, image_cfg, 0.5)
-        aux = {}
-        model.pretrain_forward(batch, kept, masked, tau=0.5, aux=aux)
+        pixels = predicted_pixels(model, batch, kept, masked)
         p = image_cfg.patches_per_image
         b = batch.size
         sub_patches = batch.sub_patches()
@@ -142,7 +147,7 @@ class TestDecodeImage:
                 g = n * b + i
                 grid = np.full((p, image_cfg.patch_dim), np.nan)
                 grid[kept[g]] = sub_patches[i, n][kept[g]]
-                grid[masked[g]] = aux["pixels"][g]
+                grid[masked[g]] = pixels[g]
                 assert np.isfinite(grid).all()
                 unpatchify(grid, image_cfg)  # shape-valid by construction
 

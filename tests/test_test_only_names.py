@@ -1,11 +1,12 @@
 """``tools/test_only_names.py`` on a small tree: which definitions it lists
-as named by nothing but their own definition and the tests."""
+as named by nothing but their own definition and the tests.  On this
+repository it must list only the deliberate keeps."""
 
 import importlib.util
 import os
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "test_only_names.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "test_only_names.py")
 spec = importlib.util.spec_from_file_location("test_only_names_tool", TOOL)
 tool = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tool)
@@ -44,3 +45,10 @@ def test_lists_definitions_named_only_by_themselves_or_tests(tmp_path):
     write(root, "src/sydes/notes.txt", "lonely recursive\n")
     write(root, "tests/test_mod.py", "from sydes.mod import lonely, recursive\n")
     assert tool.scan(root) == ["src/sydes/mod.py:5 recursive", "src/sydes/mod.py:16 lonely"]
+
+
+def test_repository_lists_only_the_deliberate_keeps():
+    """A new definition that only tests name fails here: delete it, or give
+    it a caller.  The two listed are kept on purpose (ROADMAP item 11)."""
+    assert [entry.split()[1] for entry in tool.scan(ROOT)] == ["select_unmasked",
+                                                               "detokenize_ids"]

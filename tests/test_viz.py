@@ -11,7 +11,7 @@ from sydes.errors import ContractError
 from sydes.gradcheck import tiny_setup
 from sydes.imaging import ImageConfig, sample_mask
 from sydes.model import group_major_masks
-from sydes.tensor import RngState
+from sydes.tensor import RngState, no_grad
 from sydes.viz import export_attention, reconstruction_triptych
 
 
@@ -22,15 +22,16 @@ def decoded():
     specs = [[sample_mask(p, 0.5, RngState(62).split(f"{i}/{n}")) for n in range(4)]
              for i in range(batch.size)]
     kept, masked = group_major_masks(specs)
-    aux = {}
-    model.pretrain_forward(batch, kept, masked, tau=0.5, aux=aux)
-    return batch, image_cfg, kept, masked, aux
+    with no_grad():
+        pixels = model.image_decoder.pixel_head(
+            model.pretrain_embeddings(batch, kept, masked)[0]).data
+    return batch, image_cfg, kept, masked, pixels
 
 
 def test_triptych_layout(decoded):
-    batch, image_cfg, kept, masked, aux = decoded
+    batch, image_cfg, kept, masked, pixels = decoded
     sub_patches = batch.sub_patches()
-    trip = reconstruction_triptych(sub_patches, aux["pixels"], kept, masked,
+    trip = reconstruction_triptych(sub_patches, pixels, kept, masked,
                                    0, batch.size, image_cfg)
     h = image_cfg.high_res
     assert trip.shape == (h, 3 * h, 3)

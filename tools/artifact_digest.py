@@ -21,9 +21,9 @@ memory change can be checked without timing noise.  Last comes
 and before the backward: the forward's share.  Neither is part of "ALL".
 
 A change that is not meant to alter numerics must print the same output
-before and after.  ``SYDES_THREADS`` is set to 1, so that the BLAS thread
-count cannot change the bits (BLAS variables already set in the environment
-still win).
+before and after.  ``SYDES_THREADS`` is set to 1 before ``sydes.cli`` is
+imported, and that import sets the BLAS thread variables from it, so that
+the BLAS thread count cannot change the bits.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ A definition is listed when its name occurs, as a whole word, in no ``.py``
 file under ``src/``, ``tools/`` or ``perfbench/`` outside its own
 definition.  It matches names, not bindings, so a name that any other
 identifier shares is never listed; dunder methods, which Python calls, are
-skipped.  Prints ``path:line name`` lines and exits 0: it gates nothing.
+skipped.  Prints ``path:line name`` lines and exits 0.  The tier-1 test
+``tests/test_test_only_names.py`` runs ``scan`` on this repository and
+requires exactly the two deliberate keeps it names (a name written here
+would no longer be listed).
 """
 
 from __future__ import annotations
