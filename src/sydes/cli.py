@@ -269,7 +269,8 @@ def cmd_reconstruct(args) -> int:
     with no_grad():
         mask_rows = model.pretrain_embeddings(batch, kept, masked)[0]
         pixels = model.image_decoder.pixel_head(mask_rows).data
-        model.finetune_forward(batch, cfg.task, cfg.tau, capture=capture)
+        model.text_decoder(model.encode_text(batch.ids, batch.real), batch.real,
+                           model.encode_images(batch), record=capture)
     sub_patches = batch.sub_patches()
     out = args.out or os.path.join(cfg.out_dir, "reconstructions")
     os.makedirs(out, exist_ok=True)

@@ -40,6 +40,10 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown task {self.task!r}; expected one of {TASKS}")
+        for name in ("pretrain", "finetune"):
+            stage = getattr(self, name).stage
+            if stage != name:
+                raise ConfigError(f"{name}.stage must be {name!r}, got {stage!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau: temperature must be positive and finite, got {self.tau}")
         for name in ("decoder_layers", "decoder_heads"):

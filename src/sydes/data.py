@@ -183,7 +183,6 @@ class DatasetArrays:
     def __init__(self, samples: list[Sample], cfg: ImageConfig, vocab: Vocab,
                  seq_len: int):
         self.samples = samples
-        self.cfg = cfg
         n = len(samples)
         p = cfg.patches_per_image
         low = np.zeros((n, p, cfg.patch_dim))

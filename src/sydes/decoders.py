@@ -5,7 +5,7 @@ learnable mask token per masked position (distinguished only by positional
 embedding) on top of the projected visible features, text enters through a
 per-row sigmoid gate blended with mean-pooled text, and cross-attention
 reads the gated rows.  The text decoder fuses non-CLS text queries with the
-concatenated visual features of all five images and feeds a small MLP head.
+stacked visual features of all five images and feeds a small MLP head.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class ImageDecoder(nn.Module):
 
 
 class TextDecoder(nn.Module):
-    """Cross-attends non-CLS text queries onto the concatenated visual
-    features (low-res plus all four sub-images)."""
+    """Cross-attends non-CLS text queries onto the stacked visual features
+    (low-res plus all four sub-images)."""
 
     def __init__(self, image_dim: int, dim: int,
                  layers: int = 2, heads: int = 4, mlp_ratio: int = 4):
@@ -116,14 +116,15 @@ class TextDecoder(nn.Module):
         self.blocks = [nn.DecoderBlock(dim, heads, mlp_ratio) for _ in range(layers)]
         self.ln_f = nn.LayerNorm(dim)
 
-    def __call__(self, W: Tensor, real: np.ndarray, visual: list[Tensor],
+    def __call__(self, W: Tensor, real: np.ndarray, visual: Tensor,
                  record: dict | None = None) -> Tensor:
-        """``W`` is [B, S, C]; queries are rows 0..S-2.  ``visual`` holds
-        [B, T_i, image_dim] feature stacks to concatenate as key/value.
-        Pass ``record`` to capture the last block's cross-attention."""
+        """``W`` is [B, S, C]; queries are rows 0..S-2.  ``visual`` is the
+        [B, 5(P+1), image_dim] feature stack (``SydesModel.encode_images``)
+        that keys and values are projected from.  Pass ``record`` to
+        capture the last block's cross-attention."""
         B, S, _ = W.shape
         q = T.narrow(W, 1, 0, S - 1)
-        kv = self.kv_proj(T.concat(visual, axis=1))
+        kv = self.kv_proj(visual)
         self_mask = nn.causal_pad_mask(real[:, : S - 1])
         x = q
         for i, block in enumerate(self.blocks):
@@ -132,13 +133,11 @@ class TextDecoder(nn.Module):
         return self.ln_f(x)
 
 
-class ClassifierHead(nn.Module):
+class ClassifierHead(nn.Mlp):
     """Mean-pool fused text rows, then a 2-layer MLP to K logits."""
 
     def __init__(self, dim: int, n_classes: int):
-        self.fc1 = nn.Linear(dim, dim)
-        self.fc2 = nn.Linear(dim, n_classes)
+        super().__init__(dim, dim, n_classes)
 
     def __call__(self, fused: Tensor) -> Tensor:
-        pooled = T.mean(fused, axis=1)
-        return T.mlp(pooled, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
+        return super().__call__(T.mean(fused, axis=1))

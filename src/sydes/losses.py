@@ -86,7 +86,7 @@ def itc_loss(image_feats: Tensor, text_feats: Tensor, tau: float) -> Tensor:
                   + _cross_entropy(T.transpose(logits, (1, 0)), pairs))
 
 
-class Aggregator(nn.Module):
+class Aggregator(nn.Mlp):
     """Learned attention over the four sub-image vectors plus an MLP into
     the contrastive space:  e_n = u^T tanh(z_n W + b),  alpha = softmax(e),
     output = MLP(sum_n alpha_n z_n)."""
@@ -95,8 +95,7 @@ class Aggregator(nn.Module):
         self.w_z = Parameter((dim, dim), init="fan_in")
         self.u = Parameter((dim,), init="normal")
         self.b = Parameter((dim,), init="zeros")
-        self.fc1 = nn.Linear(dim, dim)
-        self.fc2 = nn.Linear(dim, dim)
+        super().__init__(dim, dim, dim)  # fc1 and fc2 last: the checkpoint's order
 
     def scores(self, z: Tensor) -> Tensor:
         """Attention weights alpha, [B, n_subs], rows summing to 1."""
@@ -109,8 +108,7 @@ class Aggregator(nn.Module):
         """Aggregate [B, n_subs, dim] into [B, dim]."""
         alpha = self.scores(z)
         pooled = T.matmul(T.reshape(alpha, (z.shape[0], 1, z.shape[1])), z)
-        pooled = T.reshape(pooled, (z.shape[0], z.shape[2]))
-        return T.mlp(pooled, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
+        return super().__call__(T.reshape(pooled, (z.shape[0], z.shape[2])))
 
 
 def si_loss(global_feats: Tensor, aggregated: Tensor) -> Tensor:

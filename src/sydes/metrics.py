@@ -8,7 +8,7 @@ as exactly float(11/15))."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -27,15 +27,8 @@ class MetricReport:
     n: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-            "confusion": self.confusion.tolist() if self.confusion is not None else None,
-            "n": self.n,
-        }
+        confusion = self.confusion.tolist() if self.confusion is not None else None
+        return {**asdict(self), "confusion": confusion}
 
     def format_text(self) -> str:
         lines = [f"samples: {self.n}",

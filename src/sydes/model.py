@@ -135,31 +135,27 @@ class SydesModel(nn.Module):
                                  reference=reference),
         }
 
-    def encode_images(self, batch: "BatchArrays") -> tuple[Tensor, Tensor]:
-        """Full-image features (mask ratio 0): ``V1`` [B, P+1, image_dim]
-        from the low-resolution image and ``Vsub`` [4B, P+1, image_dim] from
-        the sub-images, group-major."""
+    def encode_images(self, batch: "BatchArrays") -> Tensor:
+        """Full-image features (mask ratio 0): the low-resolution image's
+        [B, P+1, image_dim] stack, then the four sub-images' stacks, as one
+        [B, 5(P+1), image_dim] stack whose row 0 is the image CLS feature."""
         b = batch.size
         p = self.image_cfg.patches_per_image
         kept = np.broadcast_to(np.arange(p, dtype=np.int64), (N_SUBS * b, p))
-        return self.encode_low(batch.low_patches), self.encode_subs(batch, kept)
+        V1 = self.encode_low(batch.low_patches)
+        Vsub = self.encode_subs(batch, kept)
+        return T.concat([V1] + [T.narrow(Vsub, 0, n * b, b) for n in range(N_SUBS)], axis=1)
 
     def finetune_forward(self, batch: "BatchArrays", task: str, tau: float,
-                         capture: dict | None = None,
-                         images: tuple[Tensor, Tensor] | None = None
-                         ) -> tuple[Tensor, dict[str, Tensor]]:
+                         images: Tensor | None = None) -> tuple[Tensor, dict[str, Tensor]]:
         """Full-image classification wiring (mask ratio 0).  Returns the
         logits and the fine-tuning loss parts (cls left to the caller, which
         holds the labels).  ``images`` is ``encode_images(batch)`` computed
         beforehand; when absent it is computed here."""
-        b = batch.size
-        V1, Vsub = self.encode_images(batch) if images is None else images
+        visual = self.encode_images(batch) if images is None else images
         W = self.encode_text(batch.ids, batch.real)
-        v_itc, w_itc = self.itc_features(V1, W)
-
-        visual = [V1] + T.split(Vsub, [b] * N_SUBS)
-        fused = self.text_decoder(W, batch.real, visual, record=capture)
-        logits = self.head(task)(fused)
+        v_itc, w_itc = self.itc_features(visual, W)
+        logits = self.head(task)(self.text_decoder(W, batch.real, visual))
         return logits, {"itc": losses.itc_loss(v_itc, w_itc, tau)}
 
 

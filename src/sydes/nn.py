@@ -108,9 +108,9 @@ class MultiHeadAttention(Module):
 class Mlp(Module):
     """``fc2(gelu(fc1(x)))``, one tape node (``T.mlp``) that keeps no hidden rows."""
 
-    def __init__(self, dim: int, ratio: int = 4):
-        self.fc1 = Linear(dim, dim * ratio)
-        self.fc2 = Linear(dim * ratio, dim)
+    def __init__(self, in_dim: int, hidden: int, out_dim: int):
+        self.fc1 = Linear(in_dim, hidden)
+        self.fc2 = Linear(hidden, out_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.mlp(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
@@ -129,7 +129,7 @@ class EncoderBlock(Module):
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadAttention(dim, heads)
         self.ln2 = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_ratio)
+        self.mlp = Mlp(dim, dim * mlp_ratio, dim)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  rows: int | None = None) -> Tensor:
@@ -154,7 +154,7 @@ class DecoderBlock(Module):
         self.ln_kv = LayerNorm(dim)
         self.cross_attn = MultiHeadAttention(dim, heads)
         self.ln2 = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_ratio)
+        self.mlp = Mlp(dim, dim * mlp_ratio, dim)
 
     def __call__(self, x: Tensor, kv: Tensor,
                  self_mask: np.ndarray | None = None,

@@ -435,19 +435,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _track(a.data[idx], (a,), vjp)
 
 
-def split(a, sizes) -> list[Tensor]:
-    """``narrow`` pieces of ``a`` along axis 0, of ``sizes`` that sum to it."""
-    a = _coerce(a)
-    shape = a.data.shape
-    if sum(sizes) != shape[0]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis 0 of {shape}")
-    out, start = [], 0
-    for s in sizes:
-        out.append(narrow(a, 0, start, s))
-        start += s
-    return out
-
-
 # -- reductions -------------------------------------------------------------
 
 def _expand_reduced(g: Array, shape: tuple[int, ...], axis) -> Array:

@@ -57,6 +57,8 @@ class StageConfig:
     lr_floor_frac: float = 0.01
 
     def __post_init__(self):
+        if self.stage not in ("pretrain", "finetune"):
+            raise ConfigError(f"stage must be 'pretrain' or 'finetune', got {self.stage!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -257,22 +259,17 @@ class ImageFeatureCache:
     def __init__(self, model: SydesModel, n: int):
         self.model = model
         self.seen = np.zeros(n, dtype=bool)
-        self.feature_shape = (model.image_cfg.patches_per_image + 1, model.enc_cfg.image_dim)
-        self.low = np.empty((n, *self.feature_shape))
-        self.subs = np.empty((N_SUBS, n, *self.feature_shape))
+        rows = (N_SUBS + 1) * (model.image_cfg.patches_per_image + 1)
+        self.stacks = np.empty((n, rows, model.enc_cfg.image_dim))
 
-    def features(self, index: np.ndarray, batch) -> tuple[Tensor, Tensor]:
-        """The ``encode_images`` pair for rows ``index``, whose arrays are
+    def features(self, index: np.ndarray, batch) -> Tensor:
+        """The ``encode_images`` stack for rows ``index``, whose arrays are
         ``batch``."""
         missing = np.flatnonzero(~self.seen[index])
         if missing.size:
-            V1, Vsub = self.model.encode_images(batch.subset(missing))
-            rows = index[missing]
-            self.low[rows] = V1.data
-            self.subs[:, rows] = Vsub.data.reshape(N_SUBS, missing.size, *self.feature_shape)
-            self.seen[rows] = True
-        return (Tensor(self.low[index]),
-                Tensor(self.subs[:, index].reshape(-1, *self.feature_shape)))
+            self.stacks[index[missing]] = self.model.encode_images(batch.subset(missing)).data
+            self.seen[index[missing]] = True
+        return Tensor(self.stacks[index])
 
 
 def predict(model: SydesModel, data: DatasetArrays, task: str, tau: float,
@@ -309,8 +306,6 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
     gradient raises ``NumericalError`` naming it, with the epoch and step,
     before the update, so the parameters keep their last finite values.
     """
-    if cfg.stage not in ("pretrain", "finetune"):
-        raise ConfigError(f"unknown stage {cfg.stage!r}")
     if cfg.stage == "finetune" and task is None:
         raise ConfigError("fine-tuning requires a task")
 
@@ -344,7 +339,7 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
     log_lines.append(",".join(header))
 
     def train_step(index: np.ndarray, epoch: int, step: int,
-                   lr_factor: float) -> tuple[float, dict[str, float]]:
+                   lr_factor: float) -> dict[str, float]:
         """One optimizer step on rows ``index``; returns the total loss and its
         parts as floats, so no reference to the step's tape escapes."""
         batch = data.batch(index)
@@ -354,17 +349,14 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
             parts = model.pretrain_forward(batch, kept, masked, tau,
                                            rec_squared=rec_squared,
                                            entropy_sign=entropy_sign)
-            _check_finite(parts, epoch, step)
             total = pretrain_loss(parts, cfg.weights)
         else:
             images = None if train_images is None else train_images.features(index, batch)
             logits, parts = model.finetune_forward(batch, task, tau, images=images)
             parts["cls"] = cls_loss(logits, batch.labels[task],
                                     sample_ids=batch.sample_ids)
-            _check_finite(parts, epoch, step)
             total = finetune_loss(parts, cfg.weights)
-        if not np.isfinite(total.data).all():
-            raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
+        _check_finite({**parts, "total": total}, epoch, step)
 
         model.zero_grad()
         total.backward()
@@ -373,7 +365,7 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
                 raise NumericalError(f"non-finite gradient of {p.name} "
                                      f"at epoch {epoch} step {step}")
         opt.step(lr_factor)
-        return total.item(), {name: parts[name].item() for name in part_names}
+        return {"loss": total.item(), **{name: parts[name].item() for name in part_names}}
 
     step = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -383,11 +375,9 @@ def run_stage(model: SydesModel, data: DatasetArrays, cfg: StageConfig,
         for b in range(n_batches):
             index = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             lr_factor = cosine_lr(step, total_steps, cfg.warmup_frac, cfg.lr_floor_frac)
-            loss, parts = train_step(index, epoch, step, lr_factor)
+            for name, value in train_step(index, epoch, step, lr_factor).items():
+                sums[name] += value * len(index)
             step += 1
-            sums["loss"] += loss * len(index)
-            for name in part_names:
-                sums[name] += parts[name] * len(index)
 
         record = {"epoch": epoch}
         record.update({name: sums[name] / n for name in ("loss", *part_names)})

@@ -230,14 +230,10 @@ def test_criterion_5_guidance_liveness():
     text_grad = sum(np.abs(par.grad).sum() for par in model.text_encoder.parameters()
                     if par.grad is not None)
 
-    V1 = model.encode_low(batch.low_patches)
-    full_kept = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * batch.size, p))
-    Vsub = model.encode_subs(batch, full_kept)
+    visual = model.encode_images(batch)
     W = model.encode_text(batch.ids, batch.real)
-    visual = [V1] + T.split(Vsub, [batch.size] * 4)
     fused = model.text_decoder(W, batch.real, visual)
-    zeroed = model.text_decoder(W, batch.real,
-                                [Tensor(np.zeros(v.shape)) for v in visual])
+    zeroed = model.text_decoder(W, batch.real, Tensor(np.zeros(visual.shape)))
     visual_delta = float(np.abs(fused.data - zeroed.data).max())
 
     ok = text_grad > 0 and visual_delta > 0

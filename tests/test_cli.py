@@ -485,6 +485,22 @@ def test_missing_manifest_leaves_no_output_dir(workspace, tmp_path, capsys, comm
     assert "train.jsonl" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("command, kind", [("pretrain", "finetune"), ("finetune", "pretrain")])
+def test_stage_of_the_other_kind_is_config_error(workspace, tmp_path, capsys, command, kind):
+    """A config section must hold its own stage: ``finetune`` once ran masked
+    pretraining and then died with a KeyError, and ``pretrain`` left
+    ``vocab.txt`` behind before it failed."""
+    cfg, out = tmp_path / "c.json", tmp_path / "o"
+    cfg.write_text(json.dumps({command: {"stage": kind}}))
+    args = ["--config", str(cfg), "--data", workspace["data"], "--out", str(out)]
+    if command == "finetune":
+        args += ["--checkpoint", workspace["ckpt"]]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: {command}.stage" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_lines(self, capsys):
         rc = main(["gradcheck", "--cases", "3", "--seed", "2"])
@@ -580,6 +596,7 @@ class TestUsage:
         ({"finetune": {"warmup_frac": -0.1}}, "finetune: warmup_frac"),
         ({"pretrain": {"lr_floor_frac": 2}}, "pretrain: lr_floor_frac"),
         ({"finetune": {"lr_floor_frac": float("nan")}}, "finetune: lr_floor_frac"),
+        ({"pretrain": {"stage": "warmup"}}, "pretrain: stage"),
     ])
     def test_out_of_range_config_names_field_and_file(self, tmp_path, capsys, config, field):
         bad = tmp_path / "bad.json"

@@ -169,9 +169,12 @@ class TestDecodeText:
         """W-tilde has S-1 rows; cross-attention sees 5*(P+1) visual keys."""
         model, batch, image_cfg = setup
         capture = {}
-        logits, _ = model.finetune_forward(batch, "desire", tau=0.5, capture=capture)
+        visual = model.encode_images(batch)
+        W = model.encode_text(batch.ids, batch.real)
+        logits = model.head("desire")(model.text_decoder(W, batch.real, visual, record=capture))
         s = model.enc_cfg.seq_len
         p = image_cfg.patches_per_image
+        assert visual.shape == (batch.size, 5 * (p + 1), model.enc_cfg.image_dim)
         assert capture["weights"].shape[2] == s - 1
         assert capture["weights"].shape[3] == 5 * (p + 1)
         assert logits.shape == (batch.size, 7)
@@ -184,15 +187,10 @@ class TestDecodeText:
         """Zeroing all visual features changes W-tilde: cross-attention is
         live (image-guided claim)."""
         model, batch, _ = setup
-        V1 = model.encode_low(batch.low_patches)
-        p = model.image_cfg.patches_per_image
-        kept = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * batch.size, p))
-        Vsub = model.encode_subs(batch, kept)
+        visual = model.encode_images(batch)
         W = model.encode_text(batch.ids, batch.real)
-        visual = [V1] + T.split(Vsub, [batch.size] * 4)
         fused = model.text_decoder(W, batch.real, visual)
-        zeroed = [Tensor(np.zeros(v.shape)) for v in visual]
-        fused_zero = model.text_decoder(W, batch.real, zeroed)
+        fused_zero = model.text_decoder(W, batch.real, Tensor(np.zeros(visual.shape)))
         assert np.abs(fused.data - fused_zero.data).max() > 1e-8
 
     def test_cls_gradient_reaches_image_encoder_cls_token(self, setup):

@@ -659,7 +659,7 @@ class TestTapeNodes:
 
     def test_mlp_call_is_one_mlp_node(self):
         rng = RngState(6)
-        mlp, head, agg = nn.Mlp(4, 2), decoders.ClassifierHead(4, 3), losses.Aggregator(4)
+        mlp, head, agg = nn.Mlp(4, 8, 4), decoders.ClassifierHead(4, 3), losses.Aggregator(4)
         for module in (mlp, head, agg):
             module.initialize(rng.split(type(module).__name__))
         x = leaf(rng.split("x"), (2, 3, 4))

@@ -83,10 +83,7 @@ class TestForwardExamples:
             with pytest.raises(ShapeError, match=rf"^narrow of \(4, 2\) .*axis={axis}, "
                                                  rf"start={start}, length={length}"):
                 T.narrow(a, axis, start, length)
-        with pytest.raises(ShapeError, match=r"^narrow of \(4, 2\) .*start=0, length=5"):
-            T.split(a, [5, -1])
         assert T.narrow(a, -1, 2, 0).shape == (4, 0)  # an empty slice stays legal
-        assert [p.shape for p in T.split(a, [0, 4, 0])] == [(0, 2), (4, 2), (0, 2)]
 
 
 class TestBackwardContracts:
@@ -329,10 +326,6 @@ def _op_scenarios(rng):
     nr = leaf(rng.split("narrow"), (n, m))
     scen.append(("narrow", [nr],
                  lambda: T.sum_(T.tanh(T.narrow(nr, 1, 0, max(1, m - 1))))))
-
-    sp = leaf(rng.split("split"), (4, m))
-    scen.append(("split", [sp],
-                 lambda: T.sum_(T.tanh(T.split(sp, [1, 3])[1]))))
 
     me = leaf(rng.split("mean"), (n, m))
     scen.append(("mean", [me], lambda: T.sum_(T.tanh(T.mean(me, axis=0)))))

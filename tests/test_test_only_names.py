@@ -47,8 +47,31 @@ def test_lists_definitions_named_only_by_themselves_or_tests(tmp_path):
     assert tool.scan(root) == ["src/sydes/mod.py:5 recursive", "src/sydes/mod.py:16 lonely"]
 
 
+def test_a_name_only_prose_mentions_is_listed(tmp_path):
+    """A docstring, a comment or a sentence in a string does not use a
+    name; a string that is the identifier itself does (``getattr``)."""
+    root = str(tmp_path)
+    write(root, "src/sydes/mod.py",
+          "def reference():\n"
+          "    return 1\n"
+          "\n"
+          "\n"
+          "def fast():\n"
+          '    """Checked against ``reference`` and reference()."""\n'
+          "    return 1  # reference\n"
+          "\n"
+          "\n"
+          "def hooked():\n"
+          "    return 2\n")
+    write(root, "tools/run.py", "from sydes.mod import fast\n")
+    write(root, "perfbench/hook.py",
+          'wrapped = getattr(mod, "hooked")\n'
+          'label = "the reference path"\n')
+    assert tool.scan(root) == ["src/sydes/mod.py:1 reference"]
+
+
 def test_repository_lists_only_the_deliberate_keeps():
     """A new definition that only tests name fails here: delete it, or give
-    it a caller.  The two listed are kept on purpose (ROADMAP item 11)."""
-    assert [entry.split()[1] for entry in tool.scan(ROOT)] == ["select_unmasked",
+    it a caller.  The three listed are kept on purpose (ROADMAP item 11)."""
+    assert [entry.split()[1] for entry in tool.scan(ROOT)] == ["select_unmasked", "read_ppm",
                                                                "detokenize_ids"]
