@@ -105,7 +105,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--split", default="train")
-    p.add_argument("--mask-ratio", type=float, default=0.75)
+    p.add_argument("--mask-ratio", type=float,
+                   help="override the mask ratio (default: the checkpoint's pretraining ratio)")
     p.add_argument("--n", type=int, default=4, help="samples to export")
 
     return parser
@@ -118,11 +119,13 @@ def _load_config(args, base: RunConfig | None = None) -> RunConfig:
     if args.config:
         cfg = merge_json(cfg, args.config)
     a = vars(args)
+    # ``reconstruct`` masks at the pretraining ratio, so its flag sets that one.
     flags = {"seed": a.get("seed"), "out_dir": a.get("out") or None,
-             "data_dir": a.get("data") or None, "task": a.get("task")}
+             "data_dir": a.get("data") or None, "task": a.get("task"),
+             "pretrain": {"mask_ratio": a.get("mask_ratio")}}
     if args.command in ("pretrain", "finetune"):
-        flags[args.command] = {"epochs": args.epochs, "mask_ratio": a.get("mask_ratio"),
-                               "weights": {"itc": 0.0} if a.get("no_itc") else None}
+        flags.setdefault(args.command, {}).update(
+            epochs=args.epochs, weights={"itc": 0.0} if a.get("no_itc") else None)
     return merge(cfg, _given(flags))
 
 
@@ -186,8 +189,6 @@ def cmd_pretrain(args) -> int:
     samples, _ = ingest_manifest(manifest, cfg.data_dir)
     vocab = Vocab.build(s.text for s in samples)
     data = DatasetArrays(samples, cfg.image, vocab, cfg.encoder.seq_len)
-    os.makedirs(out, exist_ok=True)
-    vocab.save(os.path.join(out, "vocab.txt"))
 
     rng = RngState(cfg.seed)
     model = SydesModel(cfg.image, cfg.encoder, vocab.size,
@@ -199,6 +200,8 @@ def cmd_pretrain(args) -> int:
     result = run_stage(model, data, cfg.pretrain, rng, out_dir=out, tau=cfg.tau,
                        rec_squared=cfg.rec_squared, entropy_sign=cfg.entropy_sign,
                        meta_extra=_model_meta(cfg, vocab))
+    # Saved once the stage has run, so a run that fails writes nothing.
+    vocab.save(os.path.join(out, "vocab.txt"))
     last = result.history[-1]
     print(f"final epoch loss {last['loss']:.6f} "
           f"(rec {last['rec']:.6f}, si {last['si']:.6f}, "
@@ -263,7 +266,7 @@ def cmd_reconstruct(args) -> int:
     n = min(args.n, len(data))
     batch = data.batch(np.arange(n))
     rng = RngState(cfg.seed)
-    kept, masked = batch_masks(model, batch.sample_ids, 0, args.mask_ratio,
+    kept, masked = batch_masks(model, batch.sample_ids, 0, cfg.pretrain.mask_ratio,
                                rng.split("reconstruct"))
     capture: dict = {}
     with no_grad():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 
 from .encoders import EncoderConfig
 from .errors import ConfigError, SydesError
@@ -19,6 +20,11 @@ from .imaging import ImageConfig
 from .losses import LossWeights
 from .model import TASKS
 from .training import StageConfig
+
+# The settings of a stage section that its stage never reads.  They must
+# stay 0, so that no value given there is silently ignored.
+_UNREAD = {"pretrain": ("weights.cls",),
+           "finetune": ("mask_ratio", "weights.rec", "weights.si", "weights.dc")}
 
 
 @dataclass(frozen=True)
@@ -40,10 +46,15 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown task {self.task!r}; expected one of {TASKS}")
-        for name in ("pretrain", "finetune"):
-            stage = getattr(self, name).stage
-            if stage != name:
-                raise ConfigError(f"{name}.stage must be {name!r}, got {stage!r}")
+        for name, unread in _UNREAD.items():
+            section = getattr(self, name)
+            if section.stage != name:
+                raise ConfigError(f"{name}.stage must be {name!r}, got {section.stage!r}")
+            for key in unread:
+                value = attrgetter(key)(section)
+                if value != 0:
+                    raise ConfigError(f"{name}.{key} must be 0: the {name} stage never reads "
+                                      f"it, got {value!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau: temperature must be positive and finite, got {self.tau}")
         for name in ("decoder_layers", "decoder_heads"):

@@ -196,9 +196,7 @@ class DatasetArrays:
                                 f"got {image.shape[1]}x{image.shape[0]} (width x height)")
             low[i] = patchify(downsample(cfg.normalize(image / 255.0), cfg), cfg)
             subs[i] = [patchify(sub, cfg) for sub in quadrants(image)]
-            seq = tokenize(s.text, vocab, seq_len)
-            ids[i] = seq.ids
-            real[i] = seq.real_mask()
+            ids[i], real[i] = tokenize(s.text, vocab, seq_len)
         labels = {task: np.array([s.label_index(task) for s in samples], dtype=np.int64)
                   for task in TASKS}
         self.arrays = BatchArrays(low, subs, ids, real, labels,

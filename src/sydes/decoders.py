@@ -76,13 +76,8 @@ class ImageDecoder(nn.Module):
         vis = self.proj(visible)
         positions = np.concatenate(
             [masked + 1, np.zeros((G, 1), dtype=np.int64), kept + 1], axis=1)
-        if n_masked:
-            mask_rows = T.embedding_lookup(
-                self.mask_token, np.zeros((G, n_masked), dtype=np.int64))
-            rows = T.concat([mask_rows, vis], axis=1)
-        else:
-            rows = vis
-        return rows + T.embedding_lookup(self.pos, positions)
+        mask_rows = T.embedding_lookup(self.mask_token, np.zeros((G, n_masked), dtype=np.int64))
+        return T.concat([mask_rows, vis], axis=1) + T.embedding_lookup(self.pos, positions)
 
     def decode(self, dec_in: Tensor, fused_kv: Tensor, n_masked: int) -> tuple[Tensor, Tensor]:
         """Run the decoder; returns (mask rows [G, mP, dim], per-sub-image

@@ -16,7 +16,7 @@ from . import losses, nn
 from . import tensor as T
 from .encoders import EncoderConfig
 from .imaging import ImageConfig, sample_mask
-from .model import TASK_CLASSES, BatchArrays, SydesModel, group_major_masks
+from .model import TASK_CLASSES, BatchArrays, SydesModel
 from .tensor import RngState, Tensor
 
 FD_STEP = 1e-5
@@ -222,9 +222,9 @@ def tiny_setup(rng: RngState):
 def _scenario_pretrain(rng: RngState, result: CheckResult) -> None:
     model, batch, image_cfg = tiny_setup(rng.split("setup"))
     p = image_cfg.patches_per_image
-    specs = [[sample_mask(p, 0.5, rng.split(f"mask/{i}/{n}")) for n in range(4)]
-             for i in range(batch.size)]
-    kept, masked = group_major_masks(specs)
+    draws = [sample_mask(p, 0.5, rng.split(f"mask/{i}/{n}"))
+             for n in range(4) for i in range(batch.size)]
+    kept, masked = (np.stack(a) for a in zip(*draws))
     weights = losses.LossWeights.pretrain_defaults()
 
     # Pin the consistency-loss reference at its unperturbed value so the

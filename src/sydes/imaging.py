@@ -1,5 +1,6 @@
 """Mixed-scale image preparation: downsample + quadrant crops, patch
-extraction, and random patch masking.
+extraction, and random patch masking.  A mask is two plain index arrays,
+the kept and the masked patches of one sub-image.
 
 All functions here are pure numpy (no gradient tracking); the autodiff graph
 starts at the patch-embedding layer.
@@ -85,19 +86,6 @@ def tile_quadrants(subs) -> np.ndarray:
     return np.concatenate([top, bottom], axis=0)
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Masked/kept patch indices for one sub-image.
-
-    ``kept`` has round-half-up((1-ratio) * patch_count) sorted indices for
-    the mask ratio it was drawn at; ``masked`` is the sorted complement.
-    ratio == 1 is rejected: at least one patch must stay visible.
-    """
-
-    kept: np.ndarray
-    masked: np.ndarray
-
-
 def downsample(image: np.ndarray, cfg: ImageConfig) -> np.ndarray:
     """The low-res view of a high-res image (its sub-images are its
     :func:`quadrants`): bilinear downsampling with aligned corners disabled,
@@ -164,18 +152,20 @@ def keep_count(patch_count: int, ratio: float) -> int:
     return n
 
 
-def sample_mask(patch_count: int, ratio: float, rng: RngState) -> MaskSpec:
-    """Draw a uniform random kept-set of size keep_count(P, ratio)."""
+def sample_mask(patch_count: int, ratio: float, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a uniform random kept-set for one sub-image: the sorted indices
+    of its keep_count(P, ratio) visible patches, and the sorted complement,
+    its masked patches.  ratio == 1 is rejected: at least one patch must
+    stay visible."""
     n_keep = keep_count(patch_count, ratio)
     order = rng.permutation(patch_count)
-    kept = np.sort(order[:n_keep])
-    masked = np.sort(order[n_keep:])
-    return MaskSpec(kept=kept, masked=masked)
+    return np.sort(order[:n_keep]), np.sort(order[n_keep:])
 
 
-def select_unmasked(patch_matrix: np.ndarray, spec: MaskSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Keep only visible rows; returns (rows in ascending kept order, the
-    kept index list) so reconstructions can be scattered back in place."""
-    if spec.kept.size and spec.kept.max() >= patch_matrix.shape[0]:
-        raise ContractError(f"kept index {spec.kept.max()} out of range for {patch_matrix.shape[0]} rows")
-    return patch_matrix[spec.kept], spec.kept
+def select_unmasked(patch_matrix: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep only the visible rows ``kept`` (sorted indices); returns (rows in
+    ascending kept order, the kept index list) so reconstructions can be
+    scattered back in place."""
+    if kept.size and kept.max() >= patch_matrix.shape[0]:
+        raise ContractError(f"kept index {kept.max()} out of range for {patch_matrix.shape[0]} rows")
+    return patch_matrix[kept], kept

@@ -214,12 +214,3 @@ def gather_sub_patches(subs: np.ndarray, index: np.ndarray, rows: np.ndarray,
     b = rows.shape[0]
     return patch_pixels(subs[rows[g % b], g // b, index[groups]], cfg)
 
-
-def group_major_masks(specs: list[list]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-sample, per-sub MaskSpecs ([B][4]) into group-major [4B, .]
-    kept and masked index arrays."""
-    kept = np.stack([np.stack([specs[b][n].kept for b in range(len(specs))])
-                     for n in range(N_SUBS)]).reshape(-1, specs[0][0].kept.size)
-    masked = np.stack([np.stack([specs[b][n].masked for b in range(len(specs))])
-                       for n in range(N_SUBS)]).reshape(-1, specs[0][0].masked.size)
-    return kept, masked

@@ -1,7 +1,9 @@
 """Deterministic word-level tokenizer and fixed-length sequence layout.
 
 A sequence of length S holds up to S-2 real tokens, PAD filler, and the CLS
-marker at the final index:  [tok, ..., tok, PAD, ..., PAD, CLS].
+marker at the final index:  [tok, ..., tok, PAD, ..., PAD, CLS].  A text
+becomes two plain rows, its ids and its real mask (the real tokens and CLS),
+which ``data.DatasetArrays`` stores as they are.
 """
 
 from __future__ import annotations
@@ -79,29 +81,10 @@ class Vocab:
         return list(RESERVED) + [w for w, _ in sorted(self.token_to_id.items(), key=lambda kv: kv[1])]
 
 
-@dataclass(frozen=True)
-class TextSequence:
-    """Fixed-length id sequence; index S-1 always holds CLS and ``span`` is
-    the count of real (non-pad, non-CLS) tokens at the front."""
-
-    ids: np.ndarray
-    span: int
-
-    @property
-    def length(self) -> int:
-        return self.ids.shape[0]
-
-    def real_mask(self) -> np.ndarray:
-        """Boolean mask of positions carrying information (real tokens and
-        the CLS marker)."""
-        mask = np.zeros(self.length, dtype=bool)
-        mask[: self.span] = True
-        mask[-1] = True
-        return mask
-
-
-def tokenize(text: str, vocab: Vocab, seq_len: int) -> TextSequence:
-    """Encode ``text`` into a length-``seq_len`` sequence.
+def tokenize(text: str, vocab: Vocab, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Encode ``text`` into a length-``seq_len`` sequence: its int64 ids and
+    its boolean real mask, True at the positions that carry information
+    (the real tokens and CLS).
 
     Keeps the first seq_len - 2 words (unknown words map to UNK), pads up to
     index seq_len - 2, and writes CLS at the last index.  Empty text is
@@ -111,13 +94,16 @@ def tokenize(text: str, vocab: Vocab, seq_len: int) -> TextSequence:
         raise ContractError(f"sequence length must be >= 2, got {seq_len}")
     words = split_words(text)[: seq_len - 2]
     ids = np.full(seq_len, PAD, dtype=np.int64)
+    real = np.zeros(seq_len, dtype=bool)
     for i, w in enumerate(words):
         ids[i] = vocab.id_of(w)
     ids[seq_len - 1] = CLS
-    return TextSequence(ids=ids, span=len(words))
+    real[: len(words)] = real[seq_len - 1] = True
+    return ids, real
 
 
-def detokenize_ids(seq: TextSequence, vocab: Vocab) -> list[str]:
-    """Map real-token ids back to surface tokens (UNK stays '<unk>')."""
+def detokenize_ids(ids: np.ndarray, real: np.ndarray, vocab: Vocab) -> list[str]:
+    """Map the real-token ids of a :func:`tokenize` row back to surface
+    tokens (UNK stays '<unk>')."""
     table = vocab.tokens()
-    return [table[i] for i in seq.ids[: seq.span]]
+    return [table[i] for i in ids[real][:-1]]

@@ -30,7 +30,7 @@ from .errors import ConfigError, ContractError, NumericalError
 from .imaging import keep_count, sample_mask
 from .losses import LossWeights, cls_loss, finetune_loss, pretrain_loss
 from .metrics import MetricReport, compute_metrics
-from .model import N_SUBS, TASK_CLASSES, SydesModel, group_major_masks
+from .model import N_SUBS, TASK_CLASSES, SydesModel
 from .tensor import Parameter, RngState, Tensor, no_grad
 
 PRETRAIN_FROZEN = ("text_decoder", "heads")
@@ -222,15 +222,17 @@ def build_optimizer(model: SydesModel, cfg: StageConfig) -> AdamW:
 
 def batch_masks(model: SydesModel, sample_ids: list[str], epoch: int,
                 mask_ratio: float, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh per-sample, per-sub-image masks; streams are split per sample
-    id so the draw is independent of batch composition.  A ratio that masks
-    no patch leaves nothing to reconstruct and is rejected."""
+    """Fresh per-sample, per-sub-image masks, group-major: row n * B + b of
+    the kept [4B, rP] and masked [4B, mP] arrays is sub-image n of sample b,
+    drawn from stream ``mask/e{epoch}/{sid}/n{n}``.  Streams are split per
+    sample id so the draw is independent of batch composition.  A ratio
+    that masks no patch leaves nothing to reconstruct and is rejected."""
     p = model.image_cfg.patches_per_image
     if keep_count(p, mask_ratio) == p:
         raise ConfigError(f"mask ratio {mask_ratio} masks no patch of P={p}")
-    specs = [[sample_mask(p, mask_ratio, rng.split(f"mask/e{epoch}/{sid}/n{n}"))
-              for n in range(N_SUBS)] for sid in sample_ids]
-    return group_major_masks(specs)
+    kept, masked = zip(*(sample_mask(p, mask_ratio, rng.split(f"mask/e{epoch}/{sid}/n{n}"))
+                         for n in range(N_SUBS) for sid in sample_ids))
+    return np.stack(kept), np.stack(masked)
 
 
 @dataclass

@@ -1,11 +1,22 @@
-"""Helpers shared by the test modules: a census of the arrays a tape keeps."""
+"""Helpers shared by the test modules: a census of the arrays a tape keeps,
+and group-major masks drawn from one stream per sample and sub-image."""
 
 import functools
 import types
 
 import numpy as np
 
-from sydes.tensor import Tensor
+from sydes.imaging import sample_mask
+from sydes.tensor import RngState, Tensor
+
+
+def draw_masks(b: int, p: int, ratio: float, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+    """Group-major kept [4B, rP] and masked [4B, mP] arrays for ``b``
+    samples of ``p`` patches: row n * b + i is drawn from stream
+    ``{i}/{n}`` of ``rng``."""
+    draws = [sample_mask(p, ratio, rng.split(f"{i}/{n}")) for n in range(4) for i in range(b)]
+    kept, masked = zip(*draws)
+    return np.stack(kept), np.stack(masked)
 
 
 def closure_values(fn) -> list:

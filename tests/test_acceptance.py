@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import draw_masks
 from sydes import losses
 from sydes import tensor as T
 from sydes.checkpoint import load_checkpoint, read_checkpoint
@@ -20,7 +21,7 @@ from sydes.gradcheck import identity_head, run_suite, tiny_setup
 from sydes.imaging import keep_count, quadrants, sample_mask, tile_quadrants, unpatchify
 from sydes.losses import LossWeights, cls_loss, dc_loss, itc_loss, reconstruction_loss, si_loss
 from sydes.metrics import compute_metrics
-from sydes.model import TASK_CLASSES, TASKS, SydesModel, group_major_masks
+from sydes.model import TASK_CLASSES, TASKS, SydesModel
 from sydes.tensor import RngState, Tensor
 from sydes.text import Vocab
 from sydes.training import StageConfig, predict, run_stage
@@ -153,16 +154,14 @@ def test_criterion_3_masking_tiling_invariants():
         for m in (0.0, 0.25, 0.5, 0.75, 0.9):
             expect = int(np.floor((1.0 - m) * p + 0.5))
             grid_ok &= keep_count(p, m) == expect
-            spec = sample_mask(p, m, RngState(7, f"g{p}/{m}"))
-            grid_ok &= spec.kept.size == expect
-            grid_ok &= spec.kept.size + spec.masked.size == p
+            kept, masked = sample_mask(p, m, RngState(7, f"g{p}/{m}"))
+            grid_ok &= kept.size == expect
+            grid_ok &= kept.size + masked.size == p
     checks.append(("|kept| = round((1-m)P) over the ratio grid", grid_ok))
 
     model, batch, image_cfg = tiny_setup(RngState(33))
     p = image_cfg.patches_per_image
-    specs = [[sample_mask(p, 0.75, RngState(34).split(f"{i}/{n}")) for n in range(4)]
-             for i in range(batch.size)]
-    kept, masked = group_major_masks(specs)
+    kept, masked = draw_masks(batch.size, p, 0.75, RngState(34))
     with T.no_grad():
         pixels = model.image_decoder.pixel_head(
             model.pretrain_embeddings(batch, kept, masked)[0]).data
@@ -221,9 +220,7 @@ def test_criterion_4_stage_freezing(corpus, tmp_path):
 def test_criterion_5_guidance_liveness():
     model, batch, image_cfg = tiny_setup(RngState(55))
     p = image_cfg.patches_per_image
-    specs = [[sample_mask(p, 0.5, RngState(56).split(f"{i}/{n}")) for n in range(4)]
-             for i in range(batch.size)]
-    kept, masked = group_major_masks(specs)
+    kept, masked = draw_masks(batch.size, p, 0.5, RngState(56))
     parts = model.pretrain_forward(batch, kept, masked, tau=0.5)
     model.zero_grad()
     parts["rec"].backward()

@@ -1,10 +1,13 @@
 """``tools/bench_pairs.py``: the pairing verdict, the per-metric summary and
 the recorded digests, on canned ``perfbench/run.py`` result lines and
-``tools/artifact_digest.py`` output (no subprocess is run)."""
+``tools/artifact_digest.py`` output (no subprocess is run), and the export of
+a commit."""
 
 import importlib.util
+import io
 import json
 import os
+import tarfile
 
 import pytest
 
@@ -163,15 +166,19 @@ def test_summary_flags_a_regression():
 
 def test_digests_recorded_once_per_file(tmp_path, monkeypatch):
     """Both checkouts' ``artifact_digest.py`` lines land in the BENCH file on
-    its first workload and are not rerun for the next; the subprocess and
-    the perfbench runs are stubbed."""
+    its first workload and are not rerun for the next; the subprocess (an
+    empty tar for ``git archive``) and the perfbench runs are stubbed."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"workloads": [{"name": "gradcheck"}, {"name": "desk-pretrain"}],
          "end_to_end": METRICS}))
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
     digests = []
+    empty_tar = io.BytesIO()
+    tarfile.open(fileobj=empty_tar, mode="w").close()
 
     def fake_run(cmd, cwd=None, **kwargs):
+        if "archive" in cmd:
+            return bench_pairs.subprocess.CompletedProcess(cmd, 0, empty_tar.getvalue(), b"")
         if cmd[1].endswith("artifact_digest.py"):
             assert cmd[1] == os.path.join(str(tmp_path), "tools", "artifact_digest.py")
             assert cmd[2:] == ["--root", cwd]
@@ -196,6 +203,14 @@ def test_digests_recorded_once_per_file(tmp_path, monkeypatch):
                                  "change": ["2a  ALL", "2b  FULLSCALE"]}
     assert sorted(report["workloads"]) == ["desk-pretrain", "gradcheck"]
     assert sorted(report["src_lines"]) == ["change", "parent"]
+
+
+def test_export_of_head_holds_the_package_and_no_git(tmp_path):
+    out = tmp_path / "head"
+    bench_pairs.export("HEAD", str(out))
+    assert (out / "src" / "sydes" / "__init__.py").is_file()
+    assert (out / "tools" / "bench_pairs.py").is_file()
+    assert not (out / ".git").exists()
 
 
 def test_src_lines_counts_newlines_of_the_package_modules(tmp_path):

@@ -453,6 +453,29 @@ class TestReconstruct:
             assert (read_bytes(tmp_path / "plain" / name)
                     == read_bytes(tmp_path / "taped" / name)), name
 
+    def test_masks_at_the_checkpoint_pretraining_ratio(self, workspace, tmp_path,
+                                                       monkeypatch):
+        """Without ``--mask-ratio``, reconstruct masks at the ratio the
+        checkpoint was pretrained at (it once masked at a fixed 0.75); the
+        flag still overrides it."""
+        def at_quarter(meta):
+            meta["run_config"]["pretrain"]["mask_ratio"] = 0.25
+            return meta
+
+        ckpt = resave(workspace["ckpt"], str(tmp_path / "quarter.ckpt"), at_quarter)
+        ratios = []
+        batch_masks = cli.batch_masks
+
+        def spy(model, sample_ids, epoch, mask_ratio, rng):
+            ratios.append(mask_ratio)
+            return batch_masks(model, sample_ids, epoch, mask_ratio, rng)
+
+        monkeypatch.setattr(cli, "batch_masks", spy)
+        args = ["reconstruct", "--checkpoint", ckpt, "--data", workspace["data"], "--n", "1"]
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--out", str(tmp_path / "b"), "--mask-ratio", "0.5"]) == 0
+        assert ratios == [0.25, 0.5]
+
     def test_mask_ratio_zero_rejected(self, workspace, tmp_path):
         rc = main(["reconstruct", "--checkpoint", workspace["ckpt"],
                    "--data", workspace["data"], "--out", str(tmp_path / "x"),
@@ -471,6 +494,7 @@ def test_mask_ratio_masking_no_patch_exit_1(workspace, tmp_path, capsys, command
     assert main([command, *args]) == 1
     err = capsys.readouterr().err
     assert f"mask ratio {float(ratio)}" in err and "P=16" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune", "reconstruct"])
@@ -597,6 +621,11 @@ class TestUsage:
         ({"pretrain": {"lr_floor_frac": 2}}, "pretrain: lr_floor_frac"),
         ({"finetune": {"lr_floor_frac": float("nan")}}, "finetune: lr_floor_frac"),
         ({"pretrain": {"stage": "warmup"}}, "pretrain: stage"),
+        ({"finetune": {"mask_ratio": 0.5}}, "finetune.mask_ratio"),
+        ({"pretrain": {"weights": {"cls": 1.0}}}, "pretrain.weights.cls"),
+        ({"finetune": {"weights": {"rec": 1.0}}}, "finetune.weights.rec"),
+        ({"finetune": {"weights": {"si": 0.5}}}, "finetune.weights.si"),
+        ({"finetune": {"weights": {"dc": 0.025}}}, "finetune.weights.dc"),
     ])
     def test_out_of_range_config_names_field_and_file(self, tmp_path, capsys, config, field):
         bad = tmp_path / "bad.json"

@@ -8,13 +8,13 @@ import os
 import numpy as np
 import pytest
 
+from conftest import draw_masks
 from sydes.data import (LABELS, DatasetArrays, Sample, generate_synthetic,
                         ingest_manifest, label_counts, write_manifest)
 from sydes.errors import DataError
-from sydes.imaging import (ImageConfig, downsample, patch_pixels, patchify, quadrants,
-                           sample_mask)
+from sydes.imaging import ImageConfig, downsample, patch_pixels, patchify, quadrants
 from sydes.metrics import compute_metrics
-from sydes.model import gather_sub_patches, group_major_masks
+from sydes.model import gather_sub_patches
 from sydes.ppm import read_ppm, write_ppm
 from sydes.tensor import RngState
 from sydes.text import Vocab
@@ -195,8 +195,7 @@ class TestBatchArrays:
     @staticmethod
     def masks(n, seed):
         p = CFG.patches_per_image
-        return group_major_masks([[sample_mask(p, 0.75, RngState(seed).split(f"{i}/{k}"))
-                                   for k in range(4)] for i in range(n)])
+        return draw_masks(n, p, 0.75, RngState(seed))
 
     def test_batch_shares_the_dataset_sub_images(self, data):
         subs = data.arrays.subs

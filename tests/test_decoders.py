@@ -4,13 +4,14 @@ placement, fused-text shapes, cross-modal liveness, and the task heads."""
 import numpy as np
 import pytest
 
+from conftest import draw_masks
 from sydes import losses
 from sydes import tensor as T
 from sydes.decoders import ClassifierHead, GatedFusion, pool_text
 from sydes.errors import ContractError
 from sydes.gradcheck import tiny_setup
 from sydes.imaging import sample_mask, unpatchify
-from sydes.model import TASK_CLASSES, group_major_masks
+from sydes.model import TASK_CLASSES
 from sydes.tensor import RngState, Tensor
 
 
@@ -21,10 +22,7 @@ def setup():
 
 
 def masks_for(batch, image_cfg, ratio, seed=30):
-    p = image_cfg.patches_per_image
-    specs = [[sample_mask(p, ratio, RngState(seed).split(f"{i}/{n}"))
-              for n in range(4)] for i in range(batch.size)]
-    return group_major_masks(specs)
+    return draw_masks(batch.size, image_cfg.patches_per_image, ratio, RngState(seed))
 
 
 def predicted_pixels(model, batch, kept, masked):
@@ -42,9 +40,9 @@ class TestBuildInput:
         dec = ImageDecoder(image_dim=8, dim=8, patch_count=16, patch_dim=12,
                            layers=1, heads=2)
         dec.initialize(RngState(1))
-        spec = sample_mask(16, 0.75, RngState(2))
+        kept, masked = sample_mask(16, 0.75, RngState(2))
         visible = Tensor(RngState(3).normal((1, 5, 8)))
-        out = dec.build_input(visible, spec.kept[None, :], spec.masked[None, :])
+        out = dec.build_input(visible, kept[None, :], masked[None, :])
         assert out.shape == (1, 17, 8)
 
     def test_m0_degenerates_to_projection(self, setup):
@@ -63,12 +61,12 @@ class TestBuildInput:
         model, _, image_cfg = setup
         dec = model.image_decoder
         p = image_cfg.patches_per_image
-        spec = sample_mask(p, 0.5, RngState(5))
-        visible = Tensor(RngState(6).normal((1, spec.kept.size + 1, 8)))
+        kept, masked = sample_mask(p, 0.5, RngState(5))
+        visible = Tensor(RngState(6).normal((1, kept.size + 1, 8)))
         saved = dec.pos.data.copy()
         dec.pos.data = np.zeros_like(saved)
-        out = dec.build_input(visible, spec.kept[None, :], spec.masked[None, :])
-        n_masked = spec.masked.size
+        out = dec.build_input(visible, kept[None, :], masked[None, :])
+        n_masked = masked.size
         first = out.data[0, 0]
         for r in range(1, n_masked):
             assert np.array_equal(out.data[0, r], first)

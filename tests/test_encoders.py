@@ -4,6 +4,7 @@ pad blocking, shared weights, and sensitivity probes."""
 import numpy as np
 import pytest
 
+from conftest import draw_masks
 from sydes import nn
 from sydes import tensor as T
 from sydes.encoders import EncoderConfig, ImageEncoder, TextEncoder
@@ -56,18 +57,18 @@ class TestEmbedPatches:
         assert out.shape == (2, p + 1, CFG.image_dim)
 
     def test_masked_row_count(self, image_encoder):
-        spec = sample_mask(16, 0.75, RngState(1))
-        assert spec.kept.size == 4
-        pos = spec.kept[None, :]
+        kept, _ = sample_mask(16, 0.75, RngState(1))
+        assert kept.size == 4
+        pos = kept[None, :]
         out = image_encoder.embed(Tensor(rand_patches(1, 1, 4)), pos)
         assert out.shape == (1, 5, CFG.image_dim)
 
     def test_function_of_kept_set_only(self, image_encoder):
-        """Two different MaskSpecs with the same kept set embed identically."""
-        a = sample_mask(16, 0.5, RngState(2, "a"))
-        patches = rand_patches(2, 1, a.kept.size)
-        out1 = image_encoder.embed(Tensor(patches), a.kept[None, :])
-        out2 = image_encoder.embed(Tensor(patches), a.kept.copy()[None, :])
+        """Two different kept arrays with the same kept set embed identically."""
+        kept, _ = sample_mask(16, 0.5, RngState(2, "a"))
+        patches = rand_patches(2, 1, kept.size)
+        out1 = image_encoder.embed(Tensor(patches), kept[None, :])
+        out2 = image_encoder.embed(Tensor(patches), kept.copy()[None, :])
         assert np.array_equal(out1.data, out2.data)
 
     def test_position_length_mismatch_rejected(self, image_encoder):
@@ -177,8 +178,6 @@ class TestSharedEncoder:
         """Both image paths route through the same Parameter objects and
         both populate their gradients."""
         from sydes.gradcheck import tiny_setup
-        from sydes.imaging import sample_mask as sm
-        from sydes.model import group_major_masks
 
         model, batch, image_cfg = tiny_setup(RngState(6))
         p = image_cfg.patches_per_image
@@ -190,9 +189,7 @@ class TestSharedEncoder:
                      if par.grad is not None and np.abs(par.grad).sum() > 0}
         model.zero_grad()
 
-        specs = [[sm(p, 0.5, RngState(8).split(f"{i}/{n}")) for n in range(4)]
-                 for i in range(batch.size)]
-        kept, _ = group_major_masks(specs)
+        kept, _ = draw_masks(batch.size, p, 0.5, RngState(8))
         Vs = model.encode_subs(batch, kept)
         T.sum_(Vs * Vs).backward()
         grads_sub = {par.name for par in model.image_encoder.parameters()
@@ -208,14 +205,10 @@ class TestSharedEncoder:
     def test_pretrain_step_populates_image_encoder_grads(self):
         from sydes import losses
         from sydes.gradcheck import tiny_setup
-        from sydes.imaging import sample_mask as sm
-        from sydes.model import group_major_masks
 
         model, batch, image_cfg = tiny_setup(RngState(7))
         p = image_cfg.patches_per_image
-        specs = [[sm(p, 0.5, RngState(9).split(f"{i}/{n}")) for n in range(4)]
-                 for i in range(batch.size)]
-        kept, masked = group_major_masks(specs)
+        kept, masked = draw_masks(batch.size, p, 0.5, RngState(9))
         parts = model.pretrain_forward(batch, kept, masked, tau=0.5)
         losses.pretrain_loss(parts, losses.LossWeights.pretrain_defaults()).backward()
         norms = [np.abs(par.grad).sum() for par in model.image_encoder.parameters()
@@ -261,9 +254,8 @@ def test_gather_sub_patches_equals_the_transposed_gather():
     sub_patches = RngState(41).uniform((b, 4, p, IMG.patch_dim))
     flat = sub_patches.transpose(1, 0, 2, 3).reshape(-1, p, IMG.patch_dim)
     identity = np.broadcast_to(np.arange(p, dtype=np.int64), (4 * b, p))
-    specs = [sample_mask(p, 0.75, RngState(42).split(str(g))) for g in range(4 * b)]
-    for index in (identity, np.stack([s.kept for s in specs]),
-                  np.stack([s.masked for s in specs])):
+    kept, masked = zip(*(sample_mask(p, 0.75, RngState(42).split(str(g))) for g in range(4 * b)))
+    for index in (identity, np.stack(kept), np.stack(masked)):
         old = np.take_along_axis(flat, index[:, :, None], axis=1)
         new = gather_sub_patches(sub_patches, index, np.arange(b))
         assert new.shape == old.shape and new.tobytes() == old.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sydes.errors import ContractError, DataError, ShapeError
-from sydes.imaging import (ImageConfig, MaskSpec, downsample, keep_count, patchify, quadrants,
+from sydes.imaging import (ImageConfig, downsample, keep_count, patchify, quadrants,
                            sample_mask, select_unmasked, tile_quadrants, unpatchify)
 from sydes.ppm import read_ppm, write_ppm
 from sydes.tensor import RngState
@@ -114,16 +114,16 @@ class TestMasks:
 
     def test_mask_cardinality_partition(self):
         for m in (0.0, 0.25, 0.5, 0.75, 0.9):
-            spec = sample_mask(16, m, RngState(7, f"m{m}"))
-            union = np.union1d(spec.kept, spec.masked)
+            kept, masked = sample_mask(16, m, RngState(7, f"m{m}"))
+            union = np.union1d(kept, masked)
             assert np.array_equal(union, np.arange(16))
-            assert spec.kept.size + spec.masked.size == 16
-            assert spec.kept.size == keep_count(16, m)
+            assert kept.size + masked.size == 16
+            assert kept.size == keep_count(16, m)
 
     def test_m_zero_keeps_all(self):
-        spec = sample_mask(16, 0.0, RngState(1))
-        assert np.array_equal(spec.kept, np.arange(16))
-        assert spec.masked.size == 0
+        kept, masked = sample_mask(16, 0.0, RngState(1))
+        assert np.array_equal(kept, np.arange(16))
+        assert masked.size == 0
 
     def test_m_one_rejected(self):
         with pytest.raises(ContractError):
@@ -134,9 +134,9 @@ class TestMasks:
             sample_mask(16, 0.99, RngState(1))
 
     def test_deterministic_under_fixed_stream(self):
-        a = sample_mask(196, 0.75, RngState(3, "fixed"))
-        b = sample_mask(196, 0.75, RngState(3, "fixed"))
-        assert np.array_equal(a.kept, b.kept)
+        a, _ = sample_mask(196, 0.75, RngState(3, "fixed"))
+        b, _ = sample_mask(196, 0.75, RngState(3, "fixed"))
+        assert np.array_equal(a, b)
 
     def test_index_frequency_matches_keep_ratio(self):
         """Each index is kept with frequency ~(1-m) over 10,000 draws."""
@@ -144,7 +144,7 @@ class TestMasks:
         counts = np.zeros(p)
         root = RngState(11, "freq")
         for i in range(draws):
-            counts[sample_mask(p, m, root.split(str(i))).kept] += 1
+            counts[sample_mask(p, m, root.split(str(i)))[0]] += 1
         freq = counts / draws
         assert np.all(np.abs(freq - (1 - m)) < 0.02)
 
@@ -152,30 +152,28 @@ class TestMasks:
 class TestSelectUnmasked:
     def test_identity_at_m0(self):
         mat = RngState(1).normal((16, 192))
-        spec = sample_mask(16, 0.0, RngState(2))
-        rows, kept = select_unmasked(mat, spec)
+        kept, _ = sample_mask(16, 0.0, RngState(2))
+        rows, kept = select_unmasked(mat, kept)
         assert np.array_equal(rows, mat)
         assert np.array_equal(kept, np.arange(16))
 
     def test_single_row(self):
         mat = RngState(1).normal((4, 5))
-        spec = MaskSpec(kept=np.array([0]), masked=np.array([1, 2, 3]))
-        rows, _ = select_unmasked(mat, spec)
+        rows, _ = select_unmasked(mat, np.array([0]))
         assert np.array_equal(rows, mat[:1])
 
     def test_out_of_range_rejected(self):
         mat = np.zeros((4, 5))
-        spec = MaskSpec(kept=np.array([7]), masked=np.array([]))
         with pytest.raises(ContractError):
-            select_unmasked(mat, spec)
+            select_unmasked(mat, np.array([7]))
 
     def test_scatter_back_round_trip(self):
         mat = RngState(5).normal((16, 12))
-        spec = sample_mask(16, 0.5, RngState(6))
-        rows, kept = select_unmasked(mat, spec)
+        kept, masked = sample_mask(16, 0.5, RngState(6))
+        rows, kept = select_unmasked(mat, kept)
         rebuilt = np.zeros_like(mat)
         rebuilt[kept] = rows
-        rebuilt[spec.masked] = mat[spec.masked]
+        rebuilt[masked] = mat[masked]
         assert np.array_equal(rebuilt, mat)
 
 

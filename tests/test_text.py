@@ -14,53 +14,55 @@ def vocab():
 
 class TestTokenize:
     def test_empty_text(self, vocab):
-        seq = tokenize("", vocab, 4)
-        assert seq.ids.tolist() == [PAD, PAD, PAD, CLS]
-        assert seq.span == 0
+        ids, real = tokenize("", vocab, 4)
+        assert ids.tolist() == [PAD, PAD, PAD, CLS]
+        assert real[:-1].sum() == 0
 
     def test_truncation_keeps_first_s_minus_2(self, vocab):
-        seq = tokenize("a a a a a", vocab, 4)
+        ids, real = tokenize("a a a a a", vocab, 4)
         a = vocab.id_of("a")
-        assert seq.ids.tolist() == [a, a, PAD, CLS]
-        assert seq.span == 2
+        assert ids.tolist() == [a, a, PAD, CLS]
+        assert real[:-1].sum() == 2
 
     def test_deterministic(self, vocab):
-        x = tokenize("The Quick, brown FOX!", vocab, 8)
-        y = tokenize("The Quick, brown FOX!", vocab, 8)
-        assert np.array_equal(x.ids, y.ids)
+        x, x_real = tokenize("The Quick, brown FOX!", vocab, 8)
+        y, y_real = tokenize("The Quick, brown FOX!", vocab, 8)
+        assert np.array_equal(x, y) and np.array_equal(x_real, y_real)
 
     def test_case_and_punctuation_folding(self, vocab):
         assert split_words("A Quick-Brown... fox?") == ["a", "quick", "brown", "fox"]
 
     def test_unknown_words_map_to_unk(self, vocab):
-        seq = tokenize("zebra", vocab, 4)
-        assert seq.ids[0] == UNK
+        ids, _ = tokenize("zebra", vocab, 4)
+        assert ids[0] == UNK
 
     def test_cls_exactly_once_at_end(self, vocab):
         for text in ("", "a", "a quick brown fox jumps over"):
-            seq = tokenize(text, vocab, 6)
-            assert seq.ids[-1] == CLS
-            assert (seq.ids[:-1] == CLS).sum() == 0
+            ids, _ = tokenize(text, vocab, 6)
+            assert ids[-1] == CLS
+            assert (ids[:-1] == CLS).sum() == 0
 
     def test_padding_only_between_tokens_and_cls(self, vocab):
-        seq = tokenize("quick fox", vocab, 8)
-        ids = seq.ids.tolist()
-        assert PAD not in ids[: seq.span]
-        assert all(i == PAD for i in ids[seq.span:-1])
+        ids, real = tokenize("quick fox", vocab, 8)
+        span = int(real[:-1].sum())
+        ids = ids.tolist()
+        assert span == 2 and real[:span].all()
+        assert PAD not in ids[:span]
+        assert all(i == PAD for i in ids[span:-1])
 
     def test_min_length_enforced(self, vocab):
         with pytest.raises(ContractError):
             tokenize("x", vocab, 1)
 
     def test_real_mask(self, vocab):
-        seq = tokenize("quick fox", vocab, 6)
-        assert seq.real_mask().tolist() == [True, True, False, False, False, True]
+        _, real = tokenize("quick fox", vocab, 6)
+        assert real.tolist() == [True, True, False, False, False, True]
 
     def test_round_trip_ids(self, vocab):
-        seq = tokenize("a quick brown fox", vocab, 8)
-        words = detokenize_ids(seq, vocab)
-        again = tokenize(" ".join(words), vocab, 8)
-        assert np.array_equal(seq.ids, again.ids)
+        ids, real = tokenize("a quick brown fox", vocab, 8)
+        words = detokenize_ids(ids, real, vocab)
+        again, _ = tokenize(" ".join(words), vocab, 8)
+        assert np.array_equal(ids, again)
 
 
 class TestVocab:

@@ -14,6 +14,7 @@ from sydes import tensor as T
 from sydes.config import RunConfig
 from sydes.data import DatasetArrays, generate_synthetic
 from sydes.errors import ConfigError, NumericalError
+from sydes.imaging import sample_mask
 from sydes.model import SydesModel
 from sydes.tensor import Parameter, RngState, Tensor
 from sydes.text import Vocab
@@ -193,6 +194,27 @@ def corpus(tmp_path_factory):
     vocab = Vocab.build(s.text for s in samples)
     data = DatasetArrays(samples, cfg.image, vocab, cfg.encoder.seq_len)
     return cfg, vocab, data
+
+
+def test_batch_masks_rows_are_group_major_per_sample_draws(tiny_model):
+    """Row n * B + b of ``batch_masks``' kept and masked arrays is the draw of
+    stream ``mask/e{epoch}/{sid}/n{n}`` for the sample at position b, so a
+    sample's rows do not depend on the rest of its batch."""
+    model, _, image_cfg = tiny_model
+    p = image_cfg.patches_per_image
+    rng = RngState(12)
+    sample_ids = ["s3", "s0", "s7"]
+    b = len(sample_ids)
+    kept, masked = training.batch_masks(model, sample_ids, 2, 0.5, rng)
+    assert kept.shape == masked.shape == (4 * b, p // 2)
+    for n in range(4):
+        for i, sid in enumerate(sample_ids):
+            want_kept, want_masked = sample_mask(p, 0.5, rng.split(f"mask/e2/{sid}/n{n}"))
+            assert np.array_equal(kept[n * b + i], want_kept)
+            assert np.array_equal(masked[n * b + i], want_masked)
+    for i, sid in enumerate(sample_ids):
+        alone_kept, alone_masked = training.batch_masks(model, [sid], 2, 0.5, rng)
+        assert np.array_equal(alone_kept, kept[i::b]) and np.array_equal(alone_masked, masked[i::b])
 
 
 def fresh_model(cfg, vocab, seed=0):

@@ -7,10 +7,10 @@ import os
 import numpy as np
 import pytest
 
+from conftest import draw_masks
 from sydes.errors import ContractError
 from sydes.gradcheck import tiny_setup
-from sydes.imaging import ImageConfig, sample_mask
-from sydes.model import group_major_masks
+from sydes.imaging import ImageConfig
 from sydes.tensor import RngState, no_grad
 from sydes.viz import export_attention, reconstruction_triptych
 
@@ -19,9 +19,7 @@ from sydes.viz import export_attention, reconstruction_triptych
 def decoded():
     model, batch, image_cfg = tiny_setup(RngState(61))
     p = image_cfg.patches_per_image
-    specs = [[sample_mask(p, 0.5, RngState(62).split(f"{i}/{n}")) for n in range(4)]
-             for i in range(batch.size)]
-    kept, masked = group_major_masks(specs)
+    kept, masked = draw_masks(batch.size, p, 0.5, RngState(62))
     with no_grad():
         pixels = model.image_decoder.pixel_head(
             model.pretrain_embeddings(batch, kept, masked)[0]).data

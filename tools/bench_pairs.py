@@ -1,15 +1,15 @@
 """Paired benchmark runs of two commits, written to ``BENCH_<label>.json``.
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --workload W \\
-        --pairs N --seconds S --label L
+        [--workload W2 ...] --pairs N --seconds S --label L
 
-Checks out each REV with ``git worktree add --detach`` in a temporary
-directory (an omitted ``--change`` means this checkout, as it is on disk),
-then runs ``perfbench/run.py --workload W --seconds S --trace 0`` N times
-on each side.  Pair i uses seed ``SEED_BASE + i`` on both sides, and the
-side that runs first alternates from pair to pair, so a drift in the
-host's speed falls on both sides alike.  The worktrees are removed when the tool ends, also
-after an error.
+Exports the committed files of each REV with ``git archive`` to a
+temporary directory (an omitted ``--change`` means this checkout, as it is
+on disk), then, workload by workload, runs ``perfbench/run.py --workload W
+--seconds S --trace 0`` N times on each side.  Pair i uses seed
+``SEED_BASE + i`` on both sides, and the side that runs first alternates
+from pair to pair, so a drift in the host's speed falls on both sides
+alike.  The exports are removed when the tool ends, also after an error.
 
 ``BENCH_<label>.json`` in this checkout holds the two commits, the output
 lines of ``tools/artifact_digest.py --root`` and the ``src/`` line count
@@ -21,14 +21,16 @@ medians and quartiles, the change's wins per pair and the verdicts of
 printed summary shows, each side's failed and attempted operations.  The
 printed summary ends with both sides' ``src/`` line counts and their
 difference.
-Running the tool again with the same label and commits adds or replaces
-that workload's entry, so one file can hold every workload of one change.
+The file is written after each workload.  Running the tool again with the
+same label and commits adds or replaces the entries of the workloads it
+runs, so one file can hold every workload of one change.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import io
 import json
 import os
 import re
@@ -36,6 +38,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -147,6 +150,17 @@ def git(*args: str) -> str:
     return proc.stdout.strip()
 
 
+def export(rev: str, path: str) -> None:
+    """Write the files of commit ``rev`` to the directory ``path``, as
+    ``git archive`` gives them: no ``.git`` and nothing uncommitted."""
+    proc = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git archive {rev}: {proc.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(path)
+
+
 def src_lines(checkout: str) -> int:
     """The line count ``wc -l src/sydes/*.py`` gives in ``checkout``: the
     newlines of every module of the package."""
@@ -182,11 +196,39 @@ def digest_lines(checkout: str) -> list[str]:
     return proc.stdout.strip().splitlines()
 
 
+def run_workload(report: dict, out_path: str, checkouts: dict, workload: str, pairs: int,
+                 seconds: float, metrics: list[dict]) -> None:
+    """Run ``pairs`` alternating pairs of ``workload``, enter their runs and
+    summary in ``report``, write it to ``out_path`` and print the summary."""
+    runs = []
+    for i in range(pairs):
+        seed = SEED_BASE + i
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            run = {"pair": i, "side": side, "seed": seed}
+            run |= run_once(checkouts[side], workload, seed, seconds)
+            runs.append(run)
+            step = run["result"]["metrics"]["step_ms_p50"]["value"]
+            print(f"{workload} pair {i} seed {seed} {side:<6} step_ms_p50 {step:.2f}",
+                  flush=True)
+    summary = summarize(runs, metrics)
+    report["workloads"][workload] = {
+        "pairs": pairs, "seconds": seconds,
+        "seeds": [SEED_BASE + i for i in range(pairs)],
+        "summary": summary, "runs": runs}
+    with open(out_path + ".tmp", "w", encoding="utf-8") as f:
+        json.dump(report, f, indent=1, sort_keys=True)
+        f.write("\n")
+    os.replace(out_path + ".tmp", out_path)
+    for line in summary_lines(workload, summary, metrics):
+        print(line, flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit compared against")
     parser.add_argument("--change", help="the changed commit (default: this checkout)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload of BENCHMARK.json; repeat it to run several")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--label", required=True)
@@ -198,8 +240,9 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         benchmark = json.load(f)
     metrics = benchmark["end_to_end"]
-    if args.workload not in [w["name"] for w in benchmark["workloads"]]:
-        parser.error(f"--workload {args.workload!r} is not a workload of BENCHMARK.json")
+    for workload in args.workload:
+        if workload not in [w["name"] for w in benchmark["workloads"]]:
+            parser.error(f"--workload {workload!r} is not a workload of BENCHMARK.json")
     commits = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
                "change": git("rev-parse", "--verify", (args.change or "HEAD") + "^{commit}")}
     if args.change is None:
@@ -214,47 +257,22 @@ def main(argv=None) -> int:
                              "use another --label")
 
     tmp = tempfile.mkdtemp(prefix="bench_pairs-")
-    checkouts, added = {"change": ROOT}, []
+    checkouts = {"change": ROOT}
     try:
         for side in ("parent",) if args.change is None else ("parent", "change"):
-            path = os.path.join(tmp, side)
-            git("worktree", "add", "--detach", path, commits[side])
-            added.append(path)
-            checkouts[side] = path
+            checkouts[side] = os.path.join(tmp, side)
+            export(commits[side], checkouts[side])
         if "digests" not in report:
             report["digests"] = {side: digest_lines(checkouts[side])
                                  for side in ("parent", "change")}
         if "src_lines" not in report:
             report["src_lines"] = {side: src_lines(checkouts[side])
                                    for side in ("parent", "change")}
-        runs = []
-        for i in range(args.pairs):
-            seed = SEED_BASE + i
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                run = {"pair": i, "side": side, "seed": seed}
-                run |= run_once(checkouts[side], args.workload, seed, args.seconds)
-                runs.append(run)
-                step = run["result"]["metrics"]["step_ms_p50"]["value"]
-                print(f"pair {i} seed {seed} {side:<6} step_ms_p50 {step:.2f}", flush=True)
+        for workload in args.workload:
+            run_workload(report, out_path, checkouts, workload, args.pairs, args.seconds,
+                         metrics)
     finally:
-        for path in added:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", path],
-                           capture_output=True, check=False)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True,
-                       check=False)
-
-    summary = summarize(runs, metrics)
-    report["workloads"][args.workload] = {
-        "pairs": args.pairs, "seconds": args.seconds,
-        "seeds": [SEED_BASE + i for i in range(args.pairs)],
-        "summary": summary, "runs": runs}
-    with open(out_path + ".tmp", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
-        f.write("\n")
-    os.replace(out_path + ".tmp", out_path)
-    for line in summary_lines(args.workload, summary, metrics):
-        print(line)
     lines = report["src_lines"]
     print(f"src lines parent {lines['parent']} change {lines['change']} "
           f"({lines['change'] - lines['parent']:+d})")
