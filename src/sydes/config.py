@@ -55,6 +55,9 @@ class RunConfig:
                 if value != 0:
                     raise ConfigError(f"{name}.{key} must be 0: the {name} stage never reads "
                                       f"it, got {value!r}")
+        for name in ("data_dir", "out_dir"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must name a directory, got ''")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau: temperature must be positive and finite, got {self.tau}")
         for name in ("decoder_layers", "decoder_heads"):

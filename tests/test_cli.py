@@ -626,6 +626,8 @@ class TestUsage:
         ({"finetune": {"weights": {"rec": 1.0}}}, "finetune.weights.rec"),
         ({"finetune": {"weights": {"si": 0.5}}}, "finetune.weights.si"),
         ({"finetune": {"weights": {"dc": 0.025}}}, "finetune.weights.dc"),
+        ({"out_dir": ""}, "out_dir"),
+        ({"data_dir": ""}, "data_dir"),
     ])
     def test_out_of_range_config_names_field_and_file(self, tmp_path, capsys, config, field):
         bad = tmp_path / "bad.json"
