@@ -40,13 +40,12 @@ from .config import RunConfig, merge, merge_json  # noqa: E402
 from .data import DatasetArrays, generate_synthetic, ingest_manifest  # noqa: E402
 from .errors import ConfigError, DataError, NumericalError, SydesError  # noqa: E402
 from .gradcheck import run_suite  # noqa: E402
-from .imaging import keep_count  # noqa: E402
 from .metrics import compute_metrics  # noqa: E402
 from .model import TASK_CLASSES, TASKS, SydesModel  # noqa: E402
 from .ppm import write_ppm  # noqa: E402
 from .tensor import RngState, no_grad  # noqa: E402
 from .text import Vocab  # noqa: E402
-from .training import batch_masks, predict, run_stage  # noqa: E402
+from .training import batch_masks, kept_patch_count, predict, run_stage  # noqa: E402
 from .viz import export_attention, reconstruction_triptych  # noqa: E402
 
 
@@ -184,7 +183,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    out = cfg.out_dir
+    kept_n = kept_patch_count(cfg.image.patches_per_image, cfg.pretrain.mask_ratio)
     manifest = os.path.join(cfg.data_dir, "train.jsonl")
     samples, _ = ingest_manifest(manifest, cfg.data_dir)
     vocab = Vocab.build(s.text for s in samples)
@@ -194,14 +193,11 @@ def cmd_pretrain(args) -> int:
     model = SydesModel(cfg.image, cfg.encoder, vocab.size,
                        decoder_layers=cfg.decoder_layers, decoder_heads=cfg.decoder_heads)
     model.initialize(rng)
-    kept_n = keep_count(cfg.image.patches_per_image, cfg.pretrain.mask_ratio)
     print(f"pretraining on {len(samples)} samples, mask ratio "
           f"{cfg.pretrain.mask_ratio} ({kept_n}/{cfg.image.patches_per_image} patches kept)")
-    result = run_stage(model, data, cfg.pretrain, rng, out_dir=out, tau=cfg.tau,
+    result = run_stage(model, data, cfg.pretrain, rng, out_dir=cfg.out_dir, tau=cfg.tau,
                        rec_squared=cfg.rec_squared, entropy_sign=cfg.entropy_sign,
                        meta_extra=_model_meta(cfg, vocab))
-    # Saved once the stage has run, so a run that fails writes nothing.
-    vocab.save(os.path.join(out, "vocab.txt"))
     last = result.history[-1]
     print(f"final epoch loss {last['loss']:.6f} "
           f"(rec {last['rec']:.6f}, si {last['si']:.6f}, "

@@ -52,9 +52,12 @@ def ingest_manifest(path: str, image_root: str) -> tuple[list[Sample], dict[str,
     seen_ids: set[str] = set()
     if not os.path.isfile(path):
         raise DataError(f"manifest not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:  # decoded line by line, so a bad byte names its line
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}:{line_no}: invalid UTF-8 ({e})") from None
             if not line:
                 continue
             try:

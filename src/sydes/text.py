@@ -46,13 +46,6 @@ class Vocab:
     def id_of(self, word: str) -> int:
         return self.token_to_id.get(word, UNK)
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("# one token per line; id = index among non-comment lines\n")
-            f.write(f"# ids 0..2 are reserved: {' '.join(RESERVED)}\n")
-            for tok in self.tokens():
-                f.write(tok + "\n")
-
     @classmethod
     def from_tokens(cls, tokens, source: str = "vocabulary") -> "Vocab":
         """Inverse of :meth:`tokens`: one token per id, the reserved ones
@@ -65,17 +58,6 @@ class Vocab:
             raise DataError(f"{source}: duplicate tokens")
         words = tokens[len(RESERVED):]
         return cls(token_to_id={w: i + len(RESERVED) for i, w in enumerate(words)})
-
-    @classmethod
-    def load(cls, path: str) -> "Vocab":
-        tokens = []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if line.startswith("#") or not line:
-                    continue
-                tokens.append(line)
-        return cls.from_tokens(tokens, path)
 
     def tokens(self) -> list[str]:
         return list(RESERVED) + [w for w, _ in sorted(self.token_to_id.items(), key=lambda kv: kv[1])]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class StageConfig:
             batch_size=batch_size,
             frozen=FINETUNE_FROZEN,
         )
-
-    def with_weights(self, **kwargs) -> "StageConfig":
-        return replace(self, weights=replace(self.weights, **kwargs))
 
 
 def cosine_lr(step: int, total_steps: int, warmup_frac: float,
@@ -220,16 +217,24 @@ def build_optimizer(model: SydesModel, cfg: StageConfig) -> AdamW:
                   for prefix, params in groups.items() if params])
 
 
+def kept_patch_count(p: int, mask_ratio: float) -> int:
+    """``keep_count(p, mask_ratio)``; a ratio that masks no patch leaves
+    nothing to reconstruct and is rejected."""
+    kept = keep_count(p, mask_ratio)
+    if kept == p:
+        raise ConfigError(f"mask ratio {mask_ratio} masks no patch of P={p}")
+    return kept
+
+
 def batch_masks(model: SydesModel, sample_ids: list[str], epoch: int,
                 mask_ratio: float, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
     """Fresh per-sample, per-sub-image masks, group-major: row n * B + b of
     the kept [4B, rP] and masked [4B, mP] arrays is sub-image n of sample b,
     drawn from stream ``mask/e{epoch}/{sid}/n{n}``.  Streams are split per
     sample id so the draw is independent of batch composition.  A ratio
-    that masks no patch leaves nothing to reconstruct and is rejected."""
+    that masks no patch is rejected (:func:`kept_patch_count`)."""
     p = model.image_cfg.patches_per_image
-    if keep_count(p, mask_ratio) == p:
-        raise ConfigError(f"mask ratio {mask_ratio} masks no patch of P={p}")
+    kept_patch_count(p, mask_ratio)
     kept, masked = zip(*(sample_mask(p, mask_ratio, rng.split(f"mask/e{epoch}/{sid}/n{n}"))
                          for n in range(N_SUBS) for sid in sample_ids))
     return np.stack(kept), np.stack(masked)

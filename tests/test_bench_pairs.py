@@ -205,7 +205,18 @@ def test_digests_recorded_once_per_file(tmp_path, monkeypatch):
     assert sorted(report["src_lines"]) == ["change", "parent"]
 
 
-def test_export_of_head_holds_the_package_and_no_git(tmp_path):
+def test_export_of_head_holds_the_package_and_no_git(tmp_path, monkeypatch):
+    """Exports ``HEAD`` of a repository made here, so the test does not
+    depend on the suite itself running in a git checkout."""
+    repo = tmp_path / "repo"
+    for rel in ("src/sydes/__init__.py", "tools/bench_pairs.py"):
+        (repo / rel).parent.mkdir(parents=True, exist_ok=True)
+        (repo / rel).write_text("")
+    for args in (["init", "-q"], ["add", "."],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+                  "commit", "-q", "-m", "files"]):
+        bench_pairs.subprocess.run(["git", "-C", str(repo), *args], check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
     out = tmp_path / "head"
     bench_pairs.export("HEAD", str(out))
     assert (out / "src" / "sydes" / "__init__.py").is_file()

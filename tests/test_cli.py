@@ -96,9 +96,7 @@ class TestGenData:
 class TestPretrain:
     def test_artifacts(self, workspace):
         out = workspace["out"]
-        assert os.path.isfile(workspace["ckpt"])
-        assert os.path.isfile(os.path.join(out, "pretrain-log.csv"))
-        assert os.path.isfile(os.path.join(out, "vocab.txt"))
+        assert sorted(os.listdir(out)) == ["pretrain-epoch2.ckpt", "pretrain-log.csv"]
 
     def test_seed_repeat_identical_checkpoint(self, workspace, tmp_path):
         out2 = str(tmp_path / "again")
@@ -187,6 +185,20 @@ class TestPretrain:
         n = 64 * 64 * 3
         assert f"{image}: expected {n} pixel bytes, found {n - 100}" in err
         assert "Traceback" not in err and not os.path.exists(tmp_path / "o" / "pretrain-epoch1.ckpt")
+
+    def test_invalid_utf8_in_manifest_is_data_error_naming_line(self, workspace, tmp_path,
+                                                                capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        manifest = data / "train.jsonl"
+        with open(manifest, "ab") as f:
+            f.write(b"\x80")
+        rc = main(["pretrain", "--config", workspace["config"], "--data", str(data),
+                   "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:13: invalid UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -492,9 +504,12 @@ def test_mask_ratio_masking_no_patch_exit_1(workspace, tmp_path, capsys, command
     else:
         args += ["--checkpoint", workspace["ckpt"]]
     assert main([command, *args]) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert f"mask ratio {float(ratio)}" in err and "P=16" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+    if command == "pretrain":
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune", "reconstruct"])

@@ -70,8 +70,29 @@ def test_a_name_only_prose_mentions_is_listed(tmp_path):
     assert tool.scan(root) == ["src/sydes/mod.py:1 reference"]
 
 
+def test_a_method_named_only_as_an_imported_module_attribute_is_listed(tmp_path):
+    """``json.load`` and ``np.save`` name members of modules that a plain
+    ``import`` bound, so they do not use the methods ``load`` and ``save``;
+    ``store.save`` does."""
+    root = str(tmp_path)
+    write(root, "src/sydes/mod.py",
+          "class Store:\n"
+          "    def load(self):\n"
+          "        return 1\n"
+          "\n"
+          "    def save(self):\n"
+          "        return 2\n")
+    write(root, "tools/run.py",
+          "import json\n"
+          "import numpy as np\n"
+          "from sydes.mod import Store\n"
+          "store = Store()\n"
+          "np.save('b.npy', store.save(json.load(open('a.json'))))\n")
+    assert tool.scan(root) == ["src/sydes/mod.py:2 load"]
+
+
 def test_repository_lists_only_the_deliberate_keeps():
     """A new definition that only tests name fails here: delete it, or give
-    it a caller.  The three listed are kept on purpose (ROADMAP item 11)."""
+    it a caller.  The three listed are kept on purpose (ROADMAP item 13)."""
     assert [entry.split()[1] for entry in tool.scan(ROOT)] == ["select_unmasked", "read_ppm",
                                                                "detokenize_ids"]

@@ -1,4 +1,4 @@
-"""Tokenizer layout contracts: terminal CLS, truncation, padding, vocab io."""
+"""Tokenizer layout contracts: terminal CLS, truncation, padding, the vocabulary's token list."""
 
 import numpy as np
 import pytest
@@ -79,20 +79,14 @@ class TestVocab:
         ids = sorted(vocab.token_to_id.values())
         assert ids == list(range(3, vocab.size))
 
-    def test_save_load_round_trip(self, vocab, tmp_path):
-        path = str(tmp_path / "vocab.txt")
-        vocab.save(path)
-        loaded = Vocab.load(path)
-        assert loaded.token_to_id == vocab.token_to_id
+    def test_from_tokens_round_trip(self, vocab):
+        assert Vocab.from_tokens(vocab.tokens()).token_to_id == vocab.token_to_id
 
-    def test_load_rejects_missing_reserved(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("apple\nbanana\ncherry\n")
+    def test_from_tokens_rejects_missing_reserved(self):
         with pytest.raises(DataError):
-            Vocab.load(str(path))
+            Vocab.from_tokens(["apple", "banana", "cherry"])
 
-    def test_load_rejects_duplicate_tokens(self, tmp_path):
-        path = tmp_path / "dup.txt"
-        path.write_text("<pad>\n<cls>\n<unk>\napple\nbanana\napple\n")
-        with pytest.raises(DataError, match="dup.txt"):
-            Vocab.load(str(path))
+    def test_from_tokens_rejects_duplicate_tokens(self):
+        with pytest.raises(DataError, match="dup.ckpt: embedded vocab: duplicate tokens"):
+            Vocab.from_tokens(["<pad>", "<cls>", "<unk>", "apple", "banana", "apple"],
+                              "dup.ckpt: embedded vocab")

@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def desire_f1(sy, cfg, vocab, train, val, seed: int, weights: dict) -> float:
                                 decoder_heads=cfg.decoder_heads)
     model.initialize(sy.tensor.RngState(seed))
     pre = training.StageConfig.pretrain_defaults(epochs=EPOCHS, batch_size=BATCH)
-    pre = pre.with_weights(**weights)
+    pre = replace(pre, weights=replace(pre.weights, **weights))
     training.run_stage(model, train, pre, sy.tensor.RngState(seed), tau=cfg.tau)
     ft = training.run_stage(model, train,
                             training.StageConfig.finetune_defaults(epochs=EPOCHS, batch_size=BATCH),

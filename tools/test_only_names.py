@@ -7,9 +7,11 @@ A definition is listed when no ``.py`` file under ``src/``, ``tools/`` or
 ``perfbench/`` names it in code outside its own definition.  Code means the
 syntax tree: names, attributes, imports, and string constants that are
 identifiers (perfbench hands such names to ``getattr``); a docstring or a
-comment that mentions a name does not use it.  It matches names, not
-bindings, so a name that any other identifier shares is never listed;
-dunder methods, which Python calls, are skipped.  Prints ``path:line name``
+comment that mentions a name does not use it, and neither does an
+attribute of a module that the file binds with a plain ``import``
+(``json.load``, ``np.load``).  Otherwise it matches names, not bindings,
+so a name that any other identifier shares is never listed; dunder
+methods, which Python calls, are skipped.  Prints ``path:line name``
 lines and exits 0.  The tier-1 test ``tests/test_test_only_names.py`` runs
 ``scan`` on this repository and requires exactly the deliberate keeps it
 names.
@@ -30,11 +32,15 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 def identifiers(tree: ast.AST):
     """``(name, line)`` for each identifier that the code of ``tree`` names."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             for name in node.name.split("."):
                 yield name, node.lineno
